@@ -190,6 +190,9 @@ def config_errors(cfg: SimConfig) -> list[str]:
         errs.append("runs must be >= 1")
     if cfg.warmup_ms < 0:
         errs.append("warmup_ms negative")
+    elif cfg.duration_s > 0 and cfg.warmup_ms * 1e3 >= cfg.duration_s * 1e6:
+        # the measured window (duration minus warm-up) would be empty
+        errs.append("warmup_ms must be shorter than duration_s")
     return errs
 
 

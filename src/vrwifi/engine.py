@@ -2,18 +2,29 @@
 contention between the AP (downlink video) and the client (uplink
 controller traffic), and sweep orchestration across seeds.
 
-Events are dispatched in (time, insertion ordinal) order so equal-time
-events replay identically; one PCG64 stream per run keeps every run
-reproducible and independent of any other.
+Event ordering contract (what makes a run replay bit-identically):
+
+- Packet arrivals are known before the loop starts. They sit in one
+  pre-sorted list walked by a cursor; only runtime events (backoff
+  expiries and channel-idle instants) go through the heap, in
+  (time, insertion ordinal) order.
+- At equal times an arrival is handled before any runtime event.
+- At equal times a video arrival is handled before an uplink arrival.
+- While the channel is idle at most one access event is live. It is
+  re-armed only when the earliest backoff expiry moves; an event whose
+  epoch no longer matches is stale and is dropped when popped.
+
+One PCG64 stream per run keeps every run reproducible and independent of
+any other.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import heapq
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -22,11 +33,7 @@ from vrwifi import phy as phy_mod
 from vrwifi import traffic as traffic_mod
 from vrwifi.config import SimConfig, validate_config
 from vrwifi.mac import AP, CLIENT, MacStation
-from vrwifi.metrics import RunMetrics, TxRecord, ampdu_mark, vf_delay
-
-EV_PKT = "pkt"          # packet handed to a station's transmit buffer
-EV_ACCESS = "access"    # a backoff counter is due to expire
-EV_END = "end"          # channel becomes idle (exchange or collision over)
+from vrwifi.metrics import RunMetrics, TxRecord, vf_delay
 
 SWEEP_AXES = {
     "fps": ("traffic", "fps"),
@@ -81,8 +88,9 @@ class _Sim:
         self.warmup_us = min(cfg.warmup_ms * 1e3, self.duration_us)
         self.now = 0.0
         self.ordinal = 0
-        self.events: list = []
+        self.events: list = []   # runtime events: (time, ordinal, handler, arg)
         self.epoch = 0
+        self.armed_us = None     # expiry time of the live access event
         self.busy = False
         self.in_flight = None   # (station, ampdu) or "collision"
         self.stations = {
@@ -95,6 +103,7 @@ class _Sim:
         self.tracker = _BufferTracker(self.warmup_us, self.duration_us)
         self.ap_outstanding = 0
         self.drawn = {AP: -1, CLIENT: -1}
+        self.airtime_cache: dict = {}   # (bytes, mpdus, rts_cts) -> us
         # pre-computed timing constants
         m = cfg.mac
         self.slot = m.slot_us
@@ -105,9 +114,9 @@ class _Sim:
 
     # -- event queue ----------------------------------------------------
 
-    def push(self, time_us: float, kind: str, payload) -> None:
+    def push(self, time_us: float, handler, arg) -> None:
         assert time_us >= self.now - 1e-6, "event scheduled in the past"
-        heapq.heappush(self.events, (time_us, self.ordinal, kind, payload))
+        heapq.heappush(self.events, (time_us, self.ordinal, handler, arg))
         self.ordinal += 1
 
     # -- contention -----------------------------------------------------
@@ -116,7 +125,8 @@ class _Sim:
         return st.aifs_end_us + st.slots_left * self.slot
 
     def resolve(self) -> None:
-        """(Re)arm the earliest pending backoff expiry while idle."""
+        """(Re)arm the earliest pending backoff expiry while idle; the
+        live access event is kept when that expiry has not moved."""
         if self.busy:
             return
         best = None
@@ -134,9 +144,10 @@ class _Sim:
             t = self.access_time(st)
             if best is None or t < best:
                 best = t
-        if best is not None:
+        if best is not None and best != self.armed_us:
             self.epoch += 1
-            self.push(best, EV_ACCESS, self.epoch)
+            self.armed_us = best
+            self.push(best, self.on_access, self.epoch)
 
     def freeze_loser(self, st: MacStation, tx_start: float) -> None:
         """Consume the slots a deferring station counted down before the
@@ -157,23 +168,26 @@ class _Sim:
 
     # -- event handlers ---------------------------------------------------
 
-    def on_packet(self, payload) -> None:
-        role, pkt = payload
-        st = self.stations[role]
+    def on_packet(self, st: MacStation, pkt) -> None:
         if pkt.stream == traffic_mod.UL_STREAM:
             self.metrics.generated_ul += 1
         else:
             self.metrics.generated_video += 1
         outcome = mac_mod.enqueue(st, pkt, self.now)
         if outcome == "accepted":
-            if role == AP:
+            if st.role == AP:
                 self.ap_outstanding += 1
                 self.tracker.advance(self.now, self.ap_outstanding)
-            self.resolve()
+            if len(st.buffer) == 1:
+                # an already backlogged station's timers are armed (or
+                # frozen under a busy channel), so only a newly
+                # backlogged one can move the earliest expiry
+                self.resolve()
 
     def on_access(self, epoch_tag: int) -> None:
         if self.busy or epoch_tag != self.epoch:
             return
+        self.armed_us = None
         winners = [
             st for st in self.stations.values()
             if st.backlogged() and st.aifs_end_us is not None
@@ -207,7 +221,7 @@ class _Sim:
             TxRecord("collision", self.now, end, 0, -1))
         self.busy = True
         self.in_flight = "collision"
-        self.push(end, EV_END, None)
+        self.push(end, self.on_end, None)
 
     def start_exchange(self, st: MacStation) -> None:
         limit = st.snapshot_len if self.cfg.mac.ampdu_snapshot else None
@@ -216,15 +230,16 @@ class _Sim:
         if ampdu is None:
             self.resolve()
             return
-        if st.role == AP:
-            if self.now >= self.warmup_us:
-                self.metrics.record_attempt(ampdu)
-            else:
-                ampdu_mark(ampdu)
-        else:
-            ampdu_mark(ampdu)   # uplink aggregates stay out of ampdu_sizes
-        dur = phy_mod.exchange_airtime(ampdu.total_bytes, len(ampdu),
-                                       self.cfg.phy, self.cfg.mac, st.rts_cts)
+        # uplink aggregates stay out of ampdu_sizes
+        if st.role == AP and self.now >= self.warmup_us:
+            self.metrics.record_attempt(ampdu)
+        key = (ampdu.total_bytes, len(ampdu), st.rts_cts)
+        dur = self.airtime_cache.get(key)
+        if dur is None:
+            dur = phy_mod.exchange_airtime(ampdu.total_bytes, len(ampdu),
+                                           self.cfg.phy, self.cfg.mac,
+                                           st.rts_cts)
+            self.airtime_cache[key] = dur
         ampdu.tx_end_us = self.now + dur
         st.slots_left = None
         st.aifs_end_us = None
@@ -234,9 +249,9 @@ class _Sim:
                      self.drawn[st.role]))
         self.busy = True
         self.in_flight = (st, ampdu)
-        self.push(ampdu.tx_end_us, EV_END, None)
+        self.push(ampdu.tx_end_us, self.on_end, None)
 
-    def on_end(self) -> None:
+    def on_end(self, _arg) -> None:
         self.busy = False
         flight, self.in_flight = self.in_flight, None
         if flight == "collision":
@@ -260,7 +275,7 @@ class _Sim:
             else:
                 self.metrics.delivered_video += 1
             if pkt.enqueue_time_us >= self.warmup_us:
-                self.metrics.record_delivery(pkt, ampdu)
+                self.metrics.record_delivery(pkt)
         policy = self.cfg.mac.cw_policy
         if policy != "retry":
             if not delivered:
@@ -277,25 +292,39 @@ class _Sim:
         cfg = self.cfg
         frames = traffic_mod.generate_video_frames(
             cfg.traffic, self.rng, cfg.duration_s)
-        for emit_us, pkt in traffic_mod.video_packet_emissions(frames, cfg.traffic):
-            if emit_us < self.duration_us:
-                self.push(emit_us, EV_PKT, (AP, pkt))
+        ap, client = self.stations[AP], self.stations[CLIENT]
+        arrivals = [
+            (emit_us, ap, pkt) for emit_us, pkt
+            in traffic_mod.video_packet_emissions(frames, cfg.traffic)
+            if emit_us < self.duration_us]
         if cfg.traffic.ul_enabled:
-            for pkt in traffic_mod.ul_controller_stream(cfg.traffic, cfg.duration_s):
-                self.push(pkt.gen_time_us, EV_PKT, (CLIENT, pkt))
+            arrivals += [
+                (pkt.gen_time_us, client, pkt) for pkt
+                in traffic_mod.ul_controller_stream(cfg.traffic, cfg.duration_s)]
+        arrivals.sort(key=itemgetter(0))   # stable: video first at ties
 
-        while self.events:
-            t, _, kind, payload = heapq.heappop(self.events)
-            if t > self.duration_us:
-                break
-            assert t >= self.now - 1e-6, "virtual clock went backwards"
-            self.now = max(self.now, t)
-            if kind == EV_PKT:
-                self.on_packet(payload)
-            elif kind == EV_ACCESS:
-                self.on_access(payload)
+        events, heappop = self.events, heapq.heappop
+        on_packet, duration_us = self.on_packet, self.duration_us
+        i, n_arrivals = 0, len(arrivals)
+        while True:
+            # arrivals win ties against runtime events
+            if i < n_arrivals and (not events or arrivals[i][0] <= events[0][0]):
+                t, st, pkt = arrivals[i]
+                i += 1
+                if t > duration_us:
+                    break
+                assert t >= self.now - 1e-6, "virtual clock went backwards"
+                self.now = max(self.now, t)
+                on_packet(st, pkt)
+            elif events:
+                t, _, handler, arg = heappop(events)
+                if t > duration_us:
+                    break
+                assert t >= self.now - 1e-6, "virtual clock went backwards"
+                self.now = max(self.now, t)
+                handler(arg)
             else:
-                self.on_end()
+                break
 
         self.tracker.advance(self.duration_us)
         self.finalize_frames(frames)

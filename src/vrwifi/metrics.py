@@ -62,26 +62,14 @@ class RunMetrics:
         """Sample the A-MPDU size of one transmission attempt
         (retransmission attempts included)."""
         self.ampdu_sizes.append(len(ampdu))
-        ampdu_mark(ampdu)
 
-    def record_delivery(self, pkt: Packet, ampdu: Ampdu) -> None:
-        """Append the packet's buffer delay; sample the carrying A-MPDU
-        once regardless of how many of its MPDUs were delivered."""
-        if not ampdu_marked(ampdu):
-            self.record_attempt(ampdu)
+    def record_delivery(self, pkt: Packet) -> None:
+        """Append the packet's buffer delay to its stream's samples."""
         delay = pkt.delivery_time_us - pkt.enqueue_time_us
         if pkt.stream == UL_STREAM:
             self.ul_packet_delays_us.append(delay)
         else:
             self.dl_packet_delays_us.append(delay)
-
-
-def ampdu_mark(ampdu: Ampdu) -> None:
-    ampdu.sampled = True
-
-
-def ampdu_marked(ampdu: Ampdu) -> bool:
-    return getattr(ampdu, "sampled", False)
 
 
 def vf_delay(frame: VideoFrame, packets: list[Packet]) -> float:

@@ -128,8 +128,9 @@ def _to_bool(value: str):
 def parse_trace(path: str) -> ParseResult:
     """Parse a canonical or tshark-named CSV into sorted TraceRecords.
 
-    Missing mandatory columns raise TraceError. Unparseable rows are
-    skipped and reported with their line number.
+    Missing mandatory columns raise TraceError. Unparseable rows, rows
+    with a non-finite timestamp or length, and rows with a non-positive
+    length are skipped and reported with their line number.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -150,9 +151,17 @@ def parse_trace(path: str) -> ParseResult:
         for lineno, row in enumerate(reader, start=2):
             values = {canon: row.get(raw) for raw, canon in colmap.items()}
             try:
+                timestamp = float(values["timestamp"])
+                length = float(values["length"])
+                if not (math.isfinite(timestamp) and math.isfinite(length)):
+                    raise ValueError(
+                        f"non-finite timestamp {timestamp} or length {length}")
+                length = int(length)
+                if length <= 0:
+                    raise ValueError(f"non-positive length {length}")
                 records.append(TraceRecord(
-                    timestamp_s=float(values["timestamp"]),
-                    length=int(float(values["length"])),
+                    timestamp_s=timestamp,
+                    length=length,
                     src_port=_to_int(values.get("src_port")) or 0,
                     dst_port=_to_int(values.get("dst_port")) or 0,
                     direction=(values.get("direction") or "DL").upper(),
@@ -164,10 +173,6 @@ def parse_trace(path: str) -> ParseResult:
                 ))
             except (TypeError, ValueError) as exc:
                 skipped.append((lineno, str(exc)))
-        if records and any(r.length <= 0 for r in records):
-            bad = [r for r in records if r.length <= 0]
-            records = [r for r in records if r.length > 0]
-            skipped.extend((0, f"non-positive length {r.length}") for r in bad)
     records.sort(key=lambda r: r.timestamp_s)
     return ParseResult(records=records, skipped=skipped)
 

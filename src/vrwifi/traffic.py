@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -20,7 +21,7 @@ VIDEO_STREAM = "video"
 UL_STREAM = "ul-control"
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     packet_id: int
     stream: str
@@ -176,7 +177,9 @@ def video_packet_emissions(frames: list[VideoFrame],
                 start = batch.release_time_us
             for j, pkt in enumerate(batch.packets):
                 out.append((start + j * cfg.intra_batch_gap_us, pkt))
-    out.sort(key=lambda item: (item[0], item[1].packet_id))
+    # appended in packet_id order, so a stable sort on time alone gives
+    # (time, packet_id) order
+    out.sort(key=itemgetter(0))
     return out
 
 

@@ -38,6 +38,14 @@ def test_cw_min_exceeds_cw_max():
     assert "cw_min exceeds cw_max" in config_errors(cfg)
 
 
+@pytest.mark.parametrize("warmup_ms", [100.0, 500.0])
+def test_warmup_covering_whole_run_rejected(warmup_ms):
+    # no measured window is left, so the run could not be summarized
+    cfg = make_cfg(duration_s=0.1, warmup_ms=warmup_ms)
+    assert "warmup_ms must be shorter than duration_s" in config_errors(cfg)
+    assert config_errors(make_cfg(duration_s=0.1, warmup_ms=99.0)) == []
+
+
 def test_all_violations_reported_not_only_first():
     cfg = make_cfg(mac={"per": -2.0, "cw_min": 99, "cw_max": 31},
                    traffic={"fps": 0.0})

@@ -62,21 +62,18 @@ def test_ecdf_empty_errors():
         mx.ecdf([])
 
 
-def test_record_delivery_appends_delay_and_samples_ampdu_once():
+def test_record_delivery_appends_delay_only():
     m = mx.RunMetrics()
-    p1 = delivered_packet(0, 10.0, 1210.0)
-    p2 = delivered_packet(1, 10.0, 1210.0)
-    ampdu = Ampdu(mpdus=[p1, p2], total_bytes=2 * 1243)
-    m.record_delivery(p1, ampdu)
-    m.record_delivery(p2, ampdu)
+    m.record_delivery(delivered_packet(0, 10.0, 1210.0))
+    m.record_delivery(delivered_packet(1, 10.0, 1210.0))
     assert m.dl_packet_delays_us == [1200.0, 1200.0]   # 1.2 ms each
-    assert m.ampdu_sizes == [2]                        # sampled once
+    assert m.ampdu_sizes == []       # sizes are sampled per attempt only
 
 
 def test_record_delivery_routes_ul_stream():
     m = mx.RunMetrics()
     p = delivered_packet(0, 0.0, 500.0, stream=UL_STREAM)
-    m.record_delivery(p, Ampdu(mpdus=[p], total_bytes=175))
+    m.record_delivery(p)
     assert m.ul_packet_delays_us == [500.0]
     assert m.dl_packet_delays_us == []
 

@@ -45,6 +45,26 @@ def test_parse_skips_bad_rows_with_line_numbers(tmp_path):
     assert [line for line, _ in parsed.skipped] == [3]
 
 
+@pytest.mark.parametrize("bad", ["nan,100", "inf,100", "-inf,100",
+                                 "1.5,nan", "1.5,inf"])
+def test_parse_rejects_non_finite_rows_with_line_numbers(tmp_path, bad):
+    path = write(tmp_path, f"timestamp,length\n1.0,100\n{bad}\n2.0,50\n")
+    parsed = tio.parse_trace(path)
+    assert [r.timestamp_s for r in parsed] == [1.0, 2.0]
+    assert [line for line, _ in parsed.skipped] == [3]
+    assert "non-finite" in parsed.skipped[0][1]
+
+
+def test_parse_reports_non_positive_length_at_its_line(tmp_path):
+    path = write(tmp_path, "timestamp,length\n1.0,100\nx,1\n2.0,0\n"
+                           "3.0,-5\n4.0,0.5\n5.0,7\n")
+    parsed = tio.parse_trace(path)
+    assert [r.length for r in parsed] == [100, 7]
+    assert [line for line, _ in parsed.skipped] == [3, 4, 5, 6]
+    assert all("non-positive length" in reason
+               for _, reason in parsed.skipped[1:])
+
+
 def test_parse_accepts_tshark_field_names(tmp_path):
     path = write(tmp_path,
                  "frame.time_epoch,frame.len,udp.srcport,udp.dstport,"
