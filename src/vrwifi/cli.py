@@ -23,7 +23,8 @@ from vrwifi.config import (ConfigError, SimConfig, config_to_dict,
                            load_config, validate_config)
 from vrwifi.engine import (SWEEP_AXES, run_seeds, run_simulation, run_sweep,
                            set_axis)
-from vrwifi.metrics import ecdf, metrics_summary, summarize
+from vrwifi.metrics import (ecdf, metrics_summary, pooled_summary,
+                             summarize)
 
 OUTPUT_ENV = "VRWIFI_OUTPUT_DIR"
 
@@ -53,77 +54,11 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_samples(path: Path, header: str, rows) -> None:
+def _write_csv(path: Path, header: list, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["seed", header])
+        writer.writerow(header)
         writer.writerows(rows)
-
-
-def _pooled(results, attr: str) -> list:
-    out = []
-    for r in results:
-        out.extend(getattr(r.metrics, attr))
-    return out
-
-
-def _pooled_summary(results) -> dict:
-    out = {}
-    for name, attr, scale in (
-        ("dl_packet_delay_ms", "dl_packet_delays_us", 1e-3),
-        ("ul_packet_delay_ms", "ul_packet_delays_us", 1e-3),
-        ("vf_delay_ms", "vf_delays_us", 1e-3),
-        ("assembly_delay_ms", "assembly_delays_us", 1e-3),
-        ("ampdu_size", "ampdu_sizes", 1.0),
-    ):
-        samples = _pooled(results, attr)
-        out[name] = ({k: (v * scale if k != "count" else v)
-                      for k, v in summarize(samples).items()}
-                     if samples else None)
-    airs = [metrics_summary(r.metrics)["airtime_fraction"] for r in results]
-    bufs = [metrics_summary(r.metrics)["buffer_occupancy"] for r in results]
-    out["airtime_fraction_mean"] = float(np.mean(airs))
-    out["buffer_occupancy_mean"] = float(np.mean(bufs))
-    gen = sum(r.metrics.generated_video + r.metrics.generated_ul
-              for r in results)
-    dropped = sum(r.metrics.dropped_buffer + r.metrics.dropped_retx
-                  for r in results)
-    out["loss_rate"] = dropped / gen if gen else 0.0
-    return out
-
-
-def _trace_metrics(records) -> dict:
-    """Shared-vocabulary metrics computable from any packet trace."""
-    labels = traceio.classify_streams(records)
-    video = [r for r, l in zip(records, labels) if l == traceio.SRTP_VIDEO]
-    out: dict = {}
-    if not video:
-        return out
-    out["video_mean_packet_size_bytes"] = float(
-        np.mean([r.length for r in video]))
-    gaps = [(b.timestamp_s - a.timestamp_s) * 1e3
-            for a, b in zip(video, video[1:])]
-    if gaps:
-        out["video_mean_inter_packet_ms"] = float(np.mean(gaps))
-    batches = traceio.detect_batches(video)
-    spacings = traceio.batch_spacings_ms(batches)
-    if spacings:
-        out["batch_spacing_modal_ms"] = traceio.modal_spacing_ms(spacings)
-    if all(r.rtp_timestamp is not None for r in video):
-        frames = traceio.reconstruct_frames(video)
-        if len(frames) > 1:
-            ift = traceio.inter_frame_times_ms(frames)
-            out["inter_frame_time_mean_ms"] = float(np.mean(ift))
-            out["fps_estimate"] = 1e3 / out["inter_frame_time_mean_ms"]
-            out["frame_size_mean_bytes"] = float(
-                np.mean([f.size_bytes for f in frames]))
-            out["assembly_delay_mean_ms"] = float(
-                np.mean(traceio.assembly_delays(frames)))
-            out["batches_per_frame_mean"] = float(
-                np.mean([f.n_batches for f in frames]))
-    if len(video) >= 2:
-        out["video_jitter_ms"] = traceio.interarrival_jitter(video)
-    return out
 
 
 def cmd_simulate(args) -> int:
@@ -150,9 +85,9 @@ def cmd_simulate(args) -> int:
         ("ampdu_sizes", "ampdu_sizes.csv", "n_mpdus"),
     ):
         rows = [(r.seed, v) for r in results for v in getattr(r.metrics, attr)]
-        _write_samples(outdir / fname, header, rows)
+        _write_csv(outdir / fname, ["seed", header], rows)
 
-    pooled = _pooled_summary(results)
+    pooled = pooled_summary([r.metrics for r in results])
     loss_ok = pooled["loss_rate"] <= QOS_LOSS_RATE
     report = {
         "command": "simulate",
@@ -160,7 +95,7 @@ def cmd_simulate(args) -> int:
         "seeds": [r.seed for r in results],
         "per_run": [metrics_summary(r.metrics) for r in results],
         "pooled": pooled,
-        "trace_metrics": _trace_metrics(trace_records),
+        "trace_metrics": traceio.analyze_video(trace_records).trace_metrics(),
         "qos_verdicts": {
             "loss_rate": {"value": pooled["loss_rate"],
                           "threshold": QOS_LOSS_RATE, "pass": loss_ok},
@@ -210,27 +145,23 @@ def cmd_sweep(args) -> int:
     seeds = [cfg.seed + i for i in range(cfg.runs)]
     results = run_sweep(cfg, args.axis, values, seeds, jobs=args.jobs)
 
-    per_value = {}
-    for value in values:
-        runs = [results[(value, s)] for s in seeds]
-        per_value[str(value)] = _pooled_summary(runs)
-    with open(outdir / "sweep_table.csv", "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([args.axis, "seed", "dl_delay_mean_ms",
-                         "dl_delay_p99_99_ms", "vf_delay_mean_ms",
-                         "ampdu_mean", "airtime_fraction",
-                         "buffer_occupancy"])
-        for (value, seed), r in results.items():
-            s = metrics_summary(r.metrics)
-            writer.writerow([
-                value, seed,
-                s["dl_packet_delay_ms"]["mean"] if s["dl_packet_delay_ms"] else "",
-                s["dl_packet_delay_ms"]["p99_99"] if s["dl_packet_delay_ms"] else "",
-                s["vf_delay_ms"]["mean"] if s["vf_delay_ms"] else "",
-                s["ampdu_size"]["mean"] if s["ampdu_size"] else "",
-                s["airtime_fraction"], s["buffer_occupancy"],
-            ])
+    per_value = {
+        str(value): pooled_summary([results[(value, s)].metrics
+                                    for s in seeds])
+        for value in values}
+    rows = []
+    for (value, seed), r in results.items():
+        s = metrics_summary(r.metrics)
+        dl, vf, ampdu = (s["dl_packet_delay_ms"], s["vf_delay_ms"],
+                         s["ampdu_size"])
+        rows.append([value, seed, dl["mean"] if dl else "",
+                     dl["p99_99"] if dl else "", vf["mean"] if vf else "",
+                     ampdu["mean"] if ampdu else "",
+                     s["airtime_fraction"], s["buffer_occupancy"]])
+    _write_csv(outdir / "sweep_table.csv",
+               [args.axis, "seed", "dl_delay_mean_ms", "dl_delay_p99_99_ms",
+                "vf_delay_mean_ms", "ampdu_mean", "airtime_fraction",
+                "buffer_occupancy"], rows)
     report = {
         "command": "sweep",
         "axis": args.axis,
@@ -268,48 +199,34 @@ def cmd_analyze(args) -> int:
         print("error: trace contains no parseable records", file=sys.stderr)
         return 2
     outdir = _outdir(args)
-    labels = traceio.classify_streams(records)
-    summaries = traceio.stream_summaries(records, labels)
-    video = [r for r, l in zip(records, labels) if l == traceio.SRTP_VIDEO]
-
-    frame_block = None
-    if args.frames and not (video and all(r.rtp_timestamp is not None
-                                          for r in video)):
+    va = traceio.analyze_video(records, args.gap_threshold)
+    if args.frames and va.frames is None:
         print("error: --frames requires rtp_timestamp values on the video "
               "stream; this trace has none (batch-level analysis still "
               "available without --frames)", file=sys.stderr)
         return 2
-    batch_block = None
-    if video:
-        batches = traceio.detect_batches(video, args.gap_threshold)
-        spacings = traceio.batch_spacings_ms(batches)
+    tm = va.metrics
+    batch_block = frame_block = None
+    if va.video:
+        spacings = va.spacings_ms
         batch_block = {
-            "n_batches": len(batches),
+            "n_batches": len(va.batches),
             "gap_threshold_ms": args.gap_threshold,
-            "modal_spacing_ms": (traceio.modal_spacing_ms(spacings)
-                                 if spacings else None),
+            "modal_spacing_ms": tm.batch_spacing_modal_ms,
             "spacing_mean_ms": float(np.mean(spacings)) if spacings else None,
         }
-        if all(r.rtp_timestamp is not None for r in video):
-            frames = traceio.reconstruct_frames(video, args.gap_threshold)
-            delays = traceio.assembly_delays(frames)
-            ift = traceio.inter_frame_times_ms(frames)
-            frame_block = {
-                "n_frames": len(frames),
-                "frame_size_mean_bytes": float(np.mean(
-                    [f.size_bytes for f in frames])),
-                "inter_frame_time_mean_ms": (float(np.mean(ift))
-                                             if ift else None),
-                "fps_estimate": (1e3 / float(np.mean(ift)) if ift else None),
-                "batches_per_frame_mean": float(np.mean(
-                    [f.n_batches for f in frames])),
-                "assembly_delay_ms": {k: v for k, v in zip(
-                    ("mean", "p50", "p99", "p99_99", "min", "max", "count"),
-                    summarize(delays).values())} if delays else None,
-            }
+    if va.frames is not None:
+        delays = va.assembly_delays_ms
+        frame_block = {
+            "n_frames": len(va.frames),
+            "frame_size_mean_bytes": tm.frame_size_mean_bytes,
+            "inter_frame_time_mean_ms": tm.inter_frame_time_mean_ms,
+            "fps_estimate": tm.fps_estimate,
+            "batches_per_frame_mean": tm.batches_per_frame_mean,
+            "assembly_delay_ms": summarize(delays) if delays else None,
+        }
 
-    jitter_ms = (traceio.interarrival_jitter(video)
-                 if len(video) >= 2 else None)
+    jitter_ms = tm.video_jitter_ms
     qos = {}
     if jitter_ms is not None:
         qos["jitter_ms"] = {"value": jitter_ms, "threshold": QOS_JITTER_MS,
@@ -318,19 +235,14 @@ def cmd_analyze(args) -> int:
     qos["loss_rate"] = {"value": None, "threshold": QOS_LOSS_RATE,
                         "pass": None}
 
-    for summary in summaries:
-        rows = sorted((r for r, l in zip(records, labels)
-                       if l == summary.label), key=lambda r: r.timestamp_s)
-        gaps = [(b.timestamp_s - a.timestamp_s) * 1e3
-                for a, b in zip(rows, rows[1:])]
+    groups = traceio.group_streams(records, va.labels)
+    summaries = traceio.stream_summaries(groups)
+    for label, rows in groups.items():
+        gaps = traceio.inter_packet_ms(rows)
         if gaps:
-            xs, ps = ecdf(gaps)
-            safe = summary.label.lower().replace("-", "_")
-            with open(outdir / f"ecdf_inter_packet_{safe}.csv", "w",
-                      newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["inter_packet_ms", "probability"])
-                writer.writerows(zip(xs, ps))
+            safe = label.lower().replace("-", "_")
+            _write_csv(outdir / f"ecdf_inter_packet_{safe}.csv",
+                       ["inter_packet_ms", "probability"], zip(*ecdf(gaps)))
 
     report = {
         "command": "analyze",
@@ -340,7 +252,7 @@ def cmd_analyze(args) -> int:
         "streams": {s.label: dataclasses.asdict(s) for s in summaries},
         "batches": batch_block,
         "frames": frame_block,
-        "trace_metrics": _trace_metrics(records),
+        "trace_metrics": va.trace_metrics(),
         "qos_verdicts": qos,
     }
     _write_json(outdir / "analysis.json", report)
@@ -354,8 +266,9 @@ def cmd_analyze(args) -> int:
     if batch_block and batch_block["modal_spacing_ms"] is not None:
         print(f"  modal batch spacing {batch_block['modal_spacing_ms']:.2f} ms")
     if frame_block:
-        print(f"  frames: {frame_block['n_frames']}, "
-              f"fps ~ {frame_block['fps_estimate']:.2f}, "
+        # one frame has no frame rate
+        fps = "n/a" if tm.fps_estimate is None else f"{tm.fps_estimate:.2f}"
+        print(f"  frames: {frame_block['n_frames']}, fps ~ {fps}, "
               f"mean size {frame_block['frame_size_mean_bytes']:.0f} B, "
               f"mean assembly {frame_block['assembly_delay_ms']['mean']:.2f} ms")
     if jitter_ms is not None:
@@ -366,12 +279,7 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-COMPARE_KEYS = [
-    "video_mean_packet_size_bytes", "video_mean_inter_packet_ms",
-    "batch_spacing_modal_ms", "inter_frame_time_mean_ms", "fps_estimate",
-    "frame_size_mean_bytes", "assembly_delay_mean_ms",
-    "batches_per_frame_mean", "video_jitter_ms",
-]
+COMPARE_KEYS = [f.name for f in dataclasses.fields(traceio.TraceMetrics)]
 
 
 def _load_report(path: Path, fallback: str) -> dict:

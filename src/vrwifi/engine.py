@@ -82,6 +82,7 @@ class _BufferTracker:
 class _Sim:
     def __init__(self, cfg: SimConfig, seed: int, keep_packets: bool):
         self.cfg = cfg
+        self.seed = seed
         self.keep_packets = keep_packets
         self.rng = np.random.default_rng(seed)
         self.duration_us = cfg.duration_s * 1e6
@@ -225,8 +226,8 @@ class _Sim:
 
     def start_exchange(self, st: MacStation) -> None:
         limit = st.snapshot_len if self.cfg.mac.ampdu_snapshot else None
-        ampdu = mac_mod.assemble_ampdu(st, self.now, self.cfg.mac.max_ampdu,
-                                       limit, self.cfg.mac.max_ampdu_bytes)
+        ampdu = mac_mod.assemble_ampdu(st, self.cfg.mac.max_ampdu, limit,
+                                       self.cfg.mac.max_ampdu_bytes)
         if ampdu is None:
             self.resolve()
             return
@@ -337,7 +338,7 @@ class _Sim:
                            if isinstance(self.in_flight, tuple) else 0)
         m.residual = (sum(len(s.buffer) for s in self.stations.values())
                       + in_flight_count)
-        return RunResult(config_echo=cfg, seed=self.seed_echo,
+        return RunResult(config_echo=cfg, seed=self.seed,
                          metrics=m,
                          frames=frames if self.keep_packets else None)
 
@@ -363,9 +364,7 @@ def run_simulation(cfg: SimConfig, seed: int,
                    keep_packets: bool = False) -> RunResult:
     """Simulate cfg.duration_s of virtual time under one seed."""
     validate_config(cfg)
-    sim = _Sim(cfg, seed, keep_packets)
-    sim.seed_echo = seed
-    return sim.run()
+    return _Sim(cfg, seed, keep_packets).run()
 
 
 def run_seeds(cfg: SimConfig, seeds: list[int] | None = None,

@@ -23,7 +23,6 @@ CLIENT = "client"
 class Ampdu:
     mpdus: list[Packet]
     total_bytes: int
-    tx_start_us: float = 0.0
     tx_end_us: float = 0.0
 
     def __len__(self) -> int:
@@ -90,7 +89,7 @@ def cw_for_retry(station: MacStation, retry_count: int) -> int:
     return min((station.cw_min + 1) * 2 ** retry_count - 1, station.cw_max)
 
 
-def assemble_ampdu(station: MacStation, now_us: float, max_ampdu: int,
+def assemble_ampdu(station: MacStation, max_ampdu: int,
                    limit: int | None = None,
                    max_bytes: int | None = None) -> Ampdu | None:
     """Take up to max_ampdu head-of-line packets out of the buffer.
@@ -114,7 +113,7 @@ def assemble_ampdu(station: MacStation, now_us: float, max_ampdu: int,
             break
         mpdus.append(station.buffer.popleft())
         total += nxt.size_bytes
-    return Ampdu(mpdus=mpdus, total_bytes=total, tx_start_us=now_us)
+    return Ampdu(mpdus=mpdus, total_bytes=total)
 
 
 def apply_per(ampdu: Ampdu, per: float, rng: np.random.Generator) -> np.ndarray:

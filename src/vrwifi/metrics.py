@@ -174,16 +174,38 @@ def metrics_summary(metrics: RunMetrics) -> dict:
         "loss_rate": ((metrics.dropped_buffer + metrics.dropped_retx)
                       / max(1, metrics.generated_video + metrics.generated_ul)),
     }
-    for name, samples, scale in (
-        ("dl_packet_delay_ms", metrics.dl_packet_delays_us, 1e-3),
-        ("ul_packet_delay_ms", metrics.ul_packet_delays_us, 1e-3),
-        ("vf_delay_ms", metrics.vf_delays_us, 1e-3),
-        ("assembly_delay_ms", metrics.assembly_delays_us, 1e-3),
-        ("ampdu_size", metrics.ampdu_sizes, 1.0),
+    out.update(sample_summaries([metrics]))
+    return out
+
+
+def sample_summaries(runs: list[RunMetrics]) -> dict:
+    """Nearest-rank summary of each sample set pooled over the runs, in
+    reporting units (delays in ms); None for an empty set."""
+    out = {}
+    for name, attr, scale in (
+        ("dl_packet_delay_ms", "dl_packet_delays_us", 1e-3),
+        ("ul_packet_delay_ms", "ul_packet_delays_us", 1e-3),
+        ("vf_delay_ms", "vf_delays_us", 1e-3),
+        ("assembly_delay_ms", "assembly_delays_us", 1e-3),
+        ("ampdu_size", "ampdu_sizes", 1.0),
     ):
-        if samples:
-            out[name] = {k: (v * scale if k != "count" else v)
-                         for k, v in summarize(samples).items()}
-        else:
-            out[name] = None
+        samples = [v for m in runs for v in getattr(m, attr)]
+        out[name] = ({k: (v * scale if k != "count" else v)
+                      for k, v in summarize(samples).items()}
+                     if samples else None)
+    return out
+
+
+def pooled_summary(runs: list[RunMetrics]) -> dict:
+    """Digest of several runs: their pooled samples, the run means of
+    airtime and buffer occupancy, and the loss rate over all packets
+    generated."""
+    out = sample_summaries(runs)
+    out["airtime_fraction_mean"] = float(
+        np.mean([airtime_fraction(m) for m in runs]))
+    out["buffer_occupancy_mean"] = float(
+        np.mean([buffer_occupancy(m) for m in runs]))
+    gen = sum(m.generated_video + m.generated_ul for m in runs)
+    dropped = sum(m.dropped_buffer + m.dropped_retx for m in runs)
+    out["loss_rate"] = dropped / gen if gen else 0.0
     return out

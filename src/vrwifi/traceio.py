@@ -15,9 +15,11 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from vrwifi.traffic import UL_STREAM, VideoFrame
+import numpy as np
+
+from vrwifi.traffic import VideoFrame
 
 CANONICAL_COLUMNS = [
     "timestamp", "length", "src_port", "dst_port", "direction",
@@ -284,20 +286,31 @@ def classify_streams(records: list,
     return labels
 
 
-def stream_summaries(records: list, labels: list[str]) -> list[StreamSummary]:
-    """Table-style per-stream statistics: mean packet size, mean
-    inter-packet time, and load over the stream's own span."""
+def group_streams(records: list, labels: list[str]) -> dict[str, list]:
+    """Records of each stream label in time order, labels sorted."""
     groups: dict[str, list] = {}
     for r, label in zip(records, labels):
         groups.setdefault(label, []).append(r)
+    return {label: sorted(groups[label], key=lambda r: r.timestamp_s)
+            for label in sorted(groups)}
+
+
+def inter_packet_ms(rows: list) -> list[float]:
+    """Gaps between consecutive time-sorted records, ms."""
+    return [(b.timestamp_s - a.timestamp_s) * 1e3
+            for a, b in zip(rows, rows[1:])]
+
+
+def stream_summaries(groups: dict[str, list]) -> list[StreamSummary]:
+    """Table-style per-stream statistics from group_streams' output: mean
+    packet size, mean inter-packet time, and load over the stream's own
+    span."""
     out = []
-    for label in sorted(groups):
-        rows = sorted(groups[label], key=lambda r: r.timestamp_s)
+    for label, rows in groups.items():
         n = len(rows)
         total_bytes = sum(r.length for r in rows)
         span = rows[-1].timestamp_s - rows[0].timestamp_s
-        gaps = [(b.timestamp_s - a.timestamp_s) * 1e3
-                for a, b in zip(rows, rows[1:])]
+        gaps = inter_packet_ms(rows)
         out.append(StreamSummary(
             label=label,
             packet_count=n,
@@ -407,65 +420,127 @@ def interarrival_jitter(records: list, rtp_clock_hz: int = RTP_CLOCK_HZ) -> floa
     return jitter
 
 
+@dataclass
+class TraceMetrics:
+    """Video-stream statistics in the vocabulary that simulate and analyze
+    both report as `trace_metrics` and that compare matches by name.
+    A field is None when the trace does not define it."""
+
+    video_mean_packet_size_bytes: float | None = None
+    video_mean_inter_packet_ms: float | None = None
+    batch_spacing_modal_ms: float | None = None
+    inter_frame_time_mean_ms: float | None = None
+    fps_estimate: float | None = None
+    frame_size_mean_bytes: float | None = None
+    assembly_delay_mean_ms: float | None = None
+    batches_per_frame_mean: float | None = None
+    video_jitter_ms: float | None = None
+
+
+@dataclass
+class VideoAnalysis:
+    """Stream labels of a trace, the batch and frame structure of its
+    video stream at one gap threshold, and the trace metrics computed
+    from them."""
+
+    labels: list[str]
+    video: list[TraceRecord]
+    metrics: TraceMetrics = field(default_factory=TraceMetrics)
+    batches: list[list] = field(default_factory=list)
+    spacings_ms: list[float] = field(default_factory=list)
+    frames: list[FrameStats] | None = None   # None without RTP timestamps
+    assembly_delays_ms: list[float] = field(default_factory=list)
+
+    def trace_metrics(self) -> dict:
+        """The defined trace metrics. A lone frame's size, assembly delay
+        and batch count are no stream statistic, so the frame metrics
+        need at least two frames."""
+        tm = self.metrics
+        if not self.frames or len(self.frames) < 2:
+            tm = TraceMetrics(tm.video_mean_packet_size_bytes,
+                              tm.video_mean_inter_packet_ms,
+                              tm.batch_spacing_modal_ms,
+                              video_jitter_ms=tm.video_jitter_ms)
+        return {k: v for k, v in asdict(tm).items() if v is not None}
+
+
+def analyze_video(records: list,
+                  gap_threshold_ms: float = 1.0) -> VideoAnalysis:
+    """Classify time-sorted records, then find the video stream's batches,
+    its frames when every video record has an RTP timestamp, and its
+    interarrival jitter."""
+    labels = classify_streams(records)
+    video = [r for r, l in zip(records, labels) if l == SRTP_VIDEO]
+    va = VideoAnalysis(labels, video)
+    if not video:
+        return va
+    tm = va.metrics
+    tm.video_mean_packet_size_bytes = float(np.mean([r.length for r in video]))
+    gaps = inter_packet_ms(video)
+    if gaps:
+        tm.video_mean_inter_packet_ms = float(np.mean(gaps))
+    va.batches = detect_batches(video, gap_threshold_ms)
+    va.spacings_ms = batch_spacings_ms(va.batches)
+    if va.spacings_ms:
+        tm.batch_spacing_modal_ms = modal_spacing_ms(va.spacings_ms)
+    if all(r.rtp_timestamp is not None for r in video):
+        frames = va.frames = reconstruct_frames(video, gap_threshold_ms)
+        va.assembly_delays_ms = assembly_delays(frames)
+        ift = inter_frame_times_ms(frames)
+        if ift:
+            tm.inter_frame_time_mean_ms = float(np.mean(ift))
+            tm.fps_estimate = 1e3 / tm.inter_frame_time_mean_ms
+        tm.frame_size_mean_bytes = float(
+            np.mean([f.size_bytes for f in frames]))
+        tm.assembly_delay_mean_ms = float(np.mean(va.assembly_delays_ms))
+        tm.batches_per_frame_mean = float(
+            np.mean([f.n_batches for f in frames]))
+    if len(video) >= 2:
+        tm.video_jitter_ms = interarrival_jitter(video)
+    return va
+
+
 # -- simulator export -------------------------------------------------------
 
 VIDEO_SSRC = 0x4D565346
 VIDEO_PT = 96
 VIDEO_PORT = (50000, 5004)
-UL_PORT = (50001, 5006)
 
 
 def frame_rtp_timestamp(frame: VideoFrame) -> int:
     return int(round(frame.gen_time_us * RTP_CLOCK_HZ / 1e6))
 
 
+def _video_trace(frames: list[VideoFrame], attr: str) -> list[TraceRecord]:
+    """One row per packet at its `attr` instant (us); packets without
+    one are left out. Rows come back in time order."""
+    out = []
+    for frame in frames:
+        ts = frame_rtp_timestamp(frame)
+        for batch in frame.batches:
+            for pkt in batch.packets:
+                t_us = getattr(pkt, attr)
+                if t_us is None:
+                    continue
+                out.append(TraceRecord(
+                    timestamp_s=t_us / 1e6,
+                    length=pkt.size_bytes,
+                    src_port=VIDEO_PORT[0], dst_port=VIDEO_PORT[1],
+                    direction="DL",
+                    rtp_payload_type=VIDEO_PT, rtp_ssrc=VIDEO_SSRC,
+                    rtp_timestamp=ts,
+                ))
+    out.sort(key=lambda r: r.timestamp_s)
+    return out
+
+
 def generated_video_trace(frames: list[VideoFrame]) -> list[TraceRecord]:
     """Server-side view of generated video traffic: one row per packet at
     its generation instant."""
-    out = []
-    for frame in frames:
-        ts = frame_rtp_timestamp(frame)
-        for batch in frame.batches:
-            for pkt in batch.packets:
-                out.append(TraceRecord(
-                    timestamp_s=pkt.gen_time_us / 1e6,
-                    length=pkt.size_bytes,
-                    src_port=VIDEO_PORT[0], dst_port=VIDEO_PORT[1],
-                    direction="DL",
-                    rtp_payload_type=VIDEO_PT, rtp_ssrc=VIDEO_SSRC,
-                    rtp_timestamp=ts,
-                ))
-    out.sort(key=lambda r: r.timestamp_s)
-    return out
+    return _video_trace(frames, "gen_time_us")
 
 
-def delivered_trace(frames: list[VideoFrame],
-                    ul_packets: list | None = None) -> list[TraceRecord]:
+def delivered_trace(frames: list[VideoFrame]) -> list[TraceRecord]:
     """Client-side view of a finished run: delivered packets at their
     delivery instants (undelivered packets are absent, as in a capture)."""
-    out = []
-    for frame in frames:
-        ts = frame_rtp_timestamp(frame)
-        for batch in frame.batches:
-            for pkt in batch.packets:
-                if pkt.delivery_time_us is None:
-                    continue
-                out.append(TraceRecord(
-                    timestamp_s=pkt.delivery_time_us / 1e6,
-                    length=pkt.size_bytes,
-                    src_port=VIDEO_PORT[0], dst_port=VIDEO_PORT[1],
-                    direction="DL",
-                    rtp_payload_type=VIDEO_PT, rtp_ssrc=VIDEO_SSRC,
-                    rtp_timestamp=ts,
-                ))
-    for pkt in ul_packets or []:
-        if pkt.stream == UL_STREAM and pkt.delivery_time_us is not None:
-            out.append(TraceRecord(
-                timestamp_s=pkt.delivery_time_us / 1e6,
-                length=pkt.size_bytes,
-                src_port=UL_PORT[0], dst_port=UL_PORT[1],
-                direction="UL",
-                protocol="DTLS",
-            ))
-    out.sort(key=lambda r: r.timestamp_s)
-    return out
+    return _video_trace(frames, "delivery_time_us")

@@ -126,22 +126,6 @@ def packetize_frame(frame: VideoFrame, cfg: TrafficConfig,
     return batches
 
 
-def pacer_schedule(pending: list[Batch], now_us: float,
-                   tau_ms: float) -> list[Packet]:
-    """Release, at grid instant `now_us`, every pending batch whose
-    release time has been reached. Released batches are removed from
-    `pending`; their packets come back in generation order (batches from
-    distinct frames may share an instant). Empty list means the instant
-    is idle."""
-    del tau_ms  # grid spacing is the caller's contract, not used here
-    due = [b for b in pending if b.release_time_us <= now_us + 1e-9]
-    for b in due:
-        pending.remove(b)
-    released = [p for b in due for p in b.packets]
-    released.sort(key=lambda p: (p.gen_time_us, p.packet_id))
-    return released
-
-
 def generate_video_frames(cfg: TrafficConfig, rng: np.random.Generator,
                           duration_s: float) -> list[VideoFrame]:
     """All frames generated in [0, duration), packetized, ids sequential."""

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -127,6 +128,22 @@ def test_analyze_frames_flag_requires_rtp(tmp_path):
     assert main(["analyze", str(trace), "--output", str(out)]) == 0
 
 
+def test_analyze_single_frame_trace(tmp_path):
+    trace = tmp_path / "one.csv"
+    trace.write_text("timestamp,length,rtp_ssrc,rtp_timestamp\n"
+                     "0.0,1243,1,100\n0.0001,1243,1,100\n0.0002,1200,1,100\n")
+    out = tmp_path / "o"
+    assert main(["analyze", str(trace), "--frames", "--output", str(out)]) == 0
+    analysis = read(out / "analysis.json")
+    assert analysis["frames"]["n_frames"] == 1
+    assert analysis["frames"]["fps_estimate"] is None
+    assert analysis["frames"]["frame_size_mean_bytes"] == 3686.0
+    # one frame is no frame statistic: only stream-level metrics remain
+    assert set(analysis["trace_metrics"]) == {
+        "video_mean_packet_size_bytes", "video_mean_inter_packet_ms",
+        "video_jitter_ms"}
+
+
 def test_compare_run_against_own_export(tiny_config, tmp_path):
     simout, anaout, cmpout = (tmp_path / d for d in ("sim", "ana", "cmp"))
     assert main(["simulate", "--config", tiny_config,
@@ -151,3 +168,96 @@ def test_compare_disjoint_metrics_all_na(tmp_path):
     out = tmp_path / "cmp"
     assert main(["compare", str(a), str(b), "--output", str(out)]) == 0
     assert read(out / "compare.json")["table"] == []
+
+
+def write_capture(path: Path) -> None:
+    """A fixed 0.5 s capture: 45 paced video frames (one or two batches
+    5.56 ms apart) with a second, audio SSRC on the same flow, a DTLS
+    uplink and a generic UDP flow, so every stream label path is used."""
+    rows = []
+    for f in range(45):
+        t0 = f / 90.0 + (f * 7 % 5) * 1e-5
+        sizes = [1243] * (8 + f % 5) + [300 + 17 * f]
+        n_batches = 1 + f % 2
+        per_batch = -(-len(sizes) // n_batches)
+        for i, size in enumerate(sizes):
+            k, j = divmod(i, per_batch)
+            t = t0 + k * 5.56e-3 + j * 4e-5 + (i * 3 % 7) * 1e-6
+            rows.append((t, size, 50000, 5004, "DL", 96, 1, 3000 * f,
+                         "true" if i == len(sizes) - 1 else "false", ""))
+    for i in range(25):
+        rows.append((i * 0.02 + 0.003, 110 + i % 4, 50000, 5004, "DL",
+                     111, 2, 960 * i, "true", ""))
+    for i in range(60):
+        rows.append((i * 8.3e-3 + 0.001, 150 + (i * 5) % 40, 50001, 5006,
+                     "UL", "", "", "", "", "DTLS"))
+    for i in range(12):
+        rows.append((i * 0.041 + 0.002, 420, 40000, 40001, "DL", "", "",
+                     "", "", "UDP"))
+    rows.sort()
+    lines = ["timestamp,length,src_port,dst_port,direction,"
+             "rtp_payload_type,rtp_ssrc,rtp_timestamp,rtp_marker,protocol"]
+    lines += [f"{t:.6f}," + ",".join(str(v) for v in rest)
+              for t, *rest in rows]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# sha256 of every analyze output for the fixed capture above. The trace
+# is passed by a relative name, since analysis.json echoes it.
+PINNED_ANALYZE = {
+    "analysis.json":
+        "37cd397c7430abea2345df98e8b3f11f14ce1260fcb560fef87dcdb4a156917b",
+    "ecdf_inter_packet_dtls.csv":
+        "ecdbe6d3425fd1abeca245a432b888aa2414fbb4650fe015097de299d5fcdf82",
+    "ecdf_inter_packet_generic_udp.csv":
+        "404fc36dcdf8d5bc459eb72ef76d4ba1c13d27ae4ef15947518312c31cac07ef",
+    "ecdf_inter_packet_srtp_audio.csv":
+        "cabe8c885b8a2c1274d5764bbe84c487971975ebf712118fc411185742d7c103",
+    "ecdf_inter_packet_srtp_video.csv":
+        "0c6d4e6dadd3d421ad4ab8efd62788f2eb94023ab3dab8f55067ea9a964ebb1a",
+}
+
+PINNED_SWEEP = {
+    "sweep.json":
+        "06dac2f27ea39de9ba60d76707e6e2818f12f6b2c115865ed5e1d65c93df9a59",
+    "sweep_table.csv":
+        "f0d9a030501ec2afd658dcaf8506815adf3e761495a85dd6bb34a96fd9c25da5",
+}
+
+
+def test_pinned_analyze_digest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_capture(tmp_path / "capture.csv")
+    assert main(["analyze", "capture.csv", "--frames",
+                 "--output", "out"]) == 0
+    out = tmp_path / "out"
+    assert sorted(p.name for p in out.iterdir()) == sorted(PINNED_ANALYZE)
+    assert {name: digest(out / name)
+            for name in PINNED_ANALYZE} == PINNED_ANALYZE
+
+
+def test_pinned_sweep_digest(tiny_config, tmp_path):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", tiny_config, "--axis", "fps",
+                 "--values", "60,90", "--output", str(out)]) == 0
+    assert {name: digest(out / name)
+            for name in PINNED_SWEEP} == PINNED_SWEEP
+
+
+def test_analyze_trace_metrics_follow_gap_threshold(tmp_path):
+    trace = tmp_path / "capture.csv"
+    write_capture(trace)
+    out = tmp_path / "out"
+    assert main(["analyze", str(trace), "--gap-threshold", "6.0",
+                 "--output", str(out)]) == 0
+    analysis = read(out / "analysis.json")
+    tm = analysis["trace_metrics"]
+    assert analysis["batches"]["gap_threshold_ms"] == 6.0
+    assert (analysis["batches"]["modal_spacing_ms"]
+            == tm["batch_spacing_modal_ms"])
+    assert (analysis["frames"]["batches_per_frame_mean"]
+            == tm["batches_per_frame_mean"])

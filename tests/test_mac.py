@@ -87,7 +87,7 @@ def test_assemble_respects_max_ampdu():
     st = ap()
     for i in range(300):
         mac.enqueue(st, pkt(i), 0.0)
-    ampdu = mac.assemble_ampdu(st, 1.0, max_ampdu=256)
+    ampdu = mac.assemble_ampdu(st, max_ampdu=256)
     assert len(ampdu) == 256
     assert [p.packet_id for p in ampdu.mpdus] == list(range(256))
     assert len(st.buffer) == 44
@@ -97,20 +97,20 @@ def test_assemble_takes_whole_small_buffer():
     st = ap()
     for i in range(14):
         mac.enqueue(st, pkt(i), 0.0)
-    ampdu = mac.assemble_ampdu(st, 1.0, max_ampdu=256)
+    ampdu = mac.assemble_ampdu(st, max_ampdu=256)
     assert len(ampdu) == 14
     assert ampdu.total_bytes == 14 * 1243
 
 
 def test_assemble_empty_buffer_no_attempt():
-    assert mac.assemble_ampdu(ap(), 0.0, max_ampdu=256) is None
+    assert mac.assemble_ampdu(ap(), max_ampdu=256) is None
 
 
 def test_assemble_with_snapshot_limit():
     st = ap()
     for i in range(40):
         mac.enqueue(st, pkt(i), 0.0)
-    ampdu = mac.assemble_ampdu(st, 1.0, max_ampdu=256, limit=10)
+    ampdu = mac.assemble_ampdu(st, max_ampdu=256, limit=10)
     assert len(ampdu) == 10
     assert [p.packet_id for p in ampdu.mpdus] == list(range(10))
 
@@ -119,20 +119,20 @@ def test_assemble_byte_bound():
     st = ap()
     for i in range(100):
         mac.enqueue(st, pkt(i), 0.0)
-    ampdu = mac.assemble_ampdu(st, 1.0, max_ampdu=256, max_bytes=65535)
+    ampdu = mac.assemble_ampdu(st, max_ampdu=256, max_bytes=65535)
     assert len(ampdu) == 65535 // 1243 == 52
     assert ampdu.total_bytes <= 65535
     # a single oversized packet still goes out alone
     st2 = ap()
     mac.enqueue(st2, pkt(0, size=70_000), 0.0)
-    assert len(mac.assemble_ampdu(st2, 0.0, 256, max_bytes=65535)) == 1
+    assert len(mac.assemble_ampdu(st2, 256, max_bytes=65535)) == 1
 
 
 def test_apply_per_extremes():
     st = ap()
     for i in range(20):
         mac.enqueue(st, pkt(i), 0.0)
-    ampdu = mac.assemble_ampdu(st, 0.0, 256)
+    ampdu = mac.assemble_ampdu(st, 256)
     assert mac.apply_per(ampdu, 0.0, rng()).all()
     assert not mac.apply_per(ampdu, 1.0, rng()).any()
 
@@ -141,7 +141,7 @@ def test_apply_per_binomial_three_sigma():
     st = ap()
     for i in range(10_000):
         st.buffer.append(pkt(i))
-    ampdu = mac.assemble_ampdu(st, 0.0, max_ampdu=10_000)
+    ampdu = mac.assemble_ampdu(st, max_ampdu=10_000)
     failures = int((~mac.apply_per(ampdu, 0.1, rng(7))).sum())
     assert abs(failures - 1000) <= 90   # 3 sigma of Binomial(1e4, 0.1)
 
@@ -150,7 +150,7 @@ def test_handle_back_all_success():
     st = ap()
     for i in range(10):
         mac.enqueue(st, pkt(i), 0.0)
-    ampdu = mac.assemble_ampdu(st, 0.0, 256)
+    ampdu = mac.assemble_ampdu(st, 256)
     delivered, requeued, dropped = mac.handle_back(
         st, ampdu, np.ones(10, dtype=bool), max_retx=7)
     assert len(delivered) == 10 and not requeued and not dropped
@@ -161,13 +161,13 @@ def test_handle_back_failed_subset_precedes_new_packets():
     st = ap()
     for i in range(6):
         mac.enqueue(st, pkt(i), 0.0)
-    ampdu = mac.assemble_ampdu(st, 0.0, max_ampdu=4)    # takes 0..3
+    ampdu = mac.assemble_ampdu(st, max_ampdu=4)    # takes 0..3
     flags = np.array([True, False, True, False])
     delivered, requeued, dropped = mac.handle_back(st, ampdu, flags, 7)
     assert [p.packet_id for p in delivered] == [0, 2]
     assert [p.packet_id for p in requeued] == [1, 3]
     assert all(p.retx_count == 1 for p in requeued)
-    nxt = mac.assemble_ampdu(st, 1.0, 256)
+    nxt = mac.assemble_ampdu(st, 256)
     assert [p.packet_id for p in nxt.mpdus] == [1, 3, 4, 5]
 
 
@@ -175,7 +175,7 @@ def test_handle_back_drop_after_max_retx():
     st = ap()
     p = pkt(0, retx=7)
     mac.enqueue(st, p, 0.0)
-    ampdu = mac.assemble_ampdu(st, 0.0, 256)
+    ampdu = mac.assemble_ampdu(st, 256)
     delivered, requeued, dropped = mac.handle_back(
         st, ampdu, np.array([False]), max_retx=7)
     assert dropped == [p] and not delivered and not requeued
@@ -187,7 +187,7 @@ def test_handle_back_retry_below_limit_requeues():
     st = ap()
     p = pkt(0, retx=6)
     mac.enqueue(st, p, 0.0)
-    ampdu = mac.assemble_ampdu(st, 0.0, 256)
+    ampdu = mac.assemble_ampdu(st, 256)
     _, requeued, dropped = mac.handle_back(st, ampdu, np.array([False]), 7)
     assert requeued == [p] and not dropped
     assert p.retx_count == 7

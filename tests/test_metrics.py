@@ -149,3 +149,28 @@ def test_metrics_summary_smoke():
     assert s["vf_delay_ms"] is None
     assert s["conservation"] == {"generated": 2, "accounted": 2}
     assert s["loss_rate"] == 0.0
+
+
+def test_pooled_summary_pools_samples_and_averages_runs():
+    a = mx.RunMetrics(duration_us=1e6, airtime_busy_us=0.2e6,
+                      buffer_busy_us=0.5e6, buffer_capacity=100,
+                      generated_video=10,
+                      dropped_buffer=1, ampdu_sizes=[4, 2])
+    b = mx.RunMetrics(duration_us=1e6, airtime_busy_us=0.4e6,
+                      buffer_busy_us=0.1e6, generated_video=30,
+                      dropped_retx=1, ampdu_sizes=[6])
+    a.dl_packet_delays_us.extend([1000.0, 3000.0])
+    b.dl_packet_delays_us.append(2000.0)
+    p = mx.pooled_summary([a, b])
+    assert p["dl_packet_delay_ms"] == {"mean": 2.0, "p50": 2.0, "p99": 3.0,
+                                       "p99_99": 3.0, "min": 1.0, "max": 3.0,
+                                       "count": 3}
+    # scale applies to every statistic but the count
+    assert p["ampdu_size"]["p50"] == 4.0 and p["ampdu_size"]["count"] == 3
+    assert p["ul_packet_delay_ms"] is None
+    assert p["airtime_fraction_mean"] == pytest.approx(0.3)
+    assert p["buffer_occupancy_mean"] == pytest.approx(0.3)
+    assert p["loss_rate"] == pytest.approx(2 / 40)
+    # one run pooled alone gives that run's own sample summaries
+    alone, s = mx.sample_summaries([a]), mx.metrics_summary(a)
+    assert alone == {k: s[k] for k in alone}

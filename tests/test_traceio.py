@@ -147,7 +147,7 @@ def test_classify_by_protocol_column():
 def test_stream_summaries_consistent_load():
     records = flow(1000, 1.0, 101, 1, 2)     # 101 pkts, 1 ms apart
     labels = tio.classify_streams(records)
-    (summary,) = tio.stream_summaries(records, labels)
+    (summary,) = tio.stream_summaries(tio.group_streams(records, labels))
     span = records[-1].timestamp_s - records[0].timestamp_s
     assert summary.load_mbps == pytest.approx(101 * 1000 * 8 / span / 1e6)
     assert summary.packet_count == 101
@@ -243,6 +243,19 @@ def test_jitter_with_rtp_timestamps_uses_transit_difference():
 def test_jitter_needs_two_records():
     with pytest.raises(tio.TraceError):
         tio.interarrival_jitter([rec(0.0)])
+
+
+def test_analyze_video_without_rtp_reports_batches_only():
+    records = [rec(k * 5.56e-3 + j * 1e-4, 1243, src_port=1, dst_port=2)
+               for k in range(20) for j in range(6)]
+    va = tio.analyze_video(records)
+    assert va.labels == [tio.SRTP_VIDEO] * len(records)
+    assert len(va.batches) == 20 and va.frames is None
+    tm = va.trace_metrics()
+    assert tm["batch_spacing_modal_ms"] == pytest.approx(5.56)
+    assert set(tm) == {"video_mean_packet_size_bytes",
+                       "video_mean_inter_packet_ms",
+                       "batch_spacing_modal_ms", "video_jitter_ms"}
 
 
 # -- simulator export round trip ---------------------------------------------

@@ -117,65 +117,6 @@ def test_seeded_determinism_byte_identical(traffic_cfg):
     assert sequence(42) != sequence(43)
 
 
-def test_pacer_empty_queue_is_idle():
-    assert tr.pacer_schedule([], now_us=5560.0, tau_ms=5.56) == []
-
-
-def test_pacer_releases_due_batches_in_gen_order(traffic_cfg):
-    r = rng(9)
-    f0 = tr.next_video_frame(traffic_cfg, r, 0)
-    f0.n_batches = 2
-    f1 = tr.next_video_frame(traffic_cfg, r, 1)
-    f1.n_batches = 1
-    pending = tr.packetize_frame(f0, traffic_cfg) + tr.packetize_frame(
-        f1, traffic_cfg)
-    # frame 0 batch 0 due at 0; its batch 1 due at 5560; frame 1 at 11111.1
-    out = tr.pacer_schedule(pending, now_us=0.0, tau_ms=5.56)
-    assert {p.frame_id for p in out} == {0}
-    assert len(pending) == 2
-    # grid instant at 11120 us collects frame 1's batch (released 11111.1)
-    out = tr.pacer_schedule(pending, now_us=5560.0, tau_ms=5.56)
-    assert {(p.frame_id, p.batch_index) for p in out} == {(0, 1)}
-    out = tr.pacer_schedule(pending, now_us=2 * 5560.0, tau_ms=5.56)
-    assert {p.frame_id for p in out} == {1}
-    gens = [p.gen_time_us for p in out]
-    assert gens == sorted(gens)
-    assert pending == []
-
-
-def test_pacer_shares_instant_across_frames(traffic_cfg):
-    # a late batch of frame 0 and an on-time batch of frame 1 can ride the
-    # same grid instant
-    r = rng(1)
-    f0 = tr.next_video_frame(traffic_cfg, r, 0)
-    f0.n_batches = 2
-    f1 = tr.next_video_frame(traffic_cfg, r, 1)
-    f1.n_batches = 1
-    pending = tr.packetize_frame(f0, traffic_cfg) + tr.packetize_frame(
-        f1, traffic_cfg)
-    out = tr.pacer_schedule(pending, now_us=3 * 5560.0, tau_ms=5.56)
-    assert {p.frame_id for p in out} == {0, 1}
-
-
-def test_pacer_idle_instant_fraction_90fps(traffic_cfg):
-    # E[occupied instants per frame] = E[N_b] = 1.5 of the 2 grid slots a
-    # frame spans, so ~25% of instants are idle (real captures sit nearer
-    # 15% because live batch counts exceed the model's uniform cap)
-    frames = tr.generate_video_frames(traffic_cfg, rng(11), 10.0)
-    pending = [b for f in frames for b in f.batches]
-    tau_us = traffic_cfg.inter_batch_time_ms * 1e3
-    idle = 0
-    instants = 0
-    now = 0.0
-    while now < 10e6:
-        if not tr.pacer_schedule(pending, now, traffic_cfg.inter_batch_time_ms):
-            idle += 1
-        instants += 1
-        now += tau_us
-    expected_idle = 1.0 - np.mean([f.n_batches for f in frames]) / 2.0
-    assert idle / instants == pytest.approx(expected_idle, abs=0.03)
-
-
 def test_tiny_tau_collapses_frame_span():
     cfg = TrafficConfig(fps=60.0, inter_batch_time_ms=0.01)
     f = tr.next_video_frame(cfg, rng(4), 0)
