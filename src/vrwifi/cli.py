@@ -75,10 +75,10 @@ def cmd_simulate(args) -> int:
             if cfg.runs > 1 else [])
     results = [first] + rest
 
-    traceio.write_trace(traceio.delivered_trace(first.frames),
-                        outdir / "sim_trace.csv")
-    # reparse the export so the metrics see exactly what analyze will see
-    trace_records = traceio.parse_trace(outdir / "sim_trace.csv").records
+    # delivered_trace rounds like the file, so analyze reads back these
+    # very records from sim_trace.csv
+    trace_records = traceio.delivered_trace(first.frames)
+    traceio.write_trace(trace_records, outdir / "sim_trace.csv")
     for attr, fname, header in (
         ("dl_packet_delays_us", "dl_delays.csv", "delay_us"),
         ("vf_delays_us", "vf_delays.csv", "delay_us"),

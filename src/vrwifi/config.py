@@ -7,6 +7,8 @@ once validated, a config can be shared freely across concurrent runs.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -125,9 +127,43 @@ class SimConfig:
     warmup_ms: float = 500.0
 
 
-def config_errors(cfg: SimConfig) -> list[str]:
-    """Collect every violated invariant; empty list means valid."""
+# what each field annotation admits; bool is an int subtype, so the
+# numeric types exclude it; a real must be finite, as nan and inf slip
+# past the range checks below
+_ADMITS = {
+    "bool": lambda v: isinstance(v, bool),
+    "int": lambda v: (isinstance(v, numbers.Integral)
+                      and not isinstance(v, bool)),
+    "float": lambda v: (isinstance(v, numbers.Real)
+                        and not isinstance(v, bool) and math.isfinite(v)),
+    "str": lambda v: isinstance(v, str),
+    "None": lambda v: v is None,
+}
+
+
+def _type_errors(cfg: SimConfig) -> list[str]:
+    """One message per field whose value its annotation does not admit."""
     errs = []
+    for section, obj in (("phy", cfg.phy), ("mac", cfg.mac),
+                         ("traffic", cfg.traffic), ("sim", cfg)):
+        for f in dataclasses.fields(obj):
+            types = f.type.split(" | ")   # sections are not in _ADMITS
+            value = getattr(obj, f.name)
+            if all(t in _ADMITS for t in types) and not any(
+                    _ADMITS[t](value) for t in types):
+                errs.append(f"{section}.{f.name} must be "
+                            f"{' or '.join(types)}, not {value!r}")
+    return errs
+
+
+def config_errors(cfg: SimConfig) -> list[str]:
+    """Collect every violated invariant; empty list means valid.
+
+    Wrongly typed and non-finite values are reported first and alone:
+    the range checks below compare values as numbers."""
+    errs = _type_errors(cfg)
+    if errs:
+        return errs
     phy, mac, tr = cfg.phy, cfg.mac, cfg.traffic
 
     if not 0 <= phy.mcs_index <= MAX_MCS_INDEX:
@@ -266,12 +302,7 @@ def config_to_dict(cfg: SimConfig) -> dict:
         "phy": dataclasses.asdict(cfg.phy),
         "mac": dataclasses.asdict(cfg.mac),
         "traffic": dataclasses.asdict(cfg.traffic),
-        "sim": {
-            "duration_s": cfg.duration_s,
-            "runs": cfg.runs,
-            "seed": cfg.seed,
-            "warmup_ms": cfg.warmup_ms,
-        },
+        "sim": {name: getattr(cfg, name) for name in _TOP_FIELDS},
     }
 
 

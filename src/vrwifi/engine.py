@@ -92,8 +92,7 @@ class _Sim:
         self.events: list = []   # runtime events: (time, ordinal, handler, arg)
         self.epoch = 0
         self.armed_us = None     # expiry time of the live access event
-        self.busy = False
-        self.in_flight = None   # (station, ampdu) or "collision"
+        self.in_flight = None   # (station, ampdu) or "collision" while busy
         self.stations = {
             AP: mac_mod.make_station(AP, cfg.mac),
             CLIENT: mac_mod.make_station(CLIENT, cfg.mac),
@@ -128,7 +127,7 @@ class _Sim:
     def resolve(self) -> None:
         """(Re)arm the earliest pending backoff expiry while idle; the
         live access event is kept when that expiry has not moved."""
-        if self.busy:
+        if self.in_flight is not None:
             return
         best = None
         for st in self.stations.values():
@@ -186,7 +185,7 @@ class _Sim:
                 self.resolve()
 
     def on_access(self, epoch_tag: int) -> None:
-        if self.busy or epoch_tag != self.epoch:
+        if self.in_flight is not None or epoch_tag != self.epoch:
             return
         self.armed_us = None
         winners = [
@@ -220,7 +219,6 @@ class _Sim:
             self.metrics.collisions += 1
         self.metrics.tx_log.append(
             TxRecord("collision", self.now, end, 0, -1))
-        self.busy = True
         self.in_flight = "collision"
         self.push(end, self.on_end, None)
 
@@ -241,19 +239,16 @@ class _Sim:
                                            self.cfg.phy, self.cfg.mac,
                                            st.rts_cts)
             self.airtime_cache[key] = dur
-        ampdu.tx_end_us = self.now + dur
+        end = self.now + dur
         st.slots_left = None
         st.aifs_end_us = None
-        self.add_airtime(self.now, ampdu.tx_end_us)
+        self.add_airtime(self.now, end)
         self.metrics.tx_log.append(
-            TxRecord(st.role, self.now, ampdu.tx_end_us, len(ampdu),
-                     self.drawn[st.role]))
-        self.busy = True
+            TxRecord(st.role, self.now, end, len(ampdu), self.drawn[st.role]))
         self.in_flight = (st, ampdu)
-        self.push(ampdu.tx_end_us, self.on_end, None)
+        self.push(end, self.on_end, None)
 
     def on_end(self, _arg) -> None:
-        self.busy = False
         flight, self.in_flight = self.in_flight, None
         if flight == "collision":
             self.resolve()
@@ -367,13 +362,9 @@ def run_simulation(cfg: SimConfig, seed: int,
     return _Sim(cfg, seed, keep_packets).run()
 
 
-def run_seeds(cfg: SimConfig, seeds: list[int] | None = None,
-              jobs: int = 1) -> list[RunResult]:
-    """cfg.runs independent runs; run i uses seed cfg.seed + i unless an
-    explicit seed list is given."""
-    if seeds is None:
-        seeds = [cfg.seed + i for i in range(cfg.runs)]
-    return _execute([(cfg, s) for s in seeds], jobs)
+def run_seeds(cfg: SimConfig, jobs: int = 1) -> list[RunResult]:
+    """cfg.runs independent runs; run i uses seed cfg.seed + i."""
+    return _execute([(cfg, cfg.seed + i) for i in range(cfg.runs)], jobs)
 
 
 def set_axis(cfg: SimConfig, axis: str, value) -> SimConfig:

@@ -23,7 +23,6 @@ CLIENT = "client"
 class Ampdu:
     mpdus: list[Packet]
     total_bytes: int
-    tx_end_us: float = 0.0
 
     def __len__(self) -> int:
         return len(self.mpdus)

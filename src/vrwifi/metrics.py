@@ -119,13 +119,12 @@ def ecdf(samples: list) -> tuple[np.ndarray, np.ndarray]:
     return xs, ps
 
 
-def airtime_fraction(metrics: RunMetrics, duration_s: float | None = None) -> float:
+def airtime_fraction(metrics: RunMetrics) -> float:
     """Busy channel time (PPDUs, control frames, and the SIFS gaps inside
     exchanges) divided by the measured duration."""
-    window_us = duration_s * 1e6 if duration_s is not None else metrics.measured_us
-    if window_us <= 0:
+    if metrics.measured_us <= 0:
         raise ValueError("duration must be positive")
-    return metrics.airtime_busy_us / window_us
+    return metrics.airtime_busy_us / metrics.measured_us
 
 
 def buffer_occupancy(metrics: RunMetrics) -> float:

@@ -72,31 +72,6 @@ class ParseResult:
     records: list
     skipped: list  # (line number, reason)
 
-    def __iter__(self):
-        return iter(self.records)
-
-    def __len__(self):
-        return len(self.records)
-
-
-@dataclass(frozen=True)
-class ClassifyThresholds:
-    """Size/periodicity fallbacks used when no protocol or RTP columns
-    are available; values follow the observed per-stream statistics."""
-
-    stun_max_bytes: int = 135
-    stun_min_gap_ms: float = 500.0
-    video_min_bytes: int = 900
-    video_max_gap_ms: float = 5.0
-    audio_size_range: tuple = (60, 250)
-    audio_gap_range_ms: tuple = (15.0, 25.0)
-    srtcp_size_range: tuple = (250, 700)
-    srtcp_gap_range_ms: tuple = (40.0, 90.0)
-    dtls_size_range: tuple = (90, 250)
-    dtls_gap_range_ms: tuple = (3.0, 12.0)
-    # SSRC-level split used when RTP columns are present
-    rtp_video_min_bytes: int = 400
-
 
 @dataclass
 class StreamSummary:
@@ -173,7 +148,8 @@ def parse_trace(path: str) -> ParseResult:
                     rtp_marker=_to_bool(values.get("rtp_marker")),
                     protocol=values.get("protocol") or None,
                 ))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
+                # OverflowError: an infinite value in an integer column
                 skipped.append((lineno, str(exc)))
     records.sort(key=lambda r: r.timestamp_s)
     return ParseResult(records=records, skipped=skipped)
@@ -204,6 +180,21 @@ _PROTOCOL_LABELS = {
     "srtp": SRTP_VIDEO, "rtp": SRTP_VIDEO, "udp": GENERIC,
 }
 
+# SSRC-level split used when RTP columns are present
+RTP_VIDEO_MIN_BYTES = 400
+
+# Size/periodicity fallbacks used when no protocol or RTP columns are
+# available; values follow the observed per-stream statistics. A flow
+# takes the first label whose closed ranges hold both its mean packet
+# size (bytes) and its median inter-packet gap (ms).
+FLOW_SIGNATURES = (
+    (STUN, (-math.inf, 135), (500.0, math.inf)),
+    (SRTP_VIDEO, (900, math.inf), (-math.inf, 5.0)),
+    (SRTP_AUDIO, (60, 250), (15.0, 25.0)),
+    (SRTCP, (250, 700), (40.0, 90.0)),
+    (DTLS, (90, 250), (3.0, 12.0)),
+)
+
 
 def _flow_stats(records: list) -> tuple[float, float]:
     sizes = [r.length for r in records]
@@ -217,8 +208,7 @@ def _flow_stats(records: list) -> tuple[float, float]:
     return mean_size, median_gap
 
 
-def classify_streams(records: list,
-                     thresholds: ClassifyThresholds | None = None) -> list[str]:
+def classify_streams(records: list) -> list[str]:
     """Label every record with its stream; unclassifiable rows become
     generic-UDP (classification never fails).
 
@@ -226,7 +216,6 @@ def classify_streams(records: list,
     audio per SSRC by packet size; flows with a protocol column map
     directly; everything else goes through size/periodicity heuristics.
     """
-    th = thresholds or ClassifyThresholds()
     flows: dict[tuple, list[int]] = {}
     for idx, r in enumerate(records):
         flows.setdefault((r.src_port, r.dst_port, r.direction), []).append(idx)
@@ -243,7 +232,7 @@ def classify_streams(records: list,
             ssrc_label = {
                 ssrc: (SRTP_VIDEO
                        if sum(x.length for x in grp) / len(grp)
-                       >= th.rtp_video_min_bytes else SRTP_AUDIO)
+                       >= RTP_VIDEO_MIN_BYTES else SRTP_AUDIO)
                 for ssrc, grp in by_ssrc.items()
             }
             flow_majority = Counter(
@@ -257,30 +246,15 @@ def classify_streams(records: list,
             label = _PROTOCOL_LABELS.get(next(iter(protocols)))
             if label is not None:
                 mean_size, _ = _flow_stats(rows)
-                if label == SRTP_VIDEO and mean_size < th.rtp_video_min_bytes:
+                if label == SRTP_VIDEO and mean_size < RTP_VIDEO_MIN_BYTES:
                     label = SRTP_AUDIO
                 for i in indices:
                     labels[i] = label
                 continue
         mean_size, median_gap = _flow_stats(rows)
-        label = GENERIC
-        if mean_size <= th.stun_max_bytes and median_gap >= th.stun_min_gap_ms:
-            label = STUN
-        elif (mean_size >= th.video_min_bytes
-              and median_gap <= th.video_max_gap_ms):
-            label = SRTP_VIDEO
-        elif (th.audio_size_range[0] <= mean_size <= th.audio_size_range[1]
-              and th.audio_gap_range_ms[0] <= median_gap
-              <= th.audio_gap_range_ms[1]):
-            label = SRTP_AUDIO
-        elif (th.srtcp_size_range[0] <= mean_size <= th.srtcp_size_range[1]
-              and th.srtcp_gap_range_ms[0] <= median_gap
-              <= th.srtcp_gap_range_ms[1]):
-            label = SRTCP
-        elif (th.dtls_size_range[0] <= mean_size <= th.dtls_size_range[1]
-              and th.dtls_gap_range_ms[0] <= median_gap
-              <= th.dtls_gap_range_ms[1]):
-            label = DTLS
+        label = next((lab for lab, (s0, s1), (g0, g1) in FLOW_SIGNATURES
+                      if s0 <= mean_size <= s1 and g0 <= median_gap <= g1),
+                     GENERIC)
         for i in indices:
             labels[i] = label
     return labels
@@ -343,11 +317,11 @@ def batch_spacings_ms(batches: list[list]) -> list[float]:
     return [(b - a) * 1e3 for a, b in zip(starts, starts[1:])]
 
 
-def modal_spacing_ms(spacings: list[float], resolution_ms: float = 0.01) -> float:
-    """Most common spacing after rounding to the given resolution."""
+def modal_spacing_ms(spacings: list[float]) -> float:
+    """Most common spacing after rounding to 0.01 ms."""
     if not spacings:
         raise TraceError("no spacings to take a mode over")
-    rounded = [round(s / resolution_ms) * resolution_ms for s in spacings]
+    rounded = [round(s / 0.01) * 0.01 for s in spacings]
     return Counter(rounded).most_common(1)[0][0]
 
 
@@ -395,7 +369,7 @@ def assembly_delays(frames: list[FrameStats]) -> list[float]:
     return [(f.last_s - f.first_s) * 1e3 for f in frames]
 
 
-def interarrival_jitter(records: list, rtp_clock_hz: int = RTP_CLOCK_HZ) -> float:
+def interarrival_jitter(records: list) -> float:
     """Smoothed interarrival jitter in ms (J += (|D| - J) / 16).
 
     With RTP timestamps, D is the classic transit-time difference; without
@@ -410,7 +384,7 @@ def interarrival_jitter(records: list, rtp_clock_hz: int = RTP_CLOCK_HZ) -> floa
         for prev, cur in zip(records, records[1:]):
             d = ((cur.timestamp_s - prev.timestamp_s) * 1e3
                  - (cur.rtp_timestamp - prev.rtp_timestamp)
-                 / rtp_clock_hz * 1e3)
+                 / RTP_CLOCK_HZ * 1e3)
             jitter += (abs(d) - jitter) / 16.0
     else:
         gaps = [(b.timestamp_s - a.timestamp_s) * 1e3
@@ -513,7 +487,9 @@ def frame_rtp_timestamp(frame: VideoFrame) -> int:
 
 def _video_trace(frames: list[VideoFrame], attr: str) -> list[TraceRecord]:
     """One row per packet at its `attr` instant (us); packets without
-    one are left out. Rows come back in time order."""
+    one are left out. Rows come back in time order, each timestamp
+    rounded to the microsecond as write_trace prints it, so the list
+    equals what parse_trace reads back from its file."""
     out = []
     for frame in frames:
         ts = frame_rtp_timestamp(frame)
@@ -531,6 +507,10 @@ def _video_trace(frames: list[VideoFrame], attr: str) -> list[TraceRecord]:
                     rtp_timestamp=ts,
                 ))
     out.sort(key=lambda r: r.timestamp_s)
+    # round after the sort: rows whose times differ by less than 1 us
+    # keep their time order, as they do in the written file
+    for r in out:
+        r.timestamp_s = float(f"{r.timestamp_s:.6f}")
     return out
 
 

@@ -36,7 +36,6 @@ class Packet:
 
 @dataclass
 class Batch:
-    parent_frame: int
     batch_index: int
     size_bytes: int
     release_time_us: float
@@ -107,8 +106,8 @@ def packetize_frame(frame: VideoFrame, cfg: TrafficConfig,
     for k in range(frame.n_batches):
         batch_bytes = base + (1 if k >= frame.n_batches - rem else 0)
         release = frame.gen_time_us + k * tau_us
-        batch = Batch(parent_frame=frame.frame_id, batch_index=k,
-                      size_bytes=batch_bytes, release_time_us=release)
+        batch = Batch(batch_index=k, size_bytes=batch_bytes,
+                      release_time_us=release)
         n_pk = math.ceil(batch_bytes / l_p)
         for j in range(n_pk):
             size = l_p if j < n_pk - 1 else batch_bytes - (n_pk - 1) * l_p

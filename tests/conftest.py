@@ -1,8 +1,32 @@
 import dataclasses
 
 import pytest
+import yaml
 
 from vrwifi.config import MacConfig, PhyConfig, SimConfig, TrafficConfig
+
+
+# config sections with one wrongly typed or non-finite value each, and
+# the key that config_errors must name
+WRONGLY_TYPED = {
+    "float_runs": ({"sim": {"runs": 2.0}}, "sim.runs"),
+    "str_runs": ({"sim": {"runs": "3"}}, "sim.runs"),
+    "str_per": ({"mac": {"per": "high"}}, "mac.per"),
+    "str_bool": ({"traffic": {"ul_enabled": "no"}}, "traffic.ul_enabled"),
+    # a float, but no finite one: it passed every range check
+    "nan_fps": ({"traffic": {"fps": float("nan")}}, "traffic.fps"),
+    "inf_duration": ({"sim": {"duration_s": float("inf")}}, "sim.duration_s"),
+}
+
+
+def write_wrongly_typed(path, name: str) -> str:
+    """Write WRONGLY_TYPED[name] as a YAML config of short runs, in case
+    it is accepted; returns the path."""
+    sections = dict(WRONGLY_TYPED[name][0])
+    sections["sim"] = {"duration_s": 0.2, "warmup_ms": 0.0,
+                       **sections.get("sim", {})}
+    path.write_text(yaml.safe_dump(sections))
+    return str(path)
 
 
 def make_cfg(duration_s=1.0, warmup_ms=0.0, phy=None, mac=None,

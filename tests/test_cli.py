@@ -4,9 +4,10 @@ from pathlib import Path
 
 import pytest
 
+from vrwifi import traceio
 from vrwifi.cli import main
 from vrwifi.config import SimConfig, save_config
-from tests.conftest import make_cfg
+from tests.conftest import WRONGLY_TYPED, make_cfg, write_wrongly_typed
 
 
 @pytest.fixture
@@ -67,6 +68,43 @@ def test_simulate_output_env_var(tiny_config, tmp_path, monkeypatch):
     monkeypatch.setenv("VRWIFI_OUTPUT_DIR", str(target))
     assert main(["simulate", "--config", tiny_config]) == 0
     assert (target / "summary.json").exists()
+
+
+@pytest.mark.parametrize("traffic", [{}, {"inter_batch_time_ms": 0.01}],
+                         ids=["defaults", "tau0.01"])
+def test_simulate_analyzes_the_records_it_writes(traffic, tmp_path,
+                                                 monkeypatch):
+    # simulate analyses its trace export without reading the file back;
+    # those records must be exactly what parse_trace reads from it
+    cfg = make_cfg(duration_s=10.0, warmup_ms=500.0, runs=1,
+                   traffic=traffic)
+    save_config(cfg, str(tmp_path / "cfg.yaml"))
+    analysed = []
+    analyze_video = traceio.analyze_video
+
+    def spy(records, *args):
+        analysed.append(records)
+        return analyze_video(records, *args)
+
+    monkeypatch.setattr(traceio, "analyze_video", spy)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(tmp_path / "cfg.yaml"),
+                 "--output", str(out)]) == 0
+    parsed = traceio.parse_trace(str(out / "sim_trace.csv"))
+    (records,) = analysed
+    assert records and not parsed.skipped
+    assert records == parsed.records
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("name", sorted(WRONGLY_TYPED))
+def test_wrongly_typed_config_exits_2(tmp_path, command, name, capsys):
+    path = write_wrongly_typed(tmp_path / "typed.yaml", name)
+    argv = [command, "--config", path, "--output", str(tmp_path / "out")]
+    if command == "sweep":
+        argv += ["--axis", "fps", "--values", "60"]
+    assert main(argv) == 2
+    assert WRONGLY_TYPED[name][1] in capsys.readouterr().err
 
 
 def test_sweep_table_and_summary(tiny_config, tmp_path):

@@ -1,4 +1,6 @@
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,7 +8,9 @@ from hypothesis import given, strategies as st
 from vrwifi.config import (ConfigError, MacConfig, SimConfig, TrafficConfig,
                            config_errors, load_config, save_config,
                            validate_config)
-from tests.conftest import make_cfg
+from tests.conftest import WRONGLY_TYPED, make_cfg, write_wrongly_typed
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_default_config_is_valid():
@@ -120,3 +124,30 @@ def test_traffic_defaults_match_observed_streams():
     assert tr.inter_batch_time_ms == 5.56
     assert tr.intra_batch_gap_us == 5.0
     assert tr.ul_period_ms == 4.16 and tr.ul_packet_size_bytes == 175
+
+
+@pytest.mark.parametrize("name", sorted(WRONGLY_TYPED))
+def test_wrongly_typed_value_named(tmp_path, name):
+    key = WRONGLY_TYPED[name][1]
+    path = write_wrongly_typed(tmp_path / "typed.yaml", name)
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert [e.split(" ")[0] for e in info.value.errors] == [key]
+
+
+def test_null_byte_bound_accepted_bool_int_rejected():
+    assert config_errors(make_cfg(mac={"max_ampdu_bytes": None})) == []
+    errs = config_errors(make_cfg(mac={"max_ampdu": True},
+                                  traffic={"fps": False}))
+    assert [e.split(" ")[0] for e in errs] == ["mac.max_ampdu",
+                                               "traffic.fps"]
+
+
+def test_sample_config_and_readme_block_are_the_defaults(tmp_path):
+    assert load_config(str(ROOT / "config.sample.yaml")) == SimConfig()
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Configuration file"):]
+    block = re.search(r"```yaml\n(.*?)```", section, re.S).group(1)
+    path = tmp_path / "readme.yaml"
+    path.write_text(block)
+    assert load_config(str(path)) == SimConfig()

@@ -29,6 +29,21 @@ def one_packet_cfg(**mac_over):
     )
 
 
+# config variants that the default-config tests below also run, one
+# non-default value each
+VARIANTS = {
+    "exchange_any": {"mac": {"cw_policy": "exchange_any"}},
+    "no_snapshot": {"mac": {"ampdu_snapshot": False}},
+    "data_end": {"mac": {"delivery_stamp": "data_end"}},
+    "global_pacer": {"traffic": {"pacer_anchor": "global"}},
+}
+WITH_VARIANTS = ["defaults", *VARIANTS]
+
+
+def variant_cfg(name):
+    return fast_cfg(**VARIANTS.get(name, {}))
+
+
 def metric_fingerprint(res):
     m = res.metrics
     return (tuple(m.dl_packet_delays_us), tuple(m.ul_packet_delays_us),
@@ -51,9 +66,12 @@ def test_different_seed_differs():
         run_simulation(cfg, 6))
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_conservation_identity_exact(seed):
-    res = run_simulation(fast_cfg(), seed)
+@pytest.mark.parametrize("seed,variant", [
+    *((seed, "defaults") for seed in (1, 2, 3)),
+    *((1, name) for name in VARIANTS)],
+    ids=["1", "2", "3", *VARIANTS])
+def test_conservation_identity_exact(seed, variant):
+    res = run_simulation(variant_cfg(variant), seed)
     generated, accounted = conservation_balance(res.metrics)
     assert generated == accounted
     assert generated == res.metrics.generated_video + res.metrics.generated_ul
@@ -90,14 +108,29 @@ def test_single_packet_delay_composition():
                                   * cfg.mac.slot_us)
 
 
-def test_delays_bounded_below_by_no_backoff_latency():
-    cfg = fast_cfg()
+@pytest.mark.parametrize("variant", WITH_VARIANTS)
+def test_delays_bounded_below_by_no_backoff_latency(variant):
+    cfg = variant_cfg(variant)
     res = run_simulation(cfg, 3)
     floor_us = phy.single_packet_latency(
         cfg.traffic.packet_size_bytes, cfg.phy, cfg.mac, False).total
-    # delivery stamps land at BACK end, so even the luckiest packet pays
-    # the full no-backoff exchange
+    # back_end stamps land at BACK end, so even the luckiest packet pays
+    # the full no-backoff exchange; data_end stamps skip SIFS + BACK
+    if cfg.mac.delivery_stamp == "data_end":
+        floor_us -= cfg.mac.sifs_us + phy.back_airtime(cfg.phy)
     assert min(res.metrics.dl_packet_delays_us) >= floor_us - 1e-6
+
+
+def test_data_end_delays_are_back_end_delays_minus_sifs_and_back():
+    back_end = run_simulation(fast_cfg(duration_s=2.0), 1).metrics
+    cfg = fast_cfg(duration_s=2.0, **VARIANTS["data_end"])
+    data_end = run_simulation(cfg, 1).metrics
+    shift_us = cfg.mac.sifs_us + phy.back_airtime(cfg.phy)
+    assert len(data_end.dl_packet_delays_us) == len(
+        back_end.dl_packet_delays_us) > 0
+    for d, b in zip(data_end.dl_packet_delays_us,
+                    back_end.dl_packet_delays_us):
+        assert d == pytest.approx(b - shift_us, abs=1e-6)
 
 
 def test_no_retransmissions_with_zero_per_single_contender():
@@ -124,8 +157,9 @@ def test_airtime_no_greater_than_duration():
     assert 0.0 <= metrics_summary(m)["airtime_fraction"] <= 1.0
 
 
-def test_busy_intervals_never_overlap():
-    res = run_simulation(fast_cfg(), 8)
+@pytest.mark.parametrize("variant", WITH_VARIANTS)
+def test_busy_intervals_never_overlap(variant):
+    res = run_simulation(variant_cfg(variant), 8)
     log = sorted(res.metrics.tx_log, key=lambda t: t.tx_start_us)
     for a, b in zip(log, log[1:]):
         assert b.tx_start_us >= a.busy_end_us - 1e-6

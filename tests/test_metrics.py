@@ -115,7 +115,6 @@ def test_vf_delay_undelivered_raises():
 
 def test_airtime_fraction_explicit_duration():
     m = mx.RunMetrics(duration_us=10e6, warmup_us=0.0, airtime_busy_us=3.5e6)
-    assert mx.airtime_fraction(m, duration_s=10.0) == pytest.approx(0.35)
     assert mx.airtime_fraction(m) == pytest.approx(0.35)
 
 

@@ -27,8 +27,8 @@ def write(tmp_path, text, name="t.csv"):
 def test_parse_sorted_three_rows(tmp_path):
     path = write(tmp_path, "timestamp,length\n3.0,100\n1.0,200\n2.0,300\n")
     parsed = tio.parse_trace(path)
-    assert len(parsed) == 3 and not parsed.skipped
-    assert [r.timestamp_s for r in parsed] == [1.0, 2.0, 3.0]
+    assert len(parsed.records) == 3 and not parsed.skipped
+    assert [r.timestamp_s for r in parsed.records] == [1.0, 2.0, 3.0]
 
 
 def test_parse_missing_length_column_is_hard_error(tmp_path):
@@ -41,7 +41,7 @@ def test_parse_skips_bad_rows_with_line_numbers(tmp_path):
     path = write(tmp_path,
                  "timestamp,length\n1.0,100\nnot-a-number,100\n2.0,50\n")
     parsed = tio.parse_trace(path)
-    assert len(parsed) == 2
+    assert len(parsed.records) == 2
     assert [line for line, _ in parsed.skipped] == [3]
 
 
@@ -50,16 +50,29 @@ def test_parse_skips_bad_rows_with_line_numbers(tmp_path):
 def test_parse_rejects_non_finite_rows_with_line_numbers(tmp_path, bad):
     path = write(tmp_path, f"timestamp,length\n1.0,100\n{bad}\n2.0,50\n")
     parsed = tio.parse_trace(path)
-    assert [r.timestamp_s for r in parsed] == [1.0, 2.0]
+    assert [r.timestamp_s for r in parsed.records] == [1.0, 2.0]
     assert [line for line, _ in parsed.skipped] == [3]
     assert "non-finite" in parsed.skipped[0][1]
+
+
+@pytest.mark.parametrize("column", ["src_port", "dst_port",
+                                    "rtp_payload_type", "rtp_ssrc",
+                                    "rtp_timestamp"])
+def test_parse_skips_infinite_integer_fields_with_line_numbers(tmp_path,
+                                                               column):
+    path = write(tmp_path, f"timestamp,length,{column}\n1.0,100,7\n"
+                           "2.0,100,inf\n3.0,100,-inf\n4.0,100,1e400\n"
+                           "5.0,100,9\n")
+    parsed = tio.parse_trace(path)
+    assert [getattr(r, column) for r in parsed.records] == [7, 9]
+    assert [line for line, _ in parsed.skipped] == [3, 4, 5]
 
 
 def test_parse_reports_non_positive_length_at_its_line(tmp_path):
     path = write(tmp_path, "timestamp,length\n1.0,100\nx,1\n2.0,0\n"
                            "3.0,-5\n4.0,0.5\n5.0,7\n")
     parsed = tio.parse_trace(path)
-    assert [r.length for r in parsed] == [100, 7]
+    assert [r.length for r in parsed.records] == [100, 7]
     assert [line for line, _ in parsed.skipped] == [3, 4, 5, 6]
     assert all("non-positive length" in reason
                for _, reason in parsed.skipped[1:])
@@ -89,7 +102,7 @@ def test_write_parse_round_trip(tmp_path):
     path = tmp_path / "rt.csv"
     tio.write_trace(records, str(path))
     parsed = tio.parse_trace(str(path))
-    assert len(parsed) == len(records)
+    assert len(parsed.records) == len(records)
     by_time = sorted(records, key=lambda r: r.timestamp_s)
     for a, b in zip(by_time, parsed.records):
         assert a.length == b.length and a.src_port == b.src_port
@@ -268,7 +281,7 @@ def test_generated_trace_round_trip(tmp_path):
     path = tmp_path / "gen.csv"
     tio.write_trace(records, str(path))
     parsed = tio.parse_trace(str(path))
-    assert len(parsed) == len(records) and not parsed.skipped
+    assert parsed.records == records and not parsed.skipped
 
     labels = tio.classify_streams(parsed.records)
     assert set(labels) == {tio.SRTP_VIDEO}
