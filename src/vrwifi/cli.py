@@ -11,9 +11,12 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
+import math
 import os
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +24,7 @@ import numpy as np
 from vrwifi import traceio
 from vrwifi.config import (ConfigError, SimConfig, config_to_dict,
                            load_config, validate_config)
-from vrwifi.engine import (SWEEP_AXES, run_seeds, run_simulation, run_sweep,
+from vrwifi.engine import (SWEEP_AXES, run_simulation, run_sweep, run_tasks,
                            set_axis)
 from vrwifi.metrics import (ecdf, metrics_summary, pooled_summary,
                              summarize)
@@ -61,6 +64,14 @@ def _write_csv(path: Path, header: list, rows) -> None:
         writer.writerows(rows)
 
 
+# sample dumps: RunMetrics attribute, file name, value column
+SAMPLE_CSVS = (
+    ("dl_packet_delays_us", "dl_delays.csv", "delay_us"),
+    ("vf_delays_us", "vf_delays.csv", "delay_us"),
+    ("ampdu_sizes", "ampdu_sizes.csv", "n_mpdus"),
+)
+
+
 def cmd_simulate(args) -> int:
     try:
         cfg = _load_cfg(args)
@@ -68,34 +79,46 @@ def cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     outdir = _outdir(args)
-    first = run_simulation(cfg, cfg.seed, keep_packets=True)
-    rest = (run_seeds(dataclasses.replace(cfg, runs=cfg.runs - 1,
-                                          seed=cfg.seed + 1),
-                      jobs=args.jobs)
-            if cfg.runs > 1 else [])
-    results = [first] + rest
+    seeds = [cfg.seed + i for i in range(cfg.runs)]
+    runs, per_run = [], []
+    # the pool simulates seeds[1:] while this process runs the first seed,
+    # exports its trace and writes each run's samples as the run arrives
+    with (run_tasks([(cfg, s) for s in seeds[1:]], args.jobs) as results,
+          ExitStack() as files):
+        first = run_simulation(cfg, cfg.seed, keep_packets=True)
+        # delivered_trace rounds like the file, so analyze reads back these
+        # very records from sim_trace.csv
+        trace_records = traceio.delivered_trace(first.frames)
+        traceio.write_trace(trace_records, outdir / "sim_trace.csv")
+        trace_metrics = traceio.analyze_video(trace_records).trace_metrics()
+        # nothing past the export needs the first run's packets
+        kept = [(first.seed, first.metrics)]
+        del first, trace_records
+        dumps = []
+        for attr, fname, header in SAMPLE_CSVS:
+            fh = files.enter_context(
+                open(outdir / fname, "w", newline="", encoding="utf-8"))
+            fh.write(f"seed,{header}\r\n")
+            dumps.append((attr, fh))
+        for seed, m in itertools.chain(
+                kept, ((r.seed, r.metrics) for r in results)):
+            # the bytes csv.writer writes (repr of a float, CRLF), without
+            # its per-row cost
+            for attr, fh in dumps:
+                fh.write("".join(f"{seed},{v!r}\r\n"
+                                 for v in getattr(m, attr)))
+            runs.append(m)
+            per_run.append(metrics_summary(m))
 
-    # delivered_trace rounds like the file, so analyze reads back these
-    # very records from sim_trace.csv
-    trace_records = traceio.delivered_trace(first.frames)
-    traceio.write_trace(trace_records, outdir / "sim_trace.csv")
-    for attr, fname, header in (
-        ("dl_packet_delays_us", "dl_delays.csv", "delay_us"),
-        ("vf_delays_us", "vf_delays.csv", "delay_us"),
-        ("ampdu_sizes", "ampdu_sizes.csv", "n_mpdus"),
-    ):
-        rows = [(r.seed, v) for r in results for v in getattr(r.metrics, attr)]
-        _write_csv(outdir / fname, ["seed", header], rows)
-
-    pooled = pooled_summary([r.metrics for r in results])
+    pooled = pooled_summary(runs)
     loss_ok = pooled["loss_rate"] <= QOS_LOSS_RATE
     report = {
         "command": "simulate",
         "config": config_to_dict(cfg),
-        "seeds": [r.seed for r in results],
-        "per_run": [metrics_summary(r.metrics) for r in results],
+        "seeds": seeds,
+        "per_run": per_run,
         "pooled": pooled,
-        "trace_metrics": traceio.analyze_video(trace_records).trace_metrics(),
+        "trace_metrics": trace_metrics,
         "qos_verdicts": {
             "loss_rate": {"value": pooled["loss_rate"],
                           "threshold": QOS_LOSS_RATE, "pass": loss_ok},
@@ -122,14 +145,19 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _parse_value(axis: str, item: str):
+    if axis == "mcs_index":
+        try:
+            return int(item)
+        except ValueError:
+            pass    # a float: config_errors' type rule names it
+    return float(item)
+
+
 def _parse_values(axis: str, text: str) -> list:
     if not text.strip():
         return []
-    vals = []
-    for item in text.split(","):
-        v = float(item)
-        vals.append(int(v) if axis == "mcs_index" else v)
-    return vals
+    return [_parse_value(axis, item) for item in text.split(",")]
 
 
 def cmd_sweep(args) -> int:
@@ -138,6 +166,8 @@ def cmd_sweep(args) -> int:
         if args.axis not in SWEEP_AXES:
             raise ConfigError([f"unknown sweep axis '{args.axis}'"])
         values = _parse_values(args.axis, args.values)
+        for value in values:    # every value's config is valid before any run
+            set_axis(cfg, args.axis, value)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -332,6 +362,30 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _jobs(text: str) -> int:
+    """--jobs: a whole number of worker processes, at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a whole number of at least 1, not {text!r}")
+    return jobs
+
+
+def _gap_threshold(text: str) -> float:
+    """--gap-threshold: a finite, non-negative gap in ms."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of ms, at least 0, not {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vrwifi",
@@ -341,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run one config across seeds")
     sim.add_argument("--config", help="YAML config path (defaults built in)")
     sim.add_argument("--seed", type=int, help="override base seed")
-    sim.add_argument("--jobs", type=int, default=1)
+    sim.add_argument("--jobs", type=_jobs, default=1)
     sim.add_argument("--output", help=f"output dir (or ${OUTPUT_ENV})")
     sim.set_defaults(func=cmd_simulate)
 
@@ -351,13 +405,13 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--axis", required=True, choices=sorted(SWEEP_AXES))
     swp.add_argument("--values", required=True,
                      help="comma-separated values, e.g. 30,60,90")
-    swp.add_argument("--jobs", type=int, default=1)
+    swp.add_argument("--jobs", type=_jobs, default=1)
     swp.add_argument("--output")
     swp.set_defaults(func=cmd_sweep)
 
     ana = sub.add_parser("analyze", help="analyze a trace CSV")
     ana.add_argument("trace")
-    ana.add_argument("--gap-threshold", type=float, default=1.0,
+    ana.add_argument("--gap-threshold", type=_gap_threshold, default=1.0,
                      help="batch gap threshold in ms (default 1.0)")
     ana.add_argument("--frames", action="store_true",
                      help="require RTP frame reconstruction")

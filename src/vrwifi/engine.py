@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -364,7 +365,9 @@ def run_simulation(cfg: SimConfig, seed: int,
 
 def run_seeds(cfg: SimConfig, jobs: int = 1) -> list[RunResult]:
     """cfg.runs independent runs; run i uses seed cfg.seed + i."""
-    return _execute([(cfg, cfg.seed + i) for i in range(cfg.runs)], jobs)
+    with run_tasks([(cfg, cfg.seed + i) for i in range(cfg.runs)],
+                   jobs) as results:
+        return list(results)
 
 
 def set_axis(cfg: SimConfig, axis: str, value) -> SimConfig:
@@ -388,8 +391,8 @@ def run_sweep(base: SimConfig, axis: str, values: list, seeds: list[int],
         for seed in seeds:
             tasks.append((cfg, seed))
             keys.append((value, seed))
-    results = _execute(tasks, jobs)
-    return dict(zip(keys, results))
+    with run_tasks(tasks, jobs) as results:
+        return dict(zip(keys, results))
 
 
 def _worker(task) -> RunResult:
@@ -397,8 +400,22 @@ def _worker(task) -> RunResult:
     return run_simulation(cfg, seed)
 
 
-def _execute(tasks, jobs: int) -> list[RunResult]:
+@contextmanager
+def run_tasks(tasks: list, jobs: int):
+    """Yield an iterator over the RunResults of (cfg, seed) tasks, in
+    task order.
+
+    With jobs > 1 and more than one task, min(jobs, len(tasks)) worker
+    processes start on entry and work through every task while the
+    caller's block runs; leaving the block early cancels the tasks still
+    waiting for a worker. Otherwise each run happens in this process as
+    the iterator reaches it.
+    """
     if jobs <= 1 or len(tasks) <= 1:
-        return [_worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_worker, tasks))
+        yield map(_worker, tasks)
+        return
+    pool = ProcessPoolExecutor(max_workers=min(jobs, len(tasks)))
+    try:
+        yield pool.map(_worker, tasks)
+    finally:
+        pool.shutdown(cancel_futures=True)

@@ -44,6 +44,28 @@ def make_cfg(duration_s=1.0, warmup_ms=0.0, phy=None, mac=None,
 
 
 @pytest.fixture
+def pool_sizes(monkeypatch) -> list:
+    """Replace the engine's process pool by one that runs every task in
+    this process and records the max_workers it was asked for."""
+    from vrwifi import engine
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+@pytest.fixture
 def defaults() -> SimConfig:
     return SimConfig()
 

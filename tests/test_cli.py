@@ -70,6 +70,47 @@ def test_simulate_output_env_var(tiny_config, tmp_path, monkeypatch):
     assert (target / "summary.json").exists()
 
 
+def test_simulate_serial_and_parallel_agree(tmp_path):
+    # 3 runs: the pool gets two tasks while this process runs the first
+    cfg = make_cfg(duration_s=0.5, runs=3, seed=7)
+    save_config(cfg, str(tmp_path / "cfg.yaml"))
+    outs = {}
+    for jobs in ("1", "2"):
+        outs[jobs] = tmp_path / f"jobs{jobs}"
+        assert main(["simulate", "--config", str(tmp_path / "cfg.yaml"),
+                     "--jobs", jobs, "--output", str(outs[jobs])]) == 0
+    names = sorted(p.name for p in outs["1"].iterdir())
+    assert names == sorted(p.name for p in outs["2"].iterdir())
+    assert read(outs["1"] / "summary.json")["seeds"] == [7, 8, 9]
+    for name in names:
+        assert ((outs["1"] / name).read_bytes()
+                == (outs["2"] / name).read_bytes()), name
+
+
+def test_simulate_pool_runs_the_seeds_after_the_first(tmp_path, pool_sizes):
+    cfg = make_cfg(duration_s=0.2, runs=3)
+    save_config(cfg, str(tmp_path / "cfg.yaml"))
+    assert main(["simulate", "--config", str(tmp_path / "cfg.yaml"),
+                 "--jobs", "500", "--output", str(tmp_path / "out")]) == 0
+    assert pool_sizes == [2]
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exits_2(tiny_config, tmp_path, command, jobs,
+                                capsys):
+    out = tmp_path / "out"
+    argv = [command, "--config", tiny_config, "--jobs", jobs,
+            "--output", str(out)]
+    if command == "sweep":
+        argv += ["--axis", "fps", "--values", "60"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("traffic", [{}, {"inter_batch_time_ms": 0.01}],
                          ids=["defaults", "tau0.01"])
 def test_simulate_analyzes_the_records_it_writes(traffic, tmp_path,
@@ -116,6 +157,26 @@ def test_sweep_table_and_summary(tiny_config, tmp_path):
     assert set(sweep["per_value"]) == {"60.0", "90.0"}
     table = (out / "sweep_table.csv").read_text().strip().splitlines()
     assert len(table) == 1 + 2 * 2   # header + values x seeds
+
+
+@pytest.mark.parametrize("axis, values, key", [
+    ("fps", "30,-5", "fps must be positive"),
+    ("fps", "30,nan", "traffic.fps"),
+    ("mcs_index", "11.5,3.9", "phy.mcs_index"),
+    ("mcs_index", "7,3.0", "phy.mcs_index"),
+])
+def test_sweep_invalid_value_exits_2_before_any_run(tiny_config, tmp_path,
+                                                    monkeypatch, capsys,
+                                                    axis, values, key):
+    from vrwifi import engine
+    runs = []
+    monkeypatch.setattr(engine, "run_simulation",
+                        lambda *a, **kw: runs.append(a))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", tiny_config, "--axis", axis,
+                 "--values", values, "--output", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert runs == [] and not out.exists()
 
 
 def test_sweep_empty_values_ok(tiny_config, tmp_path):
@@ -284,6 +345,20 @@ def test_pinned_sweep_digest(tiny_config, tmp_path):
                  "--values", "60,90", "--output", str(out)]) == 0
     assert {name: digest(out / name)
             for name in PINNED_SWEEP} == PINNED_SWEEP
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-1", "-0.5"])
+def test_analyze_rejects_meaningless_gap_threshold(tmp_path, threshold,
+                                                   capsys):
+    trace = tmp_path / "capture.csv"
+    write_capture(trace)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(trace), "--gap-threshold", threshold,
+              "--output", str(out)])
+    assert exc.value.code == 2
+    assert "--gap-threshold" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_trace_metrics_follow_gap_threshold(tmp_path):

@@ -219,6 +219,16 @@ def test_sweep_parallel_matches_serial():
             parallel[key])
 
 
+def test_pool_never_larger_than_its_tasks(pool_sizes):
+    cfg = fast_cfg(duration_s=0.2, runs=3)
+    assert [r.seed for r in run_seeds(cfg, jobs=500)] == [1, 2, 3]
+    assert len(run_sweep(cfg, "fps", [60.0, 90.0], [1], jobs=500)) == 2
+    run_seeds(cfg, jobs=2)
+    # one task runs in this process, without a pool
+    run_seeds(dataclasses.replace(cfg, runs=1), jobs=500)
+    assert pool_sizes == [3, 2, 2]
+
+
 def test_airtime_increases_with_offered_load():
     cfg = fast_cfg(traffic={"ul_enabled": False})
     fractions = []
