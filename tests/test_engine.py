@@ -287,6 +287,26 @@ PINNED_RUNS = {
     "fps100_ul10": (
         {"traffic": {"fps": 100.0, "ul_period_ms": 10.0}},
         "c05d2c778cf2cbd4301efdb790ebb2b20432dc94f84eb782e36f43ff6280f496"),
+    # releases snapped to the global k*tau grid
+    "global_pacer": (
+        {"traffic": {"pacer_anchor": "global"}},
+        "9545dbfb89d8219b10468506feb1a156ec376bdf136db50fbe9db6b6cb83487b"),
+    # tau longer than the 11.1 ms frame period: a frame's later batches
+    # are released after the next frames' first ones
+    "tau_over_frame_period": (
+        {"traffic": {"inter_batch_time_ms": 20.0}},
+        "602a670a12d6b33519ea29b38235f4987f2e8feebead7115f89aa98d81461e77"),
+    # every buffered packet may join an aggregate, bounded by count only
+    "no_snapshot_no_byte_bound": (
+        {"mac": {"ampdu_snapshot": False, "max_ampdu_bytes": None}},
+        "91bafcaee3549f86df817d98fba9ad5aeab78d0c60e342dd740c9699458aec23"),
+    "exchange_any_data_end": (
+        {"mac": {"cw_policy": "exchange_any", "delivery_stamp": "data_end"}},
+        "5dac07732fa44ce3deccb7d68128ac7bf4d3e3d451a0ff6d0115b586dedf42b0"),
+    # an overloaded link: tail drops at the AP and retransmissions
+    "mcs0_per_tail_drops": (
+        {"phy": {"mcs_index": 0}, "mac": {"per": 0.2, "ap_buffer": 50}},
+        "ecfdb9f416e70766af39757e96bed22affac78ccf3184c986249a7a54f6e7163"),
 }
 
 
