@@ -1,18 +1,18 @@
-"""Discrete-event simulation core: virtual clock, event queue, channel
-contention between the AP (downlink video) and the client (uplink
-controller traffic), and sweep orchestration across seeds.
+"""Discrete-event simulation core: virtual clock, channel contention
+between the AP (downlink video) and the client (uplink controller
+traffic), and sweep orchestration across seeds.
 
 Event ordering contract (what makes a run replay bit-identically):
 
 - Packet arrivals are known before the loop starts. They sit in one
-  pre-sorted list walked by a cursor; only runtime events (backoff
-  expiries and channel-idle instants) go through the heap, in
-  (time, insertion ordinal) order.
-- At equal times an arrival is handled before any runtime event.
+  pre-sorted list walked by a cursor.
+- At most one runtime event is pending, at `_Sim.wake_us`: while the
+  channel is busy, the end of the exchange on the air; while it is
+  idle, the earliest backoff expiry (none if no station is backlogged).
+  A new earliest expiry replaces the pending one, so no event is ever
+  stale.
+- At equal times an arrival is handled before the runtime event.
 - At equal times a video arrival is handled before an uplink arrival.
-- While the channel is idle at most one access event is live. It is
-  re-armed only when the earliest backoff expiry moves; an event whose
-  epoch no longer matches is stale and is dropped when popped.
 
 One PCG64 stream per run keeps every run reproducible and independent of
 any other.
@@ -21,7 +21,7 @@ any other.
 from __future__ import annotations
 
 import dataclasses
-import heapq
+import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -53,33 +53,6 @@ class RunResult:
     frames: list | None = None   # populated when keep_packets is requested
 
 
-class _BufferTracker:
-    """Time-weighted AP queue integrals, clipped to the measured window.
-
-    A packet counts as buffered from admission until it is delivered or
-    dropped; packets inside an in-flight A-MPDU still occupy the buffer.
-    """
-
-    def __init__(self, warmup_us: float, duration_us: float):
-        self.warmup_us = warmup_us
-        self.duration_us = duration_us
-        self.last_t = 0.0
-        self.qlen = 0
-        self.level_integral = 0.0
-        self.busy_us = 0.0
-
-    def advance(self, now: float, new_qlen: int | None = None) -> None:
-        a = max(self.last_t, self.warmup_us)
-        b = min(now, self.duration_us)
-        if b > a:
-            self.level_integral += self.qlen * (b - a)
-            if self.qlen > 0:
-                self.busy_us += b - a
-        self.last_t = now
-        if new_qlen is not None:
-            self.qlen = new_qlen
-
-
 class _Sim:
     def __init__(self, cfg: SimConfig, seed: int, keep_packets: bool):
         self.cfg = cfg
@@ -89,10 +62,7 @@ class _Sim:
         self.duration_us = cfg.duration_s * 1e6
         self.warmup_us = min(cfg.warmup_ms * 1e3, self.duration_us)
         self.now = 0.0
-        self.ordinal = 0
-        self.events: list = []   # runtime events: (time, ordinal, handler, arg)
-        self.epoch = 0
-        self.armed_us = None     # expiry time of the live access event
+        self.wake_us = math.inf   # time of the one pending runtime event
         self.in_flight = None   # (station, ampdu) or "collision" while busy
         self.stations = {
             AP: mac_mod.make_station(AP, cfg.mac),
@@ -101,8 +71,10 @@ class _Sim:
         self.metrics = RunMetrics(duration_us=self.duration_us,
                                   warmup_us=self.warmup_us,
                                   buffer_capacity=cfg.mac.ap_buffer)
-        self.tracker = _BufferTracker(self.warmup_us, self.duration_us)
+        # AP packets admitted and not yet delivered or dropped, including
+        # those inside an in-flight A-MPDU; integrated since queue_t
         self.ap_outstanding = 0
+        self.queue_t = 0.0
         self.drawn = {AP: -1, CLIENT: -1}
         self.airtime_cache: dict = {}   # (bytes, mpdus, rts_cts) -> us
         # pre-computed timing constants
@@ -113,21 +85,14 @@ class _Sim:
         self.collision_busy = (phy_mod.rts_airtime(cfg.phy) + m.sifs_us
                                + phy_mod.cts_airtime(cfg.phy))
 
-    # -- event queue ----------------------------------------------------
-
-    def push(self, time_us: float, handler, arg) -> None:
-        assert time_us >= self.now - 1e-6, "event scheduled in the past"
-        heapq.heappush(self.events, (time_us, self.ordinal, handler, arg))
-        self.ordinal += 1
-
     # -- contention -----------------------------------------------------
 
     def access_time(self, st: MacStation) -> float:
         return st.aifs_end_us + st.slots_left * self.slot
 
     def resolve(self) -> None:
-        """(Re)arm the earliest pending backoff expiry while idle; the
-        live access event is kept when that expiry has not moved."""
+        """While idle, make the earliest pending backoff expiry the
+        pending event."""
         if self.in_flight is not None:
             return
         best = None
@@ -145,10 +110,8 @@ class _Sim:
             t = self.access_time(st)
             if best is None or t < best:
                 best = t
-        if best is not None and best != self.armed_us:
-            self.epoch += 1
-            self.armed_us = best
-            self.push(best, self.on_access, self.epoch)
+        if best is not None:
+            self.wake_us = best
 
     def freeze_loser(self, st: MacStation, tx_start: float) -> None:
         """Consume the slots a deferring station counted down before the
@@ -167,6 +130,16 @@ class _Sim:
         if b > a:
             self.metrics.airtime_busy_us += b - a
 
+    def advance_queue(self, now: float) -> None:
+        """Integrate the AP queue length since queue_t, clipped to the
+        measured window; call before ap_outstanding changes."""
+        a, b = max(self.queue_t, self.warmup_us), min(now, self.duration_us)
+        if b > a:
+            self.metrics.buffer_level_integral += self.ap_outstanding * (b - a)
+            if self.ap_outstanding > 0:
+                self.metrics.buffer_busy_us += b - a
+        self.queue_t = now
+
     # -- event handlers ---------------------------------------------------
 
     def on_packet(self, st: MacStation, pkt) -> None:
@@ -177,18 +150,15 @@ class _Sim:
         outcome = mac_mod.enqueue(st, pkt, self.now)
         if outcome == "accepted":
             if st.role == AP:
+                self.advance_queue(self.now)
                 self.ap_outstanding += 1
-                self.tracker.advance(self.now, self.ap_outstanding)
             if len(st.buffer) == 1:
                 # an already backlogged station's timers are armed (or
                 # frozen under a busy channel), so only a newly
                 # backlogged one can move the earliest expiry
                 self.resolve()
 
-    def on_access(self, epoch_tag: int) -> None:
-        if self.in_flight is not None or epoch_tag != self.epoch:
-            return
-        self.armed_us = None
+    def on_access(self) -> None:
         winners = [
             st for st in self.stations.values()
             if st.backlogged() and st.aifs_end_us is not None
@@ -197,7 +167,6 @@ class _Sim:
         ]
         if not winners:
             return
-        self.epoch += 1
         if len(winners) > 1:
             if self.cfg.mac.collisions_enabled:
                 self.start_collision(winners)
@@ -221,7 +190,7 @@ class _Sim:
         self.metrics.tx_log.append(
             TxRecord("collision", self.now, end, 0, -1))
         self.in_flight = "collision"
-        self.push(end, self.on_end, None)
+        self.wake_us = end
 
     def start_exchange(self, st: MacStation) -> None:
         limit = st.snapshot_len if self.cfg.mac.ampdu_snapshot else None
@@ -247,9 +216,9 @@ class _Sim:
         self.metrics.tx_log.append(
             TxRecord(st.role, self.now, end, len(ampdu), self.drawn[st.role]))
         self.in_flight = (st, ampdu)
-        self.push(end, self.on_end, None)
+        self.wake_us = end
 
-    def on_end(self, _arg) -> None:
+    def on_end(self) -> None:
         flight, self.in_flight = self.in_flight, None
         if flight == "collision":
             self.resolve()
@@ -259,8 +228,8 @@ class _Sim:
         delivered, requeued, dropped = mac_mod.handle_back(
             st, ampdu, flags, self.cfg.mac.max_retx)
         if st.role == AP and (delivered or dropped):
+            self.advance_queue(self.now)
             self.ap_outstanding -= len(delivered) + len(dropped)
-            self.tracker.advance(self.now, self.ap_outstanding)
         if self.cfg.mac.delivery_stamp == "back_end":
             stamp = self.now
         else:
@@ -299,35 +268,34 @@ class _Sim:
                 (pkt.gen_time_us, client, pkt) for pkt
                 in traffic_mod.ul_controller_stream(cfg.traffic, cfg.duration_s)]
         arrivals.sort(key=itemgetter(0))   # stable: video first at ties
+        arrivals.append((math.inf, None, None))
 
-        events, heappop = self.events, heapq.heappop
         on_packet, duration_us = self.on_packet, self.duration_us
-        i, n_arrivals = 0, len(arrivals)
+        i = 0
         while True:
-            # arrivals win ties against runtime events
-            if i < n_arrivals and (not events or arrivals[i][0] <= events[0][0]):
-                t, st, pkt = arrivals[i]
-                i += 1
+            # arrivals win ties against the runtime event
+            t, st, pkt = arrivals[i]
+            if t <= self.wake_us:
                 if t > duration_us:
                     break
+                i += 1
                 assert t >= self.now - 1e-6, "virtual clock went backwards"
                 self.now = max(self.now, t)
                 on_packet(st, pkt)
-            elif events:
-                t, _, handler, arg = heappop(events)
+            else:
+                t, self.wake_us = self.wake_us, math.inf
                 if t > duration_us:
                     break
                 assert t >= self.now - 1e-6, "virtual clock went backwards"
                 self.now = max(self.now, t)
-                handler(arg)
-            else:
-                break
+                if self.in_flight is not None:
+                    self.on_end()
+                else:
+                    self.on_access()
 
-        self.tracker.advance(self.duration_us)
+        self.advance_queue(self.duration_us)
         self.finalize_frames(frames)
         m = self.metrics
-        m.buffer_busy_us = self.tracker.busy_us
-        m.buffer_level_integral = self.tracker.level_integral
         m.dropped_retx = sum(s.drops_retx for s in self.stations.values())
         m.dropped_buffer = sum(s.drops_buffer for s in self.stations.values())
         in_flight_count = (len(self.in_flight[1].mpdus)
