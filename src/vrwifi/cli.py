@@ -312,41 +312,64 @@ def cmd_analyze(args) -> int:
 COMPARE_KEYS = [f.name for f in dataclasses.fields(traceio.TraceMetrics)]
 
 
-def _load_report(path: Path, fallback: str) -> dict:
-    p = Path(path)
-    if p.is_dir():
-        p = p / fallback
+def _load_report(path: Path, fallback: str) -> tuple[Path, dict]:
+    """The file read (path, or path/fallback for a directory) and the
+    JSON object in it."""
+    p = path / fallback if path.is_dir() else path
     with open(p, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            report = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{p}: {exc}") from None
+    if not isinstance(report, dict):
+        raise ValueError(f"{p}: not a JSON object")
+    return p, report
+
+
+def _report_number(path: Path, report: dict, *keys: str) -> float | None:
+    """report[keys[0]][keys[1]]... as a finite number; None when a key on
+    the way is absent or null. path names the report in errors."""
+    value = report
+    for depth, key in enumerate(keys):
+        if value is None:
+            return None
+        if not isinstance(value, dict):
+            raise ValueError(
+                f"{path}: {'.'.join(keys[:depth])} is not a JSON object")
+        value = value.get(key)
+    if value is not None and (isinstance(value, bool)
+                              or not isinstance(value, (int, float))
+                              or not math.isfinite(value)):
+        raise ValueError(
+            f"{path}: {'.'.join(keys)} must be a finite number, "
+            f"not {value!r}")
+    return value
 
 
 def cmd_compare(args) -> int:
     try:
-        sim = _load_report(Path(args.sim), "summary.json")
-        trace = _load_report(Path(args.analysis), "analysis.json")
-    except (OSError, json.JSONDecodeError) as exc:
+        sim_path, sim = _load_report(Path(args.sim), "summary.json")
+        trace_path, trace = _load_report(Path(args.analysis), "analysis.json")
+        pairs = [(key, _report_number(sim_path, sim, "trace_metrics", key),
+                  _report_number(trace_path, trace, "trace_metrics", key))
+                 for key in COMPARE_KEYS]
+        pairs = [(key, a, b) for key, a, b in pairs
+                 if a is not None or b is not None]
+        # model-level vs trace-level frame completion delay
+        a = _report_number(sim_path, sim, "pooled", "vf_delay_ms", "mean")
+        b = _report_number(trace_path, trace, "trace_metrics",
+                           "assembly_delay_mean_ms")
+        if a is not None and b is not None:
+            pairs.append(("vf_delay_mean_ms (sim) vs "
+                          "assembly_delay_mean_ms (trace)", a, b))
+    except (OSError, ValueError) as exc:   # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    rows = [{"metric": key, "sim": a, "trace": b,
+             "rel_diff": (abs(a - b) / abs(b)
+                          if a is not None and b not in (None, 0) else None)}
+            for key, a, b in pairs]
     outdir = _outdir(args)
-    sim_tm = sim.get("trace_metrics", {})
-    trace_tm = trace.get("trace_metrics", {})
-    rows = []
-    for key in COMPARE_KEYS:
-        a, b = sim_tm.get(key), trace_tm.get(key)
-        if a is None and b is None:
-            continue
-        rel = (abs(a - b) / abs(b) if a is not None and b not in (None, 0)
-               else None)
-        rows.append({"metric": key, "sim": a, "trace": b,
-                     "rel_diff": rel})
-    # model-level vs trace-level frame completion delay
-    sim_vf = (sim.get("pooled") or {}).get("vf_delay_ms")
-    if sim_vf and trace_tm.get("assembly_delay_mean_ms") is not None:
-        b = trace_tm["assembly_delay_mean_ms"]
-        rows.append({"metric": "vf_delay_mean_ms (sim) vs "
-                               "assembly_delay_mean_ms (trace)",
-                     "sim": sim_vf["mean"], "trace": b,
-                     "rel_diff": abs(sim_vf["mean"] - b) / abs(b) if b else None})
     report = {"command": "compare", "sim": str(args.sim),
               "analysis": str(args.analysis), "table": rows}
     _write_json(outdir / "compare.json", report)

@@ -105,28 +105,34 @@ def _to_bool(value: str):
 def parse_trace(path: str) -> ParseResult:
     """Parse a canonical or tshark-named CSV into sorted TraceRecords.
 
-    Missing mandatory columns raise TraceError. Unparseable rows, rows
-    with a non-finite timestamp or length, and rows with a non-positive
-    length are skipped and reported with their line number.
+    Missing mandatory columns, and two header columns that give the same
+    field (`frame.len` and `udp.length`, say), raise TraceError.
+    Unparseable rows, rows with a non-finite timestamp or length, and
+    rows with a non-positive length are skipped and reported with their
+    line number.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise TraceError(f"{path}: empty file, no header row")
-        colmap = {}
+        columns = {}   # canonical name -> header column
         for name in reader.fieldnames:
             canonical = TSHARK_FIELD_MAP.get(name, name)
-            if canonical in CANONICAL_COLUMNS:
-                colmap[name] = canonical
-        present = set(colmap.values())
-        missing = [c for c in MANDATORY_COLUMNS if c not in present]
+            if canonical not in CANONICAL_COLUMNS:
+                continue
+            if canonical in columns:
+                raise TraceError(
+                    f"{path}: columns '{columns[canonical]}' and '{name}' "
+                    f"both give {canonical}")
+            columns[canonical] = name
+        missing = [c for c in MANDATORY_COLUMNS if c not in columns]
         if missing:
             raise TraceError(
                 f"{path}: missing mandatory column(s): {', '.join(missing)}")
 
         records, skipped = [], []
         for lineno, row in enumerate(reader, start=2):
-            values = {canon: row.get(raw) for raw, canon in colmap.items()}
+            values = {canon: row.get(raw) for canon, raw in columns.items()}
             try:
                 timestamp = float(values["timestamp"])
                 length = float(values["length"])

@@ -269,6 +269,73 @@ def test_compare_disjoint_metrics_all_na(tmp_path):
     assert read(out / "compare.json")["table"] == []
 
 
+# malformed reports, and what the error must say besides the file name
+MALFORMED_REPORTS = {
+    "list": ([], "not a JSON object"),
+    "not_json": ("no json", "Expecting value"),
+    "metrics_list": ({"trace_metrics": [1.0]},
+                     "trace_metrics is not a JSON object"),
+    "str_value": ({"trace_metrics": {"fps_estimate": "x"}},
+                  "trace_metrics.fps_estimate must be a finite number, "
+                  "not 'x'"),
+    "bool_value": ({"trace_metrics": {"fps_estimate": True}},
+                   "trace_metrics.fps_estimate must be a finite number, "
+                   "not True"),
+    # json reads NaN, which would reach compare.json as invalid JSON
+    "nan_value": ({"trace_metrics": {"video_jitter_ms": float("nan")}},
+                  "trace_metrics.video_jitter_ms must be a finite number"),
+    "pooled_mean": ({"pooled": {"vf_delay_ms": {"mean": [2]}}},
+                    "pooled.vf_delay_ms.mean must be a finite number"),
+}
+
+
+# compare reads pooled only from the simulation's report
+@pytest.mark.parametrize("side,name", [
+    (side, name) for side in ("sim", "analysis") for name in MALFORMED_REPORTS
+    if side == "sim" or name != "pooled_mean"])
+def test_compare_malformed_report_exits_2(tmp_path, capsys, side, name):
+    report, named = MALFORMED_REPORTS[name]
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"trace_metrics": {
+        "fps_estimate": 90.0, "assembly_delay_mean_ms": 2.0}}))
+    bad = tmp_path / "bad.json"
+    bad.write_text(report if isinstance(report, str) else json.dumps(report))
+    pair = [bad, good] if side == "sim" else [good, bad]
+    out = tmp_path / "cmp"
+    assert main(["compare", *map(str, pair), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and named in err
+    assert not out.exists()
+
+
+def test_compare_pairs_pooled_vf_delay_with_assembly_delay(tmp_path):
+    sim, trace = tmp_path / "sim.json", tmp_path / "trace.json"
+    sim.write_text(json.dumps({"trace_metrics": {"fps_estimate": 90.0},
+                               "pooled": {"vf_delay_ms": {"mean": 3.0}}}))
+    trace.write_text(json.dumps({"trace_metrics": {
+        "fps_estimate": 45.0, "assembly_delay_mean_ms": 2.0}}))
+    out = tmp_path / "cmp"
+    assert main(["compare", str(sim), str(trace), "--output", str(out)]) == 0
+    assert read(out / "compare.json")["table"] == [
+        {"metric": "fps_estimate", "sim": 90.0, "trace": 45.0,
+         "rel_diff": 1.0},
+        {"metric": "assembly_delay_mean_ms", "sim": None, "trace": 2.0,
+         "rel_diff": None},
+        {"metric": "vf_delay_mean_ms (sim) vs assembly_delay_mean_ms (trace)",
+         "sim": 3.0, "trace": 2.0, "rel_diff": 0.5},
+    ]
+
+
+def test_analyze_two_columns_for_one_field_exits_2(tmp_path, capsys):
+    trace = tmp_path / "two_lengths.csv"
+    trace.write_text("frame.time_epoch,frame.len,udp.length\n"
+                     "0.0,100,80\n0.001,100,80\n")
+    out = tmp_path / "o"
+    assert main(["analyze", str(trace), "--output", str(out)]) == 2
+    assert "'frame.len' and 'udp.length' both give length" in (
+        capsys.readouterr().err)
+
+
 def write_capture(path: Path) -> None:
     """A fixed 0.5 s capture: 45 paced video frames (one or two batches
     5.56 ms apart) with a second, audio SSRC on the same flow, a DTLS

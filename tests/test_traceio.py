@@ -88,6 +88,21 @@ def test_parse_accepts_tshark_field_names(tmp_path):
     assert r.src_port == 5004 and r.rtp_timestamp == 9000
 
 
+@pytest.mark.parametrize("header,first,second", [
+    ("frame.time_epoch,frame.len,udp.length", "frame.len", "udp.length"),
+    ("timestamp,length,frame.len", "length", "frame.len"),
+    ("timestamp,length,length", "length", "length"),
+    ("timestamp,length,rtp.ssrc,rtp_ssrc", "rtp.ssrc", "rtp_ssrc"),
+], ids=["tshark_pair", "canonical_and_tshark", "repeated", "optional"])
+def test_parse_rejects_two_columns_for_one_field(tmp_path, header, first,
+                                                 second):
+    # the parser used to keep the later column's value silently
+    path = write(tmp_path, header + "\n" + "1.0,100,80,7\n")
+    with pytest.raises(tio.TraceError,
+                       match=f"columns '{first}' and '{second}' both give"):
+        tio.parse_trace(path)
+
+
 def test_parse_optional_columns_empty(tmp_path):
     path = write(tmp_path,
                  "timestamp,length,rtp_ssrc,rtp_marker\n1.0,99,,\n")
