@@ -368,6 +368,66 @@ def write_capture(path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def write_tshark_capture(path: Path) -> None:
+    """A fixed capture with tshark column names, and the cases
+    write_capture has none of: rows parse_trace skips; an RTP flow with
+    a video SSRC, an audio SSRC and rows with neither RTP column; a flow
+    with a payload type and no SSRC; flows labelled by their protocol
+    column alone, one mixed and one unknown; and a video flow without
+    RTP columns, so there are no frames. At a 6.0 ms threshold the
+    batch spacings 11.12 and 11.10 ms tie for the mode, 11.12 seen
+    first."""
+    rows = []
+    t0 = 0.001
+    for f in range(21):          # frames 11.12 and 11.10 ms apart in turn
+        sizes = [1243] * (6 + f % 3) + [400 + 11 * f]
+        half = len(sizes) // 2
+        for i, size in enumerate(sizes):
+            t = t0 + (3e-3 if i >= half else 0.0) + (i % half) * 4e-5
+            rows.append((t, size, 50000, 5004, "DL", 96, 11, 1000 * f,
+                         ("1", "0", "true", "F", "yes", " ")[i % 6], ""))
+        t0 += 11.12e-3 if f % 2 == 0 else 11.10e-3
+    for i in range(12):          # audio SSRC on the video flow
+        rows.append((0.004 + i * 0.02, 120 + i % 3, 50000, 5004, "dl", 111,
+                     22, 960 * i, "", ""))
+    for i in range(3):           # same flow, no RTP columns: flow majority
+        rows.append((0.0105 + i * 0.07, 1243, 50000, 5004, "DL", "", "", "",
+                     "", ""))
+    for i in range(10):          # payload type without SSRC, and bare rows
+        rows.append((0.002 + i * 0.02, 160, 50010, 5010, "",
+                     0 if i % 3 else "", "", "", "", ""))
+    for i in range(40):          # video without RTP; two rows share a time
+        k, j = divmod(i, 8)
+        rows.append((0.25 + k * 8e-3 + j * 1e-4 + (j == 7) * -1e-4, 1243,
+                     40000, 40002, "DL", "", "", "", "", ""))
+    for proto, ports, gap, size, direction, n in (
+            ("DTLS", (50001, 5006), 8.3e-3, 170, "UL", 30),
+            ("stun", (50002, 3478), 0.1, 100, "DL", 4),
+            ("RTCP", (50003, 5005), 0.06, 420, "ul", 5),
+            ("RTP", (50005, 5008), 0.02, 150, "DL", 10),
+            ("UDP", (40010, 40011), 0.041, 420, "DL", 8),
+            ("QUIC", (40020, 40021), 0.03, 1300, "UL", 6)):
+        for i in range(n):
+            rows.append((0.0013 + i * gap, size + i % 5, *ports, direction,
+                         "", "", "", "", proto))
+    for i in range(8):           # two protocols on one flow: heuristics
+        rows.append((0.003 + i * 0.02, 83, 50006, 5009, "DL", "", "", "", "",
+                     ("STUN", "DTLS")[i % 2]))
+    rows.sort()
+    lines = ["frame.time_epoch,frame.len,udp.srcport,udp.dstport,direction,"
+             "rtp.p_type,rtp.ssrc,rtp.timestamp,rtp.marker,_ws.col.protocol"]
+    lines += [f"{1.7e9 + t:.6f}," + ",".join(str(v) for v in rest)
+              for t, *rest in rows]
+    # rows parse_trace skips, among the others
+    bad = ["abc,100,1,2,DL,,,,,", "1700000000.1,nan,1,2,DL,,,,,",
+           "inf,100,1,2,DL,,,,,", "1700000000.2,0,1,2,DL,,,,,",
+           "1700000000.2,100,1e400,2,DL,,,,,",
+           "1700000000.2,100,1,2,DL,,nan,,,"]
+    for k, row in enumerate(bad):
+        lines.insert(5 + 17 * k, row)
+    path.write_text("\n".join(lines) + "\n")
+
+
 def digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -387,6 +447,31 @@ PINNED_ANALYZE = {
         "0c6d4e6dadd3d421ad4ab8efd62788f2eb94023ab3dab8f55067ea9a964ebb1a",
 }
 
+# the same for the tshark-named capture, at two gap thresholds; only
+# analysis.json depends on the threshold
+TSHARK_ECDFS = {
+    "ecdf_inter_packet_dtls.csv":
+        "4c2a083a25b772f0bead84d5c272f58cb8218ac07fdf08a78365aaf837f516c7",
+    "ecdf_inter_packet_generic_udp.csv":
+        "55547ce234e68dd8957371f9e6553dbf80542173a5031b49993aed8fe7e7ef7f",
+    "ecdf_inter_packet_srtcp.csv":
+        "fc027cc9f74849e935faf9eab0443928aa67bb51c9485c127c713a9dabbc919f",
+    "ecdf_inter_packet_srtp_audio.csv":
+        "041aaae59fa840e1d5fa711075f8b34fb25e824e711b605b0259462eac7faab6",
+    "ecdf_inter_packet_srtp_video.csv":
+        "cae2a528a1cffc51f8133beb7b2114ed648a6a9a0491781234e23e412bd65edc",
+    "ecdf_inter_packet_stun.csv":
+        "f22e1b53a72c63265ce6a3e8800b9ff134f54e035d488066c6277f276107318b",
+}
+PINNED_ANALYZE_TSHARK = {
+    "0": {"analysis.json":
+          "3a4c549887c9b5e5c34dd12c2ca816869c2d3fc25430296f3e1543ef44aa8c97",
+          **TSHARK_ECDFS},
+    "6.0": {"analysis.json":
+            "a344dd8d5f1e73891636a785714a694ccbe13231e5fb91835d3a390f4f0eb030",
+            **TSHARK_ECDFS},
+}
+
 PINNED_SWEEP = {
     "sweep.json":
         "06dac2f27ea39de9ba60d76707e6e2818f12f6b2c115865ed5e1d65c93df9a59",
@@ -404,6 +489,18 @@ def test_pinned_analyze_digest(tmp_path, monkeypatch):
     assert sorted(p.name for p in out.iterdir()) == sorted(PINNED_ANALYZE)
     assert {name: digest(out / name)
             for name in PINNED_ANALYZE} == PINNED_ANALYZE
+
+
+@pytest.mark.parametrize("threshold", sorted(PINNED_ANALYZE_TSHARK))
+def test_pinned_analyze_digest_tshark(tmp_path, monkeypatch, threshold):
+    monkeypatch.chdir(tmp_path)
+    write_tshark_capture(tmp_path / "capture.csv")
+    assert main(["analyze", "capture.csv", "--gap-threshold", threshold,
+                 "--output", "out"]) == 0
+    out = tmp_path / "out"
+    pinned = PINNED_ANALYZE_TSHARK[threshold]
+    assert sorted(p.name for p in out.iterdir()) == sorted(pinned)
+    assert {name: digest(out / name) for name in pinned} == pinned
 
 
 def test_pinned_sweep_digest(tiny_config, tmp_path):

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -101,6 +104,50 @@ def test_parse_rejects_two_columns_for_one_field(tmp_path, header, first,
     with pytest.raises(tio.TraceError,
                        match=f"columns '{first}' and '{second}' both give"):
         tio.parse_trace(path)
+
+
+# Columns in their own order, an unknown column, absent dst_port, short
+# and long rows, rtp_marker spellings, and values each integer column
+# must truncate, overflow on or refuse.
+EDGE_CASE_CSV = (
+    "udp.srcport,frame.len,extra,frame.time_epoch,direction,rtp.marker,"
+    "rtp.ssrc,rtp.timestamp,rtp.p_type,_ws.col.protocol\n"
+    "5004,1243,x,2.0,DL,1,4294967295,1000000000000,96,\n"
+    "5004.9,1243.7,,1.0,ul,True,7,-5,96.5,DTLS\n"
+    "0,100,,1.0,Dl,t,,,,\n"
+    ",100,,-0.0,,yes,,,,\n"
+    "1,100,,0.0,UL, YES ,,,,\n"
+    "1,100,,0.5,DL,0,,,,RTP\n"
+    "1,100,,0.5,DL,false\n"
+    "1,100,,0.25\n"
+    "1,100,,0.75,DL,no,1,2,3,\"a,b\",surplus\n"
+    "1,100,,0.8,DL, ,,,,\n"
+    "1e400,100,,3.0,DL,,,,,\n"
+    "1,1e400,,3.0,DL,,,,,\n"
+    "1,100,,1e400,DL,,,,,\n"
+    "1,nan,,3.0,DL,,,,,\n"
+    "1,100,,nan,DL,,,,,\n"
+    "nan,100,,3.0,DL,,,,,\n"
+    "1,100,,3.0,DL,,nan,,,\n"
+    "1,100,,3.0,DL,,,1e400,,\n"
+    "1,100,,3.0,DL,,,,-inf,\n"
+    "1,0.5,,3.0,DL,,,,,\n"
+    "1,-2,,3.0,DL,,,,,\n"
+    "1,100,, 4.5 ,DL,,,,,\n"
+    "1,100,,abc,DL,,,,,\n"
+    "1,1e20,,5.0,DL,,1e30,,,\n"
+)
+
+PINNED_PARSE = (
+    "9a3fb96c095b6d0402487c5a088bb0a830ebabf851ec017f69869da13f073520")
+
+
+def test_pinned_parse_output(tmp_path):
+    # every field's value and Python type, the order of equal times, and
+    # each skipped row's line and reason
+    parsed = tio.parse_trace(write(tmp_path, EDGE_CASE_CSV))
+    out = ([dataclasses.astuple(r) for r in parsed.records], parsed.skipped)
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == PINNED_PARSE
 
 
 def test_parse_optional_columns_empty(tmp_path):
