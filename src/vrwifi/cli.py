@@ -224,12 +224,12 @@ def cmd_analyze(args) -> int:
     except (traceio.TraceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    records = parsed.records
-    if not records:
+    trace = parsed.trace
+    if not len(trace):
         print("error: trace contains no parseable records", file=sys.stderr)
         return 2
     outdir = _outdir(args)
-    va = traceio.analyze_video(records, args.gap_threshold)
+    va = traceio.analyze_video(trace, args.gap_threshold)
     if args.frames and va.frames is None:
         print("error: --frames requires rtp_timestamp values on the video "
               "stream; this trace has none (batch-level analysis still "
@@ -237,13 +237,14 @@ def cmd_analyze(args) -> int:
         return 2
     tm = va.metrics
     batch_block = frame_block = None
-    if va.video:
+    if len(va.video):
         spacings = va.spacings_ms
         batch_block = {
             "n_batches": len(va.batches),
             "gap_threshold_ms": args.gap_threshold,
             "modal_spacing_ms": tm.batch_spacing_modal_ms,
-            "spacing_mean_ms": float(np.mean(spacings)) if spacings else None,
+            "spacing_mean_ms": (float(np.mean(spacings)) if len(spacings)
+                                else None),
         }
     if va.frames is not None:
         delays = va.assembly_delays_ms
@@ -265,19 +266,25 @@ def cmd_analyze(args) -> int:
     qos["loss_rate"] = {"value": None, "threshold": QOS_LOSS_RATE,
                         "pass": None}
 
-    groups = traceio.group_streams(records, va.labels)
+    groups = traceio.group_streams(trace, va.labels)
     summaries = traceio.stream_summaries(groups)
     for label, rows in groups.items():
         gaps = traceio.inter_packet_ms(rows)
-        if gaps:
+        if len(gaps):
             safe = label.lower().replace("-", "_")
-            _write_csv(outdir / f"ecdf_inter_packet_{safe}.csv",
-                       ["inter_packet_ms", "probability"], zip(*ecdf(gaps)))
+            xs, ps = ecdf(gaps)
+            with open(outdir / f"ecdf_inter_packet_{safe}.csv", "w",
+                      newline="", encoding="utf-8") as fh:
+                # csv.writer's bytes (repr of a float, CRLF), without its
+                # per-row cost
+                fh.write("inter_packet_ms,probability\r\n")
+                fh.writelines(f"{x!r},{p!r}\r\n"
+                              for x, p in zip(xs.tolist(), ps.tolist()))
 
     report = {
         "command": "analyze",
         "trace": str(args.trace),
-        "records": len(records),
+        "records": len(trace),
         "skipped_rows": len(parsed.skipped),
         "streams": {s.label: dataclasses.asdict(s) for s in summaries},
         "batches": batch_block,
@@ -286,7 +293,7 @@ def cmd_analyze(args) -> int:
         "qos_verdicts": qos,
     }
     _write_json(outdir / "analysis.json", report)
-    print(f"analyze: {len(records)} records "
+    print(f"analyze: {len(trace)} records "
           f"({len(parsed.skipped)} skipped rows)")
     for s in summaries:
         print(f"  {s.label:12s} n={s.packet_count:<7d} "

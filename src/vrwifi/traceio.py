@@ -5,6 +5,10 @@ classifies rows into the WebRTC streams, and reconstructs the video
 stream's batch and frame structure. A documented adapter maps common
 tshark field names onto the canonical header.
 
+A parsed trace is a Trace: one numpy array per column, in time order,
+and the analysis works on those arrays. Each analysis function also
+takes a list of TraceRecord, which it converts to a Trace once on entry.
+
 Canonical columns (optional ones may be empty):
     timestamp,length,src_port,dst_port,direction,
     rtp_payload_type,rtp_ssrc,rtp_timestamp,rtp_marker,protocol
@@ -15,7 +19,8 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -67,10 +72,158 @@ class TraceRecord:
     protocol: str | None = None
 
 
+# Integer columns whose values all lie within +-2**32 (every real port,
+# payload type, SSRC, RTP timestamp and length) are int64. Any other
+# integer column holds Python ints (dtype object), so that its sums,
+# differences and the jitter's division stay exact where int64 would
+# wrap or round.
+_INT64_BOUND = 2**32
+
+
+def _int_column(values) -> np.ndarray:
+    try:
+        column = np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+    if column.size and max(-int(column.min()),
+                           int(column.max())) > _INT64_BOUND:
+        return column.astype(object)
+    return column
+
+
+def _optional_int_column(values) -> tuple[np.ndarray, np.ndarray]:
+    """The values with 0 for None, and which values are not None."""
+    column = np.array(values, dtype=object)
+    present = np.not_equal(column, None)
+    return _int_column(np.where(present, column, 0)), present
+
+
+def _optional(column: np.ndarray, present: np.ndarray) -> list:
+    return [v if p else None
+            for v, p in zip(column.tolist(), present.tolist())]
+
+
+def _uplink(direction: str | None) -> bool:
+    """True for UL; False for DL or no direction. Either in any case;
+    other text raises TraceError."""
+    upper = direction.upper() if direction else "DL"
+    if upper not in ("DL", "UL"):
+        raise TraceError(f"direction {direction!r} is neither DL nor UL")
+    return upper == "UL"
+
+
+class _Memo(dict):
+    """rule(text) of each text looked up, computed once; a text the rule
+    rejects raises on every lookup."""
+
+    def __init__(self, rule, known=()):
+        super().__init__(known)
+        self.rule = rule
+
+    def __missing__(self, text):
+        value = self[text] = self.rule(text)
+        return value
+
+
+def _truncate(text: str) -> int:
+    return int(float(text))
+
+
+def _marker(text: str) -> bool:
+    return text.strip().lower() in ("1", "true", "t", "yes")
+
+
+@dataclass(eq=False)
+class Trace:
+    """A trace held by column: one numpy array per TraceRecord field,
+    one entry per packet.
+
+    The direction is the boolean `uplink`. An optional integer field is
+    0 where a packet has no value, and its `has_*` column says which
+    packets have one. Iterating over a Trace yields TraceRecords, each
+    built when read.
+    """
+
+    timestamp_s: np.ndarray          # float64
+    length: np.ndarray
+    src_port: np.ndarray             # 0 when absent
+    dst_port: np.ndarray             # 0 when absent
+    uplink: np.ndarray               # bool
+    rtp_payload_type: np.ndarray
+    has_rtp_payload_type: np.ndarray
+    rtp_ssrc: np.ndarray
+    has_rtp_ssrc: np.ndarray
+    rtp_timestamp: np.ndarray
+    has_rtp_timestamp: np.ndarray
+    rtp_marker: np.ndarray           # object: True, False or None
+    protocol: np.ndarray             # object: str or None
+
+    @classmethod
+    def from_columns(cls, column) -> Trace:
+        """A Trace from column(name), the list of the values of each
+        TraceRecord field in turn: uplink flags for "direction", None
+        for an absent value. Each list is converted to an array before
+        the next is asked for."""
+        return cls(np.array(column("timestamp_s"), dtype=float),
+                   _int_column(column("length")),
+                   _int_column(column("src_port")),
+                   _int_column(column("dst_port")),
+                   np.array(column("direction"), dtype=bool),
+                   *_optional_int_column(column("rtp_payload_type")),
+                   *_optional_int_column(column("rtp_ssrc")),
+                   *_optional_int_column(column("rtp_timestamp")),
+                   np.array(column("rtp_marker"), dtype=object),
+                   np.array(column("protocol"), dtype=object))
+
+    @classmethod
+    def from_records(cls, records: list) -> Trace:
+        """The records as a Trace, in their order. A direction other than
+        DL or UL (any case) raises TraceError."""
+        uplinks = _Memo(_uplink)
+
+        def column(name: str) -> list:
+            values = map(attrgetter(name), records)
+            if name == "direction":
+                values = map(uplinks.__getitem__, values)
+            return list(values)
+
+        return cls.from_columns(column)
+
+    def take(self, rows) -> Trace:
+        """The packets at `rows` (indices, a mask or a slice)."""
+        return Trace(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    def __len__(self) -> int:
+        return len(self.timestamp_s)
+
+    def __iter__(self):
+        return map(TraceRecord, self.timestamp_s.tolist(),
+                   self.length.tolist(), self.src_port.tolist(),
+                   self.dst_port.tolist(),
+                   ["UL" if u else "DL" for u in self.uplink.tolist()],
+                   _optional(self.rtp_payload_type,
+                             self.has_rtp_payload_type),
+                   _optional(self.rtp_ssrc, self.has_rtp_ssrc),
+                   _optional(self.rtp_timestamp, self.has_rtp_timestamp),
+                   self.rtp_marker.tolist(), self.protocol.tolist())
+
+
+def _as_trace(records) -> Trace:
+    """A Trace as it is; a list of TraceRecord converted to one."""
+    if isinstance(records, Trace):
+        return records
+    return Trace.from_records(records)
+
+
 @dataclass
 class ParseResult:
-    records: list
+    trace: Trace
     skipped: list  # (line number, reason)
+
+    @property
+    def records(self) -> Trace:
+        """The trace, to read as TraceRecords, each built when read."""
+        return self.trace
 
 
 @dataclass
@@ -92,73 +245,97 @@ class FrameStats:
     n_batches: int = 1
 
 
-def _to_int(value: str):
-    return int(float(value)) if value not in ("", None) else None
-
-
-def _to_bool(value: str):
-    if value in ("", None):
-        return None
-    return value.strip().lower() in ("1", "true", "t", "yes")
-
-
 def parse_trace(path: str) -> ParseResult:
-    """Parse a canonical or tshark-named CSV into sorted TraceRecords.
+    """Parse a canonical or tshark-named CSV into a time-sorted Trace.
 
     Missing mandatory columns, and two header columns that give the same
     field (`frame.len` and `udp.length`, say), raise TraceError.
-    Unparseable rows, rows with a non-finite timestamp or length, and
-    rows with a non-positive length are skipped and reported with their
-    line number.
+    Unparseable rows, rows with a non-finite timestamp or length, rows
+    with a non-positive length and rows whose direction is neither DL
+    nor UL are skipped and reported with the file line they start on.
+    Blank lines are ignored.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise TraceError(f"{path}: empty file, no header row")
-        columns = {}   # canonical name -> header column
-        for name in reader.fieldnames:
+        index = {}   # canonical name -> header column
+        for i, name in enumerate(header):
             canonical = TSHARK_FIELD_MAP.get(name, name)
             if canonical not in CANONICAL_COLUMNS:
                 continue
-            if canonical in columns:
+            if canonical in index:
                 raise TraceError(
-                    f"{path}: columns '{columns[canonical]}' and '{name}' "
-                    f"both give {canonical}")
-            columns[canonical] = name
-        missing = [c for c in MANDATORY_COLUMNS if c not in columns]
+                    f"{path}: columns '{header[index[canonical]]}' and "
+                    f"'{name}' both give {canonical}")
+            index[canonical] = i
+        missing = [c for c in MANDATORY_COLUMNS if c not in index]
         if missing:
             raise TraceError(
                 f"{path}: missing mandatory column(s): {', '.join(missing)}")
 
-        records, skipped = [], []
-        for lineno, row in enumerate(reader, start=2):
-            values = {canon: row.get(raw) for canon, raw in columns.items()}
+        width = len(header)
+        # a column the header lacks reads the empty cell appended to each
+        # row at index `width`
+        cells = itemgetter(*(index.get(c, width) for c in CANONICAL_COLUMNS))
+        # most cells repeat a text seen before, so each rule runs once per
+        # distinct text; an empty or absent integer is 0 for a port and
+        # None for the rest
+        floats = _Memo(float)
+        ports = _Memo(_truncate, {"": 0, None: 0})
+        ints = _Memo(_truncate, {"": None, None: None})
+        uplinks = _Memo(_uplink)
+        markers = _Memo(_marker, {"": None, None: None})
+        # equal protocol texts share one str
+        protocols = _Memo(str, {"": None, None: None})
+        # one list per TraceRecord field; "direction" holds uplink flags
+        columns = {f.name: [] for f in fields(TraceRecord)}
+        (add_time, add_length, add_src, add_dst, add_uplink, add_pt,
+         add_ssrc, add_rtp_ts, add_marker, add_protocol) = (
+             c.append for c in columns.values())
+        skipped = []
+        end = reader.line_num
+        for row in reader:
+            start, end = end, reader.line_num
+            if len(row) != width:
+                if not row:     # a blank line
+                    continue
+                # the cells a short row lacks read as None
+                row = (row + [None] * width)[:width]
+            row.append("")
+            (timestamp, length, src, dst, direction, pt, ssrc, rtp_ts,
+             marker, protocol) = cells(row)
             try:
-                timestamp = float(values["timestamp"])
-                length = float(values["length"])
+                timestamp = float(timestamp)
+                length = floats[length]
                 if not (math.isfinite(timestamp) and math.isfinite(length)):
                     raise ValueError(
                         f"non-finite timestamp {timestamp} or length {length}")
                 length = int(length)
                 if length <= 0:
                     raise ValueError(f"non-positive length {length}")
-                records.append(TraceRecord(
-                    timestamp_s=timestamp,
-                    length=length,
-                    src_port=_to_int(values.get("src_port")) or 0,
-                    dst_port=_to_int(values.get("dst_port")) or 0,
-                    direction=(values.get("direction") or "DL").upper(),
-                    rtp_payload_type=_to_int(values.get("rtp_payload_type")),
-                    rtp_ssrc=_to_int(values.get("rtp_ssrc")),
-                    rtp_timestamp=_to_int(values.get("rtp_timestamp")),
-                    rtp_marker=_to_bool(values.get("rtp_marker")),
-                    protocol=values.get("protocol") or None,
-                ))
+                src, dst = ports[src], ports[dst]
+                uplink = uplinks[direction]
+                pt, ssrc, rtp_ts = ints[pt], ints[ssrc], ints[rtp_ts]
             except (TypeError, ValueError, OverflowError) as exc:
                 # OverflowError: an infinite value in an integer column
-                skipped.append((lineno, str(exc)))
-    records.sort(key=lambda r: r.timestamp_s)
-    return ParseResult(records=records, skipped=skipped)
+                skipped.append((start + 1, str(exc)))
+                continue
+            add_time(timestamp)
+            add_length(length)
+            add_src(src)
+            add_dst(dst)
+            add_uplink(uplink)
+            add_pt(pt)
+            add_ssrc(ssrc)
+            add_rtp_ts(rtp_ts)
+            add_marker(markers[marker])
+            add_protocol(protocols[protocol])
+    # pop: each list is freed once converted
+    trace = Trace.from_columns(columns.pop)
+    return ParseResult(trace.take(np.argsort(trace.timestamp_s,
+                                             kind="stable")), skipped)
 
 
 def write_trace(records: list, path: str) -> None:
@@ -202,95 +379,120 @@ FLOW_SIGNATURES = (
 )
 
 
-def _flow_stats(records: list) -> tuple[float, float]:
-    sizes = [r.length for r in records]
-    mean_size = sum(sizes) / len(sizes)
-    if len(records) < 2:
+def _mean_size(lengths: np.ndarray) -> float:
+    return int(lengths.sum()) / len(lengths)
+
+
+def _flow_stats(times: np.ndarray,
+                lengths: np.ndarray) -> tuple[float, float]:
+    """Mean packet size and median inter-packet gap (ms) of one flow."""
+    mean_size = _mean_size(lengths)
+    if len(times) < 2:
         return mean_size, math.inf
-    times = sorted(r.timestamp_s for r in records)
-    gaps = [(b - a) * 1e3 for a, b in zip(times, times[1:])]
-    gaps.sort()
-    median_gap = gaps[len(gaps) // 2]
-    return mean_size, median_gap
+    gaps = np.sort(np.diff(np.sort(times)) * 1e3)
+    return mean_size, float(gaps[len(gaps) // 2])
 
 
-def classify_streams(records: list) -> list[str]:
+def _flows(trace: Trace) -> list[np.ndarray]:
+    """Row indices of each (src_port, dst_port, direction) flow, each in
+    row order."""
+    key = np.zeros(len(trace), dtype=np.int64)
+    for column in (trace.src_port, trace.dst_port, trace.uplink):
+        _, code = np.unique(column, return_inverse=True)
+        key = key * (code.max() + 1) + code
+    order = np.argsort(key, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
+
+
+def _rtp_flow_labels(lengths: np.ndarray, ssrc: np.ndarray,
+                     has_ssrc: np.ndarray, rtp: np.ndarray) -> np.ndarray:
+    """Labels of a flow's rows from its RTP rows (`rtp`: rows with an SSRC
+    or a payload type). Each SSRC is video or audio by its mean packet
+    size; RTP rows without an SSRC form one more group. A row without RTP
+    columns takes that group's label if there is one, else the label of
+    most RTP rows (on a tie, the label of the first)."""
+    _, group = np.unique(ssrc, return_inverse=True)
+    group = np.where(has_ssrc, group + 1, 0)    # 0: no SSRC
+    label_of = np.full(group.max() + 1, None, dtype=object)
+    for g in np.unique(group[rtp]).tolist():
+        members = rtp & (group == g)
+        label_of[g] = (SRTP_VIDEO
+                       if _mean_size(lengths[members]) >= RTP_VIDEO_MIN_BYTES
+                       else SRTP_AUDIO)
+    rtp_labels = label_of[group[rtp]]
+    n_video = np.count_nonzero(rtp_labels == SRTP_VIDEO)
+    n_audio = len(rtp_labels) - n_video
+    if label_of[0] is None:
+        label_of[0] = (rtp_labels[0] if n_video == n_audio
+                       else SRTP_VIDEO if n_video > n_audio else SRTP_AUDIO)
+    return label_of[group]
+
+
+def _flow_label(trace: Trace, rows: np.ndarray):
+    """The label of each row of one flow, or one label for all of them."""
+    has_ssrc = trace.has_rtp_ssrc[rows]
+    rtp = has_ssrc | trace.has_rtp_payload_type[rows]
+    lengths = trace.length[rows]
+    if rtp.any():
+        return _rtp_flow_labels(lengths, trace.rtp_ssrc[rows], has_ssrc, rtp)
+    protocols = {p.lower() for p in set(trace.protocol[rows].tolist()) if p}
+    if len(protocols) == 1:
+        label = _PROTOCOL_LABELS.get(protocols.pop())
+        if label is not None:
+            if (label == SRTP_VIDEO
+                    and _mean_size(lengths) < RTP_VIDEO_MIN_BYTES):
+                label = SRTP_AUDIO
+            return label
+    mean_size, median_gap = _flow_stats(trace.timestamp_s[rows], lengths)
+    return next((lab for lab, (s0, s1), (g0, g1) in FLOW_SIGNATURES
+                 if s0 <= mean_size <= s1 and g0 <= median_gap <= g1),
+                GENERIC)
+
+
+def classify_streams(records) -> np.ndarray:
     """Label every record with its stream; unclassifiable rows become
-    generic-UDP (classification never fails).
+    generic-UDP (classification never fails). Returns an array of labels.
 
     Flows (src, dst, direction) carrying RTP columns split into video and
     audio per SSRC by packet size; flows with a protocol column map
     directly; everything else goes through size/periodicity heuristics.
     """
-    flows: dict[tuple, list[int]] = {}
-    for idx, r in enumerate(records):
-        flows.setdefault((r.src_port, r.dst_port, r.direction), []).append(idx)
-
-    labels = [GENERIC] * len(records)
-    for indices in flows.values():
-        rows = [records[i] for i in indices]
-        with_rtp = [r for r in rows if r.rtp_ssrc is not None
-                    or r.rtp_payload_type is not None]
-        if with_rtp:
-            by_ssrc: dict = {}
-            for r in with_rtp:
-                by_ssrc.setdefault(r.rtp_ssrc, []).append(r)
-            ssrc_label = {
-                ssrc: (SRTP_VIDEO
-                       if sum(x.length for x in grp) / len(grp)
-                       >= RTP_VIDEO_MIN_BYTES else SRTP_AUDIO)
-                for ssrc, grp in by_ssrc.items()
-            }
-            flow_majority = Counter(
-                ssrc_label[r.rtp_ssrc] for r in with_rtp).most_common(1)[0][0]
-            for i in indices:
-                r = records[i]
-                labels[i] = ssrc_label.get(r.rtp_ssrc, flow_majority)
-            continue
-        protocols = {r.protocol.lower() for r in rows if r.protocol}
-        if len(protocols) == 1:
-            label = _PROTOCOL_LABELS.get(next(iter(protocols)))
-            if label is not None:
-                mean_size, _ = _flow_stats(rows)
-                if label == SRTP_VIDEO and mean_size < RTP_VIDEO_MIN_BYTES:
-                    label = SRTP_AUDIO
-                for i in indices:
-                    labels[i] = label
-                continue
-        mean_size, median_gap = _flow_stats(rows)
-        label = next((lab for lab, (s0, s1), (g0, g1) in FLOW_SIGNATURES
-                      if s0 <= mean_size <= s1 and g0 <= median_gap <= g1),
-                     GENERIC)
-        for i in indices:
-            labels[i] = label
+    trace = _as_trace(records)
+    labels = np.full(len(trace), GENERIC, dtype=object)
+    if len(trace):
+        for rows in _flows(trace):
+            labels[rows] = _flow_label(trace, rows)
     return labels
 
 
-def group_streams(records: list, labels: list[str]) -> dict[str, list]:
-    """Records of each stream label in time order, labels sorted."""
-    groups: dict[str, list] = {}
-    for r, label in zip(records, labels):
-        groups.setdefault(label, []).append(r)
-    return {label: sorted(groups[label], key=lambda r: r.timestamp_s)
-            for label in sorted(groups)}
+def group_streams(records, labels) -> dict[str, Trace]:
+    """The Trace of each stream label in time order, labels sorted."""
+    trace = _as_trace(records)
+    labels = np.asarray(labels)
+    groups = {}
+    for label in sorted(set(labels.tolist())):
+        rows = np.flatnonzero(labels == label)
+        groups[label] = trace.take(
+            rows[np.argsort(trace.timestamp_s[rows], kind="stable")])
+    return groups
 
 
-def inter_packet_ms(rows: list) -> list[float]:
-    """Gaps between consecutive time-sorted records, ms."""
-    return [(b.timestamp_s - a.timestamp_s) * 1e3
-            for a, b in zip(rows, rows[1:])]
+def inter_packet_ms(rows: Trace) -> np.ndarray:
+    """Gaps between consecutive packets of a time-sorted Trace, ms."""
+    return np.diff(rows.timestamp_s) * 1e3
 
 
-def stream_summaries(groups: dict[str, list]) -> list[StreamSummary]:
+def stream_summaries(groups: dict[str, Trace]) -> list[StreamSummary]:
     """Table-style per-stream statistics from group_streams' output: mean
     packet size, mean inter-packet time, and load over the stream's own
     span."""
     out = []
     for label, rows in groups.items():
         n = len(rows)
-        total_bytes = sum(r.length for r in rows)
-        span = rows[-1].timestamp_s - rows[0].timestamp_s
-        gaps = inter_packet_ms(rows)
+        total_bytes = int(rows.length.sum())
+        span = float(rows.timestamp_s[-1] - rows.timestamp_s[0])
+        # summed in order, one gap after the other
+        gaps = inter_packet_ms(rows).tolist()
         out.append(StreamSummary(
             label=label,
             packet_count=n,
@@ -303,67 +505,57 @@ def stream_summaries(groups: dict[str, list]) -> list[StreamSummary]:
 
 # -- batch / frame structure ----------------------------------------------
 
-def detect_batches(records: list, gap_threshold_ms: float = 1.0) -> list[list]:
-    """Split time-sorted records into batches: a new batch starts whenever
-    the inter-packet gap exceeds the threshold."""
-    if not records:
-        return []
-    thresh_s = gap_threshold_ms * 1e-3
-    batches = [[records[0]]]
-    for prev, cur in zip(records, records[1:]):
-        if cur.timestamp_s - prev.timestamp_s > thresh_s:
-            batches.append([cur])
-        else:
-            batches[-1].append(cur)
-    return batches
+def detect_batches(records, gap_threshold_ms: float = 1.0) -> np.ndarray:
+    """Start time (s) of each batch of time-sorted records: a new batch
+    starts whenever the inter-packet gap exceeds the threshold."""
+    times = _as_trace(records).timestamp_s
+    if not len(times):
+        return times
+    new = np.flatnonzero(np.diff(times) > gap_threshold_ms * 1e-3) + 1
+    return times[np.r_[0, new]]
 
 
-def batch_spacings_ms(batches: list[list]) -> list[float]:
-    starts = [b[0].timestamp_s for b in batches]
-    return [(b - a) * 1e3 for a, b in zip(starts, starts[1:])]
+def batch_spacings_ms(batches: np.ndarray) -> np.ndarray:
+    """Time between consecutive batch starts, ms."""
+    return np.diff(batches) * 1e3
 
 
-def modal_spacing_ms(spacings: list[float]) -> float:
-    """Most common spacing after rounding to 0.01 ms."""
-    if not spacings:
+def modal_spacing_ms(spacings) -> float:
+    """Most common spacing after rounding to 0.01 ms; on a tie, the one
+    seen first."""
+    if len(spacings) == 0:
         raise TraceError("no spacings to take a mode over")
-    rounded = [round(s / 0.01) * 0.01 for s in spacings]
+    rounded = [round(s / 0.01) * 0.01
+               for s in np.asarray(spacings, dtype=float).tolist()]
     return Counter(rounded).most_common(1)[0][0]
 
 
-def reconstruct_frames(records: list,
+def reconstruct_frames(records,
                        gap_threshold_ms: float = 1.0) -> list[FrameStats]:
     """Group consecutive records sharing an RTP timestamp into frames.
 
     Raises TraceError when RTP timestamps are absent; batch-level
     analysis (detect_batches) is the fallback for such traces.
     """
-    if not records:
+    video = _as_trace(records)
+    n = len(video)
+    if not n:
         return []
-    if any(r.rtp_timestamp is None for r in records):
+    if not video.has_rtp_timestamp.all():
         raise TraceError(
             "rtp_timestamp column required to reconstruct frames; "
             "use batch-level analysis (detect_batches) instead")
-    frames = []
-    current: list = []
-    for r in records:
-        if current and r.rtp_timestamp != current[-1].rtp_timestamp:
-            frames.append(_frame_from_records(current, gap_threshold_ms))
-            current = []
-        current.append(r)
-    frames.append(_frame_from_records(current, gap_threshold_ms))
-    return frames
-
-
-def _frame_from_records(rows: list, gap_threshold_ms: float) -> FrameStats:
-    return FrameStats(
-        rtp_timestamp=rows[0].rtp_timestamp,
-        first_s=rows[0].timestamp_s,
-        last_s=rows[-1].timestamp_s,
-        size_bytes=sum(r.length for r in rows),
-        n_packets=len(rows),
-        n_batches=len(detect_batches(rows, gap_threshold_ms)),
-    )
+    times, rtp_ts = video.timestamp_s, video.rtp_timestamp
+    first = np.flatnonzero(np.r_[True, rtp_ts[1:] != rtp_ts[:-1]])
+    last = np.r_[first[1:], n] - 1
+    # a gap over the threshold inside a frame starts another batch of it
+    new_batch = np.r_[np.diff(times) > gap_threshold_ms * 1e-3, False]
+    new_batch[last] = False
+    return list(map(FrameStats, rtp_ts[first].tolist(),
+                    times[first].tolist(), times[last].tolist(),
+                    np.add.reduceat(video.length, first).tolist(),
+                    (last - first + 1).tolist(),
+                    (1 + np.add.reduceat(new_batch, first)).tolist()))
 
 
 def inter_frame_times_ms(frames: list[FrameStats]) -> list[float]:
@@ -375,28 +567,24 @@ def assembly_delays(frames: list[FrameStats]) -> list[float]:
     return [(f.last_s - f.first_s) * 1e3 for f in frames]
 
 
-def interarrival_jitter(records: list) -> float:
+def interarrival_jitter(records) -> float:
     """Smoothed interarrival jitter in ms (J += (|D| - J) / 16).
 
     With RTP timestamps, D is the classic transit-time difference; without
     them, D falls back to the difference of consecutive inter-arrival
     times (a periodic source is then assumed).
     """
-    if len(records) < 2:
+    trace = _as_trace(records)
+    if len(trace) < 2:
         raise TraceError("jitter needs at least 2 records")
-    jitter = 0.0
-    use_rtp = all(r.rtp_timestamp is not None for r in records)
-    if use_rtp:
-        for prev, cur in zip(records, records[1:]):
-            d = ((cur.timestamp_s - prev.timestamp_s) * 1e3
-                 - (cur.rtp_timestamp - prev.rtp_timestamp)
-                 / RTP_CLOCK_HZ * 1e3)
-            jitter += (abs(d) - jitter) / 16.0
+    gaps = np.diff(trace.timestamp_s) * 1e3
+    if trace.has_rtp_timestamp.all():
+        d = gaps - np.diff(trace.rtp_timestamp) / RTP_CLOCK_HZ * 1e3
     else:
-        gaps = [(b.timestamp_s - a.timestamp_s) * 1e3
-                for a, b in zip(records, records[1:])]
-        for prev, cur in zip(gaps, gaps[1:]):
-            jitter += (abs(cur - prev) - jitter) / 16.0
+        d = np.diff(gaps)
+    jitter = 0.0
+    for abs_d in np.abs(d).tolist():
+        jitter += (abs_d - jitter) / 16.0
     return jitter
 
 
@@ -423,11 +611,12 @@ class VideoAnalysis:
     video stream at one gap threshold, and the trace metrics computed
     from them."""
 
-    labels: list[str]
-    video: list[TraceRecord]
+    labels: np.ndarray                       # one per packet of the trace
+    video: Trace
     metrics: TraceMetrics = field(default_factory=TraceMetrics)
-    batches: list[list] = field(default_factory=list)
-    spacings_ms: list[float] = field(default_factory=list)
+    # start time of each batch (s), and the time between starts (ms)
+    batches: np.ndarray = field(default_factory=lambda: np.empty(0))
+    spacings_ms: np.ndarray = field(default_factory=lambda: np.empty(0))
     frames: list[FrameStats] | None = None   # None without RTP timestamps
     assembly_delays_ms: list[float] = field(default_factory=list)
 
@@ -444,26 +633,28 @@ class VideoAnalysis:
         return {k: v for k, v in asdict(tm).items() if v is not None}
 
 
-def analyze_video(records: list,
-                  gap_threshold_ms: float = 1.0) -> VideoAnalysis:
+def analyze_video(records, gap_threshold_ms: float = 1.0) -> VideoAnalysis:
     """Classify time-sorted records, then find the video stream's batches,
     its frames when every video record has an RTP timestamp, and its
     interarrival jitter."""
-    labels = classify_streams(records)
-    video = [r for r, l in zip(records, labels) if l == SRTP_VIDEO]
+    trace = _as_trace(records)
+    labels = classify_streams(trace)
+    is_video = labels == SRTP_VIDEO
+    # no copy when every packet is video, as in simulate's export
+    video = trace if is_video.all() else trace.take(is_video)
     va = VideoAnalysis(labels, video)
-    if not video:
+    if not len(video):
         return va
     tm = va.metrics
-    tm.video_mean_packet_size_bytes = float(np.mean([r.length for r in video]))
+    tm.video_mean_packet_size_bytes = float(np.mean(video.length))
     gaps = inter_packet_ms(video)
-    if gaps:
+    if len(gaps):
         tm.video_mean_inter_packet_ms = float(np.mean(gaps))
     va.batches = detect_batches(video, gap_threshold_ms)
     va.spacings_ms = batch_spacings_ms(va.batches)
-    if va.spacings_ms:
+    if len(va.spacings_ms):
         tm.batch_spacing_modal_ms = modal_spacing_ms(va.spacings_ms)
-    if all(r.rtp_timestamp is not None for r in video):
+    if video.has_rtp_timestamp.all():
         frames = va.frames = reconstruct_frames(video, gap_threshold_ms)
         va.assembly_delays_ms = assembly_delays(frames)
         ift = inter_frame_times_ms(frames)

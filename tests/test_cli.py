@@ -134,7 +134,7 @@ def test_simulate_analyzes_the_records_it_writes(traffic, tmp_path,
     parsed = traceio.parse_trace(str(out / "sim_trace.csv"))
     (records,) = analysed
     assert records and not parsed.skipped
-    assert records == parsed.records
+    assert records == list(parsed.records)
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
@@ -501,6 +501,35 @@ def test_pinned_analyze_digest_tshark(tmp_path, monkeypatch, threshold):
     pinned = PINNED_ANALYZE_TSHARK[threshold]
     assert sorted(p.name for p in out.iterdir()) == sorted(pinned)
     assert {name: digest(out / name) for name in pinned} == pinned
+
+
+@pytest.mark.parametrize("capture,threshold", [(write_capture, 1.0),
+                                               (write_tshark_capture, 6.0)],
+                         ids=["canonical", "tshark"])
+def test_record_lists_agree_with_the_columns(tmp_path, capture, threshold):
+    # the entry points that take lists of TraceRecord convert them to
+    # columns; they must give what analyze_video finds on parsed columns
+    capture(tmp_path / "capture.csv")
+    parsed = traceio.parse_trace(str(tmp_path / "capture.csv"))
+    va = traceio.analyze_video(parsed.trace, threshold)
+    records = list(parsed.records)
+    labels = traceio.classify_streams(records)
+    assert labels.tolist() == va.labels.tolist()
+    video = [r for r, label in zip(records, labels)
+             if label == traceio.SRTP_VIDEO]
+    assert video == list(va.video)
+    assert (traceio.detect_batches(video, threshold).tolist()
+            == va.batches.tolist())
+    assert traceio.interarrival_jitter(video) == va.metrics.video_jitter_ms
+    if va.frames is None:
+        with pytest.raises(traceio.TraceError, match="rtp_timestamp"):
+            traceio.reconstruct_frames(video, threshold)
+    else:
+        frames = traceio.reconstruct_frames(video, threshold)
+        assert frames == va.frames
+        assert traceio.assembly_delays(frames) == va.assembly_delays_ms
+    assert (traceio.analyze_video(records, threshold).trace_metrics()
+            == va.trace_metrics())
 
 
 def test_pinned_sweep_digest(tiny_config, tmp_path):

@@ -81,6 +81,37 @@ def test_parse_reports_non_positive_length_at_its_line(tmp_path):
                for _, reason in parsed.skipped[1:])
 
 
+def test_parse_reports_the_line_each_skipped_row_starts_on(tmp_path):
+    # a blank line and a quoted field over two lines used to shift the
+    # line of every later row
+    path = write(tmp_path, "timestamp,length,protocol\n"
+                           "0.1,100,UDP\n"
+                           "\n"
+                           "0.2,abc,UDP\n"
+                           '0.3,x,"two\nlines"\n'
+                           "0.4,100,UDP\n"
+                           "0.5,-1,UDP\n")
+    parsed = tio.parse_trace(path)
+    assert [r.timestamp_s for r in parsed.records] == [0.1, 0.4]
+    assert [line for line, _ in parsed.skipped] == [4, 5, 8]
+
+
+def test_parse_skips_a_direction_other_than_dl_or_ul(tmp_path):
+    path = write(tmp_path, "timestamp,length,direction\n1.0,100,DL\n"
+                           "2.0,100,ul\n3.0,100,\n4.0,100,sideways\n"
+                           "5.0,100,Dl\n6.0,100,D L\n")
+    parsed = tio.parse_trace(path)
+    assert [r.direction for r in parsed.records] == ["DL", "UL", "DL", "DL"]
+    assert parsed.skipped == [
+        (5, "direction 'sideways' is neither DL nor UL"),
+        (7, "direction 'D L' is neither DL nor UL")]
+
+
+def test_records_with_another_direction_are_refused():
+    with pytest.raises(tio.TraceError, match="neither DL nor UL"):
+        tio.classify_streams([rec(0.0), rec(0.1, direction="SIDEWAYS")])
+
+
 def test_parse_accepts_tshark_field_names(tmp_path):
     path = write(tmp_path,
                  "frame.time_epoch,frame.len,udp.srcport,udp.dstport,"
@@ -181,7 +212,7 @@ def test_classify_table_style_flows():
                + flow(122, 1287.0, 5, 5, 6)       # STUN: sparse keepalive
                + flow(175, 4.9, 50, 7, 8)         # DTLS controller
                + flow(435, 67.0, 20, 9, 10))      # SRTCP reports
-    labels = tio.classify_streams(records)
+    labels = tio.classify_streams(records).tolist()
     assert labels[:100] == [tio.SRTP_VIDEO] * 100
     assert labels[100:150] == [tio.SRTP_AUDIO] * 50
     assert labels[150:155] == [tio.STUN] * 5
@@ -203,13 +234,13 @@ def test_classify_unknown_flow_is_generic_never_error():
     odd = flow(555, 123.0, 7, 1, 2)
     assert set(tio.classify_streams(odd)) == {tio.GENERIC}
     single = [rec(0.0, 400)]
-    assert tio.classify_streams(single) == [tio.GENERIC]
+    assert tio.classify_streams(single).tolist() == [tio.GENERIC]
 
 
 def test_classify_by_rtp_ssrc_splits_video_and_audio():
     video = flow(1243, 0.19, 40, 1, 2, rtp_ssrc=111, rtp_payload_type=96)
     audio = flow(83, 20.0, 10, 1, 2, rtp_ssrc=222, rtp_payload_type=111)
-    labels = tio.classify_streams(video + audio)
+    labels = tio.classify_streams(video + audio).tolist()
     assert labels[:40] == [tio.SRTP_VIDEO] * 40
     assert labels[40:] == [tio.SRTP_AUDIO] * 10
 
@@ -235,8 +266,8 @@ def test_stream_summaries_consistent_load():
 def test_detect_batches_threshold_definition():
     times_ms = [0.0, 0.02, 0.05, 5.56, 5.58]
     records = [rec(t / 1e3) for t in times_ms]
-    batches = tio.detect_batches(records, gap_threshold_ms=1.0)
-    assert [len(b) for b in batches] == [3, 2]
+    starts = tio.detect_batches(records, gap_threshold_ms=1.0)
+    assert starts.tolist() == [0.0, 5.56e-3]
 
 
 def test_detect_batches_extreme_thresholds():
@@ -246,7 +277,7 @@ def test_detect_batches_extreme_thresholds():
 
 
 def test_detect_batches_single_packet():
-    assert [len(b) for b in tio.detect_batches([rec(0.0)])] == [1]
+    assert tio.detect_batches([rec(0.0)]).tolist() == [0.0]
 
 
 def test_modal_spacing():
@@ -324,7 +355,7 @@ def test_analyze_video_without_rtp_reports_batches_only():
     records = [rec(k * 5.56e-3 + j * 1e-4, 1243, src_port=1, dst_port=2)
                for k in range(20) for j in range(6)]
     va = tio.analyze_video(records)
-    assert va.labels == [tio.SRTP_VIDEO] * len(records)
+    assert va.labels.tolist() == [tio.SRTP_VIDEO] * len(records)
     assert len(va.batches) == 20 and va.frames is None
     tm = va.trace_metrics()
     assert tm["batch_spacing_modal_ms"] == pytest.approx(5.56)
@@ -343,7 +374,7 @@ def test_generated_trace_round_trip(tmp_path):
     path = tmp_path / "gen.csv"
     tio.write_trace(records, str(path))
     parsed = tio.parse_trace(str(path))
-    assert parsed.records == records and not parsed.skipped
+    assert list(parsed.records) == records and not parsed.skipped
 
     labels = tio.classify_streams(parsed.records)
     assert set(labels) == {tio.SRTP_VIDEO}
