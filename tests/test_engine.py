@@ -1,10 +1,14 @@
 import dataclasses
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from vrwifi import mac as mac_mod
 from vrwifi import phy
+from vrwifi.config import validate_config
 from vrwifi.engine import run_seeds, run_simulation, run_sweep, set_axis
 from vrwifi.mac import AP
 from vrwifi.metrics import conservation_balance, metrics_summary
@@ -328,3 +332,92 @@ def test_pinned_run_digest(name):
     over, expected = PINNED_RUNS[name]
     res = run_simulation(fast_cfg(**over), 1)
     assert run_digest(res) == expected
+
+
+# every value each MAC switch admits, and the edges of the numeric ones:
+# no backoff at all, no retries, one-packet buffers and a one-byte
+# aggregate bound
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(per=st.floats(0.0, 1.0),
+       cw=st.sampled_from([(0, 0), (0, 7), (15, 1023)]),
+       max_retx=st.sampled_from([0, 1, 7]),
+       buffers=st.sampled_from([(1, 1), (1, 150), (50, 1), (1000, 150)]),
+       max_ampdu=st.sampled_from([1, 4, 256]),
+       max_ampdu_bytes=st.sampled_from([1, 5000, 65535, None]),
+       collisions=st.booleans(),
+       rts_cts=st.tuples(st.booleans(), st.booleans()),
+       cw_policy=st.sampled_from(["retry", "exchange", "exchange_any"]),
+       snapshot=st.booleans(),
+       stamp=st.sampled_from(["back_end", "data_end"]),
+       pacer=st.sampled_from(["frame", "global"]),
+       mcs=st.sampled_from([0, 5, 11]),
+       fps=st.sampled_from([24.0, 60.0, 90.0, 100.0]),
+       tau_ms=st.sampled_from([0.01, 5.56, 20.0]),
+       ul_period_ms=st.sampled_from([None, 4.16, 10.0]),
+       duration_s=st.sampled_from([0.05, 0.1, 0.2]),
+       warmup=st.floats(0.01, 0.9),
+       seed=st.integers(0, 2**16))
+def test_engine_invariants_over_valid_configs(
+        per, cw, max_retx, buffers, max_ampdu, max_ampdu_bytes, collisions,
+        rts_cts, cw_policy, snapshot, stamp, pacer, mcs, fps, tau_ms,
+        ul_period_ms, duration_s, warmup, seed):
+    cfg = validate_config(make_cfg(
+        duration_s=duration_s, warmup_ms=warmup * duration_s * 1e3,
+        phy={"mcs_index": mcs},
+        mac={"per": per, "cw_min": cw[0], "cw_max": cw[1],
+             "max_retx": max_retx, "ap_buffer": buffers[0],
+             "client_buffer": buffers[1], "max_ampdu": max_ampdu,
+             "max_ampdu_bytes": max_ampdu_bytes,
+             "collisions_enabled": collisions, "rts_cts_enabled": rts_cts[0],
+             "ul_rts_cts_enabled": rts_cts[1], "cw_policy": cw_policy,
+             "ampdu_snapshot": snapshot, "delivery_stamp": stamp},
+        traffic={"fps": fps, "inter_batch_time_ms": tau_ms,
+                 "pacer_anchor": pacer, "ul_enabled": ul_period_ms is not None,
+                 "ul_period_ms": ul_period_ms or 4.16}))
+    aggregates = []
+    assemble = mac_mod.assemble_ampdu
+
+    def recording_assemble(*args, **kwargs):
+        ampdu = assemble(*args, **kwargs)
+        if ampdu is not None:
+            aggregates.append((len(ampdu), ampdu.total_bytes))
+        return ampdu
+
+    with mock.patch.object(mac_mod, "assemble_ampdu", recording_assemble):
+        res = run_simulation(cfg, seed, keep_packets=True)
+    m = res.metrics
+    metrics_summary(m)
+
+    generated, accounted = conservation_balance(m)
+    assert generated == accounted
+
+    # only an exchange that starts before the end may run past it
+    log = sorted(m.tx_log, key=lambda t: t.tx_start_us)
+    for t in log:
+        assert 0.0 <= t.tx_start_us < t.busy_end_us
+    assert all(t.busy_end_us <= m.duration_us for t in log[:-1])
+    assert not log or log[-1].tx_start_us <= m.duration_us
+    for a, b in zip(log, log[1:]):
+        assert b.tx_start_us >= a.busy_end_us
+
+    # a delivered packet waited at least AIFS and one exchange of its own
+    # aggregate, which is no shorter than an exchange of that packet alone
+    def floor_us(size, rts):
+        floor = cfg.mac.aifs_us + phy.exchange_airtime(size, 1, cfg.phy,
+                                                       cfg.mac, rts)
+        if stamp == "data_end":
+            floor -= cfg.mac.sifs_us + phy.back_airtime(cfg.phy)
+        return floor - 1e-6
+
+    smallest = min(p.size_bytes for f in res.frames for b in f.batches
+                   for p in b.packets)
+    assert all(d >= floor_us(smallest, rts_cts[0])
+               for d in m.dl_packet_delays_us)
+    assert all(d >= floor_us(cfg.traffic.ul_packet_size_bytes, rts_cts[1])
+               for d in m.ul_packet_delays_us)
+
+    assert all(1 <= n <= max_ampdu for n in m.ampdu_sizes)
+    for n, size in aggregates:
+        assert 1 <= n <= max_ampdu
+        assert n == 1 or max_ampdu_bytes is None or size <= max_ampdu_bytes

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -163,3 +164,52 @@ def test_frame_anchor_releases_at_generation():
     frames = tr.generate_video_frames(cfg, rng(8), 0.5)
     for emit_us, pkt in tr.video_packet_emissions(frames, cfg):
         assert emit_us == pkt.gen_time_us
+
+
+# sha256 of every frame, batch and packet field generate_video_frames
+# builds, of video_packet_emissions' (time, packet_id) order, and of the
+# generator state it leaves behind. Traffic generation may be reworked
+# for speed, but these must not move.
+PINNED_TRAFFIC = {
+    "defaults_10s": (
+        {}, 10.0,
+        "c0f1d165d8c09b116d63a3355af9ba4faefc3d4c2999c1ba245b69592fb7d206"),
+    "global_pacer": (
+        {"pacer_anchor": "global"}, 2.0,
+        "d8bcb9cd8f5b8ba40843947939691719c21eaeab7f3d05589b5b69344cc54da1"),
+    # later batches of a frame come out after the next frames' first ones
+    "tau_over_frame_period": (
+        {"inter_batch_time_ms": 20.0}, 2.0,
+        "dff7056d6e05316147b132683053d6cde6d9aef7e5bd12ea4cf8729f94c38b53"),
+    "tiny_tau": (
+        {"inter_batch_time_ms": 0.01}, 2.0,
+        "60f4b52da6035ef017f32240fae53b32273233bc67fe7b530b558cae29d8d5b2"),
+    # 5.25 s is 126 frame periods: the loop draws for frame 126, then
+    # drops it
+    "fps24_drawn_and_dropped": (
+        {"fps": 24.0}, 5.25,
+        "c4ba41af0950ae9f63223096e5168fe488f6c0291c888313700997957c9814f2"),
+}
+
+
+def traffic_digest(cfg: TrafficConfig, duration_s: float) -> str:
+    r = rng(1)
+    frames = tr.generate_video_frames(cfg, r, duration_s)
+    parts = (
+        [(f.frame_id, f.gen_time_us, f.size_bytes, f.n_batches, f.period_us,
+          [(b.batch_index, b.size_bytes, b.release_time_us,
+            [(p.packet_id, p.stream, p.size_bytes, p.gen_time_us,
+              p.frame_id, p.batch_index, p.enqueue_time_us,
+              p.delivery_time_us, p.retx_count) for p in b.packets])
+           for b in f.batches])
+         for f in frames],
+        [(t, p.packet_id) for t, p in tr.video_packet_emissions(frames, cfg)],
+        r.bit_generator.state,
+    )
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TRAFFIC))
+def test_pinned_traffic_digest(name):
+    over, duration_s, expected = PINNED_TRAFFIC[name]
+    assert traffic_digest(TrafficConfig(**over), duration_s) == expected
