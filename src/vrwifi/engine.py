@@ -4,8 +4,10 @@ traffic), and sweep orchestration across seeds.
 
 Event ordering contract (what makes a run replay bit-identically):
 
-- Packet arrivals are known before the loop starts. They sit in one
-  pre-sorted list walked by a cursor.
+- Packet arrivals are known before the loop starts. They sit in two
+  parallel pre-sorted lists, times and packets, walked by a cursor.
+  Every arrival up to the pending runtime event is admitted in one
+  pass; only one that newly backlogs a station can move that event.
 - At most one runtime event is pending, at `_Sim.wake_us`: while the
   channel is busy, the end of the exchange on the air; while it is
   idle, the earliest backoff expiry (none if no station is backlogged).
@@ -25,7 +27,6 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -130,33 +131,23 @@ class _Sim:
         if b > a:
             self.metrics.airtime_busy_us += b - a
 
-    def advance_queue(self, now: float) -> None:
+    def advance_queue(self, now: float, change: int = 0) -> None:
         """Integrate the AP queue length since queue_t, clipped to the
-        measured window; call before ap_outstanding changes."""
-        a, b = max(self.queue_t, self.warmup_us), min(now, self.duration_us)
+        measured window, then change it by `change` packets."""
+        # max(queue_t, warmup) and min(now, duration), without the calls
+        a, b = self.queue_t, now
+        if self.warmup_us > a:
+            a = self.warmup_us
+        if self.duration_us < b:
+            b = self.duration_us
         if b > a:
             self.metrics.buffer_level_integral += self.ap_outstanding * (b - a)
             if self.ap_outstanding > 0:
                 self.metrics.buffer_busy_us += b - a
         self.queue_t = now
+        self.ap_outstanding += change
 
     # -- event handlers ---------------------------------------------------
-
-    def on_packet(self, st: MacStation, pkt) -> None:
-        if pkt.stream == traffic_mod.UL_STREAM:
-            self.metrics.generated_ul += 1
-        else:
-            self.metrics.generated_video += 1
-        outcome = mac_mod.enqueue(st, pkt, self.now)
-        if outcome == "accepted":
-            if st.role == AP:
-                self.advance_queue(self.now)
-                self.ap_outstanding += 1
-            if len(st.buffer) == 1:
-                # an already backlogged station's timers are armed (or
-                # frozen under a busy channel), so only a newly
-                # backlogged one can move the earliest expiry
-                self.resolve()
 
     def on_access(self) -> None:
         winners = [
@@ -228,8 +219,7 @@ class _Sim:
         delivered, requeued, dropped = mac_mod.handle_back(
             st, ampdu, flags, self.cfg.mac.max_retx)
         if st.role == AP and (delivered or dropped):
-            self.advance_queue(self.now)
-            self.ap_outstanding -= len(delivered) + len(dropped)
+            self.advance_queue(self.now, -len(delivered) - len(dropped))
         if self.cfg.mac.delivery_stamp == "back_end":
             stamp = self.now
         else:
@@ -254,48 +244,87 @@ class _Sim:
 
     # -- main loop --------------------------------------------------------
 
+    def arrivals(self, frames) -> tuple[list, list]:
+        """Every packet arrival as parallel lists of times and packets,
+        time-ordered with video first at ties; the times end in an inf
+        sentinel. Video emitted at or after the end is left out."""
+        cfg = self.cfg
+        video = traffic_mod.video_packet_emissions(frames, cfg.traffic)
+        n_video = int(np.searchsorted(video.times_us, self.duration_us))
+        times, packets = video.times_us[:n_video], video.packets[:n_video]
+        if cfg.traffic.ul_enabled:
+            ul = traffic_mod.ul_controller_stream(cfg.traffic, cfg.duration_s)
+            times = np.concatenate(
+                [times, np.array([p.gen_time_us for p in ul], dtype=float)])
+            packets = np.concatenate(
+                [packets, np.fromiter(ul, dtype=object, count=len(ul))])
+        order = np.argsort(times, kind="stable")   # video first at ties
+        times = times[order].tolist()
+        times.append(math.inf)
+        return times, packets[order].tolist()
+
     def run(self) -> RunResult:
         cfg = self.cfg
         frames = traffic_mod.generate_video_frames(
             cfg.traffic, self.rng, cfg.duration_s)
+        times, packets = self.arrivals(frames)
         ap, client = self.stations[AP], self.stations[CLIENT]
-        arrivals = [
-            (emit_us, ap, pkt) for emit_us, pkt
-            in traffic_mod.video_packet_emissions(frames, cfg.traffic)
-            if emit_us < self.duration_us]
-        if cfg.traffic.ul_enabled:
-            arrivals += [
-                (pkt.gen_time_us, client, pkt) for pkt
-                in traffic_mod.ul_controller_stream(cfg.traffic, cfg.duration_s)]
-        arrivals.sort(key=itemgetter(0))   # stable: video first at ties
-        arrivals.append((math.inf, None, None))
-
-        on_packet, duration_us = self.on_packet, self.duration_us
-        i = 0
+        enqueue, advance_queue = mac_mod.enqueue, self.advance_queue
+        duration_us, ul_stream = self.duration_us, traffic_mod.UL_STREAM
+        i = n_ul = 0
+        now = self.now
         while True:
-            # arrivals win ties against the runtime event
-            t, st, pkt = arrivals[i]
-            if t <= self.wake_us:
+            # arrivals win ties against the runtime event: admit every
+            # arrival up to it in one pass
+            wake = self.wake_us
+            t = times[i]
+            while t <= wake:
+                # kept at t > end: an uplink packet generated at exactly
+                # the end is admitted, and a half-open window moves the
+                # digest
                 if t > duration_us:
                     break
+                assert t >= now - 1e-6, "virtual clock went backwards"
+                if t > now:
+                    now = t
+                pkt = packets[i]
                 i += 1
-                assert t >= self.now - 1e-6, "virtual clock went backwards"
-                self.now = max(self.now, t)
-                on_packet(st, pkt)
-            else:
-                t, self.wake_us = self.wake_us, math.inf
-                if t > duration_us:
-                    break
-                assert t >= self.now - 1e-6, "virtual clock went backwards"
-                self.now = max(self.now, t)
-                if self.in_flight is not None:
-                    self.on_end()
+                if pkt.stream == ul_stream:
+                    st = client
+                    n_ul += 1
                 else:
-                    self.on_access()
+                    st = ap
+                if enqueue(st, pkt, now) == "accepted":
+                    if st is ap:
+                        advance_queue(now, 1)
+                    if len(st.buffer) == 1:
+                        # an already backlogged station's timers are
+                        # armed (or frozen under a busy channel), so only
+                        # a newly backlogged one can move the earliest
+                        # expiry
+                        self.now = now
+                        self.resolve()
+                        wake = self.wake_us
+                t = times[i]
+            if t <= wake:
+                break   # the next arrival is past the end
+            self.wake_us = math.inf
+            if wake > duration_us:
+                break
+            assert wake >= now - 1e-6, "virtual clock went backwards"
+            if wake > now:
+                now = wake
+            self.now = now
+            if self.in_flight is not None:
+                self.on_end()
+            else:
+                self.on_access()
+        self.now = now
 
+        m = self.metrics
+        m.generated_ul, m.generated_video = n_ul, i - n_ul
         self.advance_queue(self.duration_us)
         self.finalize_frames(frames)
-        m = self.metrics
         m.dropped_retx = sum(s.drops_retx for s in self.stations.values())
         m.dropped_buffer = sum(s.drops_buffer for s in self.stations.values())
         in_flight_count = (len(self.in_flight[1].mpdus)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -90,7 +90,20 @@ def next_video_frame(cfg: TrafficConfig, rng: np.random.Generator,
 
 def packetize_frame(frame: VideoFrame, cfg: TrafficConfig,
                     first_packet_id: int = 0) -> list[Batch]:
-    """Split a frame into its batches and packets.
+    """Split one frame into its batches and packets (see _packetize)."""
+    _packetize([frame], cfg, first_packet_id)
+    return frame.batches
+
+
+def _runs(values, counts):
+    """Each of `values` repeated its count of times, lazily."""
+    return chain.from_iterable(map(repeat, values, counts))
+
+
+def _packetize(frames: list[VideoFrame], cfg: TrafficConfig,
+               first_packet_id: int) -> None:
+    """Set every frame's batches and packets, packet ids sequential from
+    first_packet_id.
 
     Batch sizes are the equal split of the frame size (remainder bytes go
     one apiece to the trailing batches). Every packet is full-size except
@@ -100,70 +113,101 @@ def packetize_frame(frame: VideoFrame, cfg: TrafficConfig,
     """
     tau_us = cfg.inter_batch_time_ms * 1e3
     l_p = cfg.packet_size_bytes
-    base, rem = divmod(frame.size_bytes, frame.n_batches)
-    pid = first_packet_id
-    batches = []
-    for k in range(frame.n_batches):
-        batch_bytes = base + (1 if k >= frame.n_batches - rem else 0)
-        release = frame.gen_time_us + k * tau_us
-        batch = Batch(batch_index=k, size_bytes=batch_bytes,
-                      release_time_us=release)
-        n_pk = math.ceil(batch_bytes / l_p)
-        for j in range(n_pk):
-            size = l_p if j < n_pk - 1 else batch_bytes - (n_pk - 1) * l_p
-            batch.packets.append(Packet(
-                packet_id=pid,
-                stream=VIDEO_STREAM,
-                size_bytes=size,
-                gen_time_us=release + j * cfg.intra_batch_gap_us,
-                frame_id=frame.frame_id,
-                batch_index=k,
-            ))
-            pid += 1
-        batches.append(batch)
-    frame.batches = batches
-    return batches
+    n_b = np.array([f.n_batches for f in frames], dtype=np.int64)
+    # per batch: its frame, its index k in the frame, bytes and release
+    fb = np.repeat(np.arange(len(frames)), n_b)
+    k = np.arange(len(fb)) - np.repeat(np.cumsum(n_b) - n_b, n_b)
+    base, rem = np.divmod(np.array([f.size_bytes for f in frames],
+                                   dtype=np.int64), n_b)
+    b_bytes = base[fb] + (k >= (n_b - rem)[fb])
+    release = (np.array([f.gen_time_us for f in frames], dtype=float)[fb]
+               + k * tau_us)
+    n_pk = -(-b_bytes // l_p)
+    pk_end = np.cumsum(n_pk)
+    pk_start = pk_end - n_pk
+    # per packet: its index j in the batch and generation time
+    j = np.arange(int(n_pk.sum())) - np.repeat(pk_start, n_pk)
+    gen_us = np.repeat(release, n_pk) + j * cfg.intra_batch_gap_us
+
+    n_pk_l, k_l = n_pk.tolist(), k.tolist()
+    sizes = chain.from_iterable(
+        chain(repeat(l_p, n - 1), (n_bytes - (n - 1) * l_p,))
+        for n, n_bytes in zip(n_pk_l, b_bytes.tolist()) if n)
+    frame_ids = _runs(_runs([f.frame_id for f in frames], n_b.tolist()),
+                      n_pk_l)
+    packets = list(map(
+        Packet, range(first_packet_id, first_packet_id + len(gen_us)),
+        repeat(VIDEO_STREAM), sizes, gen_us.tolist(), frame_ids,
+        _runs(k_l, n_pk_l)))
+    batches = list(map(
+        Batch, k_l, b_bytes.tolist(), release.tolist(),
+        map(packets.__getitem__,
+            map(slice, pk_start.tolist(), pk_end.tolist()))))
+    b_end = np.cumsum(n_b).tolist()
+    for frame, a, b in zip(frames, [0, *b_end], b_end):
+        frame.batches = batches[a:b]
 
 
 def generate_video_frames(cfg: TrafficConfig, rng: np.random.Generator,
                           duration_s: float) -> list[VideoFrame]:
-    """All frames generated in [0, duration), packetized, ids sequential."""
+    """All frames generated in [0, duration), packetized, ids sequential.
+
+    Draws one batch count per frame period of the run, in one call: the
+    last draw may be for a frame at the end, which is then dropped.
+    """
+    if cfg.fps <= 0:
+        raise ValueError("fps must be positive")
     period_us = 1e6 / cfg.fps
-    n_frames = math.ceil(duration_s * 1e6 / period_us)
-    frames = []
-    pid = 0
-    for fid in range(n_frames):
-        frame = next_video_frame(cfg, rng, fid)
-        if frame.gen_time_us >= duration_s * 1e6:
-            break
-        packetize_frame(frame, cfg, first_packet_id=pid)
-        pid += sum(b.n_packets for b in frame.batches)
-        frames.append(frame)
+    n_frames = max(0, math.ceil(duration_s * 1e6 / period_us))
+    n_batches = rng.integers(1, max_batches(cfg) + 1, size=n_frames)
+    gen_us = np.arange(n_frames) * period_us
+    n_kept = int(np.count_nonzero(gen_us < duration_s * 1e6))
+    frames = list(map(VideoFrame, range(n_kept), gen_us[:n_kept].tolist(),
+                      repeat(frame_size_bytes(cfg)),
+                      n_batches[:n_kept].tolist(), repeat(period_us)))
+    _packetize(frames, cfg, 0)
     return frames
 
 
+@dataclass(frozen=True)
+class Emissions:
+    """Video packet emissions in time order, ties in packet_id order:
+    parallel arrays of emission times (us) and Packets. Iterating gives
+    (time, packet) pairs."""
+
+    times_us: np.ndarray
+    packets: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.times_us)
+
+    def __iter__(self):
+        return zip(self.times_us.tolist(), self.packets.tolist())
+
+
 def video_packet_emissions(frames: list[VideoFrame],
-                           cfg: TrafficConfig) -> list[tuple[float, Packet]]:
-    """(emission time, packet) for every video packet, time-ordered.
+                           cfg: TrafficConfig) -> Emissions:
+    """The emission time of every video packet, time-ordered.
 
     With the default frame-anchored pacer the emission instant is the
     packet's generation time. With the global-grid pacer each batch waits
     for the next multiple of tau at or after its release time.
     """
     tau_us = cfg.inter_batch_time_ms * 1e3
-    out = []
-    for frame in frames:
-        for batch in frame.batches:
-            if cfg.pacer_anchor == "global":
-                start = math.ceil(batch.release_time_us / tau_us - 1e-9) * tau_us
-            else:
-                start = batch.release_time_us
-            for j, pkt in enumerate(batch.packets):
-                out.append((start + j * cfg.intra_batch_gap_us, pkt))
-    # appended in packet_id order, so a stable sort on time alone gives
-    # (time, packet_id) order
-    out.sort(key=itemgetter(0))
-    return out
+    batches = [b for f in frames for b in f.batches]
+    packets = [p for b in batches for p in b.packets]
+    n_pk = np.array([len(b.packets) for b in batches], dtype=np.int64)
+    start = np.array([b.release_time_us for b in batches], dtype=float)
+    if cfg.pacer_anchor == "global":
+        start = np.ceil(start / tau_us - 1e-9) * tau_us
+    j = np.arange(len(packets)) - np.repeat(np.cumsum(n_pk) - n_pk, n_pk)
+    times = np.repeat(start, n_pk) + j * cfg.intra_batch_gap_us
+    # packets are listed in packet_id order, so a stable sort on time
+    # alone gives (time, packet_id) order
+    order = np.argsort(times, kind="stable")
+    return Emissions(times[order],
+                     np.fromiter(packets, dtype=object,
+                                 count=len(packets))[order])
 
 
 def ul_controller_stream(cfg: TrafficConfig, duration_s: float) -> list[Packet]:
