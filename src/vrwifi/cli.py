@@ -30,6 +30,8 @@ from vrwifi.metrics import (ecdf, metrics_summary, pooled_summary,
                              summarize)
 
 OUTPUT_ENV = "VRWIFI_OUTPUT_DIR"
+# skipped trace rows analyze names on stderr; the rest are only counted
+MAX_SKIPPED_SHOWN = 20
 
 # ITU-T style QoS thresholds for VR service verdicts
 QOS_RTT_MS = 20.0
@@ -293,6 +295,11 @@ def cmd_analyze(args) -> int:
         "qos_verdicts": qos,
     }
     _write_json(outdir / "analysis.json", report)
+    for line, reason in parsed.skipped[:MAX_SKIPPED_SHOWN]:
+        print(f"line {line}: {reason}", file=sys.stderr)
+    if len(parsed.skipped) > MAX_SKIPPED_SHOWN:
+        print(f"... and {len(parsed.skipped) - MAX_SKIPPED_SHOWN} more",
+              file=sys.stderr)
     print(f"analyze: {len(trace)} records "
           f"({len(parsed.skipped)} skipped rows)")
     for s in summaries:

@@ -503,6 +503,35 @@ def test_pinned_analyze_digest_tshark(tmp_path, monkeypatch, threshold):
     assert {name: digest(out / name) for name in pinned} == pinned
 
 
+def test_analyze_names_each_skipped_row_on_stderr(tmp_path, capsys):
+    write_tshark_capture(tmp_path / "capture.csv")
+    assert main(["analyze", str(tmp_path / "capture.csv"),
+                 "--output", str(tmp_path / "out")]) == 0
+    out, err = capsys.readouterr()
+    assert err.splitlines() == [
+        "line 6: could not convert string to float: 'abc'",
+        "line 23: non-finite timestamp 1700000000.1 or length nan",
+        "line 40: non-finite timestamp inf or length 100.0",
+        "line 57: non-positive length 0",
+        "line 74: cannot convert float infinity to integer",
+        "line 91: cannot convert float NaN to integer",
+    ]
+    assert "(6 skipped rows)" in out
+
+
+def test_analyze_names_only_the_first_20_skipped_rows(tmp_path, capsys):
+    rows = ["timestamp,length", "0.0,1243"] + [f"{i * 1e-3},{-i}"
+                                               for i in range(1, 26)]
+    (tmp_path / "trace.csv").write_text("\n".join(rows) + "\n")
+    assert main(["analyze", str(tmp_path / "trace.csv"),
+                 "--output", str(tmp_path / "out")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[:2] == ["line 3: non-positive length -1",
+                       "line 4: non-positive length -2"]
+    assert err[19] == "line 22: non-positive length -20"
+    assert len(err) == 21 and err[-1] == "... and 5 more"
+
+
 @pytest.mark.parametrize("capture,threshold", [(write_capture, 1.0),
                                                (write_tshark_capture, 6.0)],
                          ids=["canonical", "tshark"])
