@@ -213,3 +213,72 @@ def traffic_digest(cfg: TrafficConfig, duration_s: float) -> str:
 def test_pinned_traffic_digest(name):
     over, duration_s, expected = PINNED_TRAFFIC[name]
     assert traffic_digest(TrafficConfig(**over), duration_s) == expected
+
+
+def reference_traffic(cfg: TrafficConfig, r, duration_s: float):
+    """The packetisation and pacing rules one frame, batch and packet at
+    a time: (frames as nested tuples, (emission time, packet_id) list)."""
+    period_us = 1e6 / cfg.fps
+    tau_us = cfg.inter_batch_time_ms * 1e3
+    l_p = cfg.packet_size_bytes
+    frames, emissions, pid = [], [], 0
+    for fid in range(math.ceil(duration_s * 1e6 / period_us)):
+        n_b = int(r.integers(1, tr.max_batches(cfg) + 1))
+        gen = fid * period_us
+        if gen >= duration_s * 1e6:
+            break
+        size = tr.frame_size_bytes(cfg)
+        base, rem = divmod(size, n_b)
+        batches = []
+        for k in range(n_b):
+            b_bytes = base + (1 if k >= n_b - rem else 0)
+            release = gen + k * tau_us
+            start = (math.ceil(release / tau_us - 1e-9) * tau_us
+                     if cfg.pacer_anchor == "global" else release)
+            n_pk = math.ceil(b_bytes / l_p)
+            packets = []
+            for j in range(n_pk):
+                packets.append((pid, l_p if j < n_pk - 1
+                                else b_bytes - (n_pk - 1) * l_p,
+                                release + j * cfg.intra_batch_gap_us, fid, k))
+                emissions.append((start + j * cfg.intra_batch_gap_us, pid))
+                pid += 1
+            batches.append((k, b_bytes, release, packets))
+        frames.append((fid, gen, size, n_b, period_us, batches))
+    emissions.sort(key=lambda e: e[0])
+    return frames, emissions
+
+
+@settings(max_examples=25, deadline=None)
+@given(fps=st.sampled_from([7.3, 24.0, 60.0, 90.0, 240.0]),
+       bitrate=st.sampled_from([8.0, 1e4, 1e6, 20e6]),
+       l_p=st.sampled_from([1, 100, 1243]),
+       tau_ms=st.sampled_from([0.01, 5.56, 20.0]),
+       count_ms=st.sampled_from([0.5, 5.56, 50.0]),
+       gap_us=st.sampled_from([0.0, 0.3, 5.0]),
+       pacer=st.sampled_from(["frame", "global"]),
+       duration_s=st.sampled_from([0.01, 0.05, 1 / 3]),
+       seed=st.integers(0, 1000))
+def test_generation_follows_the_per_packet_rules(
+        fps, bitrate, l_p, tau_ms, count_ms, gap_us, pacer, duration_s,
+        seed):
+    if bitrate / 8 / l_p * duration_s > 20_000:
+        l_p = 1243   # keep each example to a few thousand packets
+    cfg = TrafficConfig(fps=fps, bitrate_bps=bitrate, packet_size_bytes=l_p,
+                        inter_batch_time_ms=tau_ms,
+                        batch_count_interval_ms=count_ms,
+                        intra_batch_gap_us=gap_us, pacer_anchor=pacer)
+    r, r_ref = rng(seed), rng(seed)
+    frames = tr.generate_video_frames(cfg, r, duration_s)
+    expected_frames, expected_emissions = reference_traffic(
+        cfg, r_ref, duration_s)
+    assert [(f.frame_id, f.gen_time_us, f.size_bytes, f.n_batches,
+             f.period_us,
+             [(b.batch_index, b.size_bytes, b.release_time_us,
+               [(p.packet_id, p.size_bytes, p.gen_time_us, p.frame_id,
+                 p.batch_index) for p in b.packets])
+              for b in f.batches])
+            for f in frames] == expected_frames
+    assert [(t, p.packet_id) for t, p in tr.video_packet_emissions(
+        frames, cfg)] == expected_emissions
+    assert r.bit_generator.state == r_ref.bit_generator.state
