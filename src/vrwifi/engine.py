@@ -247,7 +247,8 @@ class _Sim:
     def arrivals(self, frames) -> tuple[list, list]:
         """Every packet arrival as parallel lists of times and packets,
         time-ordered with video first at ties; the times end in an inf
-        sentinel. Video emitted at or after the end is left out."""
+        sentinel. Video emitted at or after the end is left out. The
+        numpy temporaries are freed on return, before the loop runs."""
         cfg = self.cfg
         video = traffic_mod.video_packet_emissions(frames, cfg.traffic)
         n_video = int(np.searchsorted(video.times_us, self.duration_us))
@@ -279,9 +280,7 @@ class _Sim:
             wake = self.wake_us
             t = times[i]
             while t <= wake:
-                # kept at t > end: an uplink packet generated at exactly
-                # the end is admitted, and a half-open window moves the
-                # digest
+                # an uplink packet at t == end still enters; >= moves digests
                 if t > duration_us:
                     break
                 assert t >= now - 1e-6, "virtual clock went backwards"

@@ -155,8 +155,6 @@ def generate_video_frames(cfg: TrafficConfig, rng: np.random.Generator,
     Draws one batch count per frame period of the run, in one call: the
     last draw may be for a frame at the end, which is then dropped.
     """
-    if cfg.fps <= 0:
-        raise ValueError("fps must be positive")
     period_us = 1e6 / cfg.fps
     n_frames = max(0, math.ceil(duration_s * 1e6 / period_us))
     n_batches = rng.integers(1, max_batches(cfg) + 1, size=n_frames)
@@ -169,7 +167,7 @@ def generate_video_frames(cfg: TrafficConfig, rng: np.random.Generator,
     return frames
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Emissions:
     """Video packet emissions in time order, ties in packet_id order:
     parallel arrays of emission times (us) and Packets. Iterating gives
