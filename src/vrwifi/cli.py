@@ -88,14 +88,14 @@ def cmd_simulate(args) -> int:
     with (run_tasks([(cfg, s) for s in seeds[1:]], args.jobs) as results,
           ExitStack() as files):
         first = run_simulation(cfg, cfg.seed, keep_packets=True)
-        # delivered_trace rounds like the file, so analyze reads back these
-        # very records from sim_trace.csv
-        trace_records = traceio.delivered_trace(first.frames)
-        traceio.write_trace(trace_records, outdir / "sim_trace.csv")
-        trace_metrics = traceio.analyze_video(trace_records).trace_metrics()
+        # delivered_trace rounds like the file, so analyze reads back this
+        # very trace from sim_trace.csv
+        trace = traceio.delivered_trace(first.frames)
+        traceio.write_trace(trace, outdir / "sim_trace.csv")
+        trace_metrics = traceio.analyze_video(trace).trace_metrics()
         # nothing past the export needs the first run's packets
         kept = [(first.seed, first.metrics)]
-        del first, trace_records
+        del first, trace
         dumps = []
         for attr, fname, header in SAMPLE_CSVS:
             fh = files.enter_context(
@@ -107,10 +107,13 @@ def cmd_simulate(args) -> int:
             # the bytes csv.writer writes (repr of a float, CRLF), without
             # its per-row cost
             for attr, fh in dumps:
-                fh.write("".join(f"{seed},{v!r}\r\n"
-                                 for v in getattr(m, attr)))
-            runs.append(m)
+                values = getattr(m, attr)
+                if values:
+                    fh.write(f"{seed}," + f"\r\n{seed},".join(
+                        map(repr, values)) + "\r\n")
             per_run.append(metrics_summary(m))
+            # the pooled summary reads the samples, not the channel log
+            runs.append(dataclasses.replace(m, tx_log=[]))
 
     pooled = pooled_summary(runs)
     loss_ok = pooled["loss_rate"] <= QOS_LOSS_RATE

@@ -5,7 +5,7 @@ traffic), and sweep orchestration across seeds.
 Event ordering contract (what makes a run replay bit-identically):
 
 - Packet arrivals are known before the loop starts. They sit in two
-  parallel pre-sorted lists, times and packets, walked by a cursor.
+  parallel pre-sorted lists, times and packet ids, walked by a cursor.
   Every arrival up to the pending runtime event is admitted in one
   pass; only one that newly backlogs a station can move that event.
 - At most one runtime event is pending, at `_Sim.wake_us`: while the
@@ -15,6 +15,13 @@ Event ordering contract (what makes a run replay bit-identically):
   stale.
 - At equal times an arrival is handled before the runtime event.
 - At equal times a video arrival is handled before an uplink arrival.
+
+Packet state is columnar: a packet is an integer id, video packets first
+in packet_id order and uplink packets after them. Station buffers and
+A-MPDUs hold ids, and sizes, enqueue and delivery times and retry counts
+are per-packet lists (mac.Packets). Frame delays come from the delivery
+column in one reduction over the frame offsets. A run that keeps its
+packets returns its traffic columns with that run state attached.
 
 One PCG64 stream per run keeps every run reproducible and independent of
 any other.
@@ -34,8 +41,9 @@ from vrwifi import mac as mac_mod
 from vrwifi import phy as phy_mod
 from vrwifi import traffic as traffic_mod
 from vrwifi.config import SimConfig, validate_config
-from vrwifi.mac import AP, CLIENT, MacStation
+from vrwifi.mac import AP, CLIENT, MacStation, Packets
 from vrwifi.metrics import RunMetrics, TxRecord, vf_delay
+from vrwifi.traffic import VideoTraffic
 
 SWEEP_AXES = {
     "fps": ("traffic", "fps"),
@@ -51,7 +59,9 @@ class RunResult:
     config_echo: SimConfig
     seed: int
     metrics: RunMetrics
-    frames: list | None = None   # populated when keep_packets is requested
+    # the run's video traffic with its packets' enqueue and delivery times
+    # and retry counts; only when keep_packets is requested
+    frames: VideoTraffic | None = None
 
 
 class _Sim:
@@ -65,10 +75,8 @@ class _Sim:
         self.now = 0.0
         self.wake_us = math.inf   # time of the one pending runtime event
         self.in_flight = None   # (station, ampdu) or "collision" while busy
-        self.stations = {
-            AP: mac_mod.make_station(AP, cfg.mac),
-            CLIENT: mac_mod.make_station(CLIENT, cfg.mac),
-        }
+        self.packets: Packets | None = None    # set by run()
+        self.stations: dict[str, MacStation] = {}   # AP first, set by run()
         self.metrics = RunMetrics(duration_us=self.duration_us,
                                   warmup_us=self.warmup_us,
                                   buffer_capacity=cfg.mac.ap_buffer)
@@ -104,7 +112,8 @@ class _Sim:
                 st.aifs_end_us = self.now + self.aifs
             if st.slots_left is None:
                 if self.cfg.mac.cw_policy == "retry":
-                    st.cw = mac_mod.cw_for_retry(st, st.buffer[0].retx_count)
+                    st.cw = mac_mod.cw_for_retry(
+                        st, self.packets.retx_count[st.buffer[0]])
                 st.slots_left = mac_mod.draw_backoff(st, self.rng)
                 self.drawn[st.role] = st.slots_left
                 st.snapshot_len = len(st.buffer)
@@ -220,18 +229,20 @@ class _Sim:
             st, ampdu, flags, self.cfg.mac.max_retx)
         if st.role == AP and (delivered or dropped):
             self.advance_queue(self.now, -len(delivered) - len(dropped))
-        if self.cfg.mac.delivery_stamp == "back_end":
-            stamp = self.now
-        else:
-            stamp = self.now - self.cfg.mac.sifs_us - self.back_air
-        for pkt in delivered:
-            pkt.delivery_time_us = stamp
-            if pkt.stream == traffic_mod.UL_STREAM:
-                self.metrics.delivered_ul += 1
+        if delivered:
+            if self.cfg.mac.delivery_stamp == "back_end":
+                stamp = self.now
             else:
-                self.metrics.delivered_video += 1
-            if pkt.enqueue_time_us >= self.warmup_us:
-                self.metrics.record_delivery(pkt)
+                stamp = self.now - self.cfg.mac.sifs_us - self.back_air
+            delivery = self.packets.delivery_us
+            for pid in delivered:
+                delivery[pid] = stamp
+            if st.role == AP:
+                self.metrics.delivered_video += len(delivered)
+            else:
+                self.metrics.delivered_ul += len(delivered)
+            self.metrics.record_delivery(self.packets, delivered,
+                                         st.role == CLIENT)
         policy = self.cfg.mac.cw_policy
         if policy != "retry":
             if not delivered:
@@ -244,34 +255,41 @@ class _Sim:
 
     # -- main loop --------------------------------------------------------
 
-    def arrivals(self, frames) -> tuple[list, list]:
-        """Every packet arrival as parallel lists of times and packets,
-        time-ordered with video first at ties; the times end in an inf
-        sentinel. Video emitted at or after the end is left out. The
-        numpy temporaries are freed on return, before the loop runs."""
+    def arrivals(self, frames: VideoTraffic) -> tuple[list, list, Packets]:
+        """Every packet arrival as parallel lists of times and packet ids,
+        time-ordered with video first at ties, and the run's Packets
+        columns; the times end in an inf sentinel. Video emitted at or
+        after the end is left out. The numpy temporaries are freed on
+        return, before the loop runs."""
         cfg = self.cfg
         video = traffic_mod.video_packet_emissions(frames, cfg.traffic)
         n_video = int(np.searchsorted(video.times_us, self.duration_us))
-        times, packets = video.times_us[:n_video], video.packets[:n_video]
+        times, ids = video.times_us[:n_video], video.packet_ids[:n_video]
+        sizes = frames.packet_bytes
         if cfg.traffic.ul_enabled:
             ul = traffic_mod.ul_controller_stream(cfg.traffic, cfg.duration_s)
-            times = np.concatenate(
-                [times, np.array([p.gen_time_us for p in ul], dtype=float)])
-            packets = np.concatenate(
-                [packets, np.fromiter(ul, dtype=object, count=len(ul))])
+            times = np.concatenate([times, ul.times_us])
+            ids = np.concatenate(
+                [ids, len(sizes) + np.arange(len(ul), dtype=ids.dtype)])
+            sizes = sizes + [ul.size_bytes] * len(ul)
         order = np.argsort(times, kind="stable")   # video first at ties
         times = times[order].tolist()
         times.append(math.inf)
-        return times, packets[order].tolist()
+        return times, ids[order].tolist(), Packets.of_sizes(sizes)
 
     def run(self) -> RunResult:
         cfg = self.cfg
         frames = traffic_mod.generate_video_frames(
             cfg.traffic, self.rng, cfg.duration_s)
-        times, packets = self.arrivals(frames)
-        ap, client = self.stations[AP], self.stations[CLIENT]
+        times, ids, self.packets = self.arrivals(frames)
+        ap = self.stations[AP] = mac_mod.make_station(AP, cfg.mac,
+                                                      self.packets)
+        client = self.stations[CLIENT] = mac_mod.make_station(
+            CLIENT, cfg.mac, self.packets)
         enqueue, advance_queue = mac_mod.enqueue, self.advance_queue
-        duration_us, ul_stream = self.duration_us, traffic_mod.UL_STREAM
+        duration_us = self.duration_us
+        # ids from n_video on are uplink packets
+        n_video = len(frames.packet_bytes)
         i = n_ul = 0
         now = self.now
         while True:
@@ -286,14 +304,14 @@ class _Sim:
                 assert t >= now - 1e-6, "virtual clock went backwards"
                 if t > now:
                     now = t
-                pkt = packets[i]
+                pid = ids[i]
                 i += 1
-                if pkt.stream == ul_stream:
+                if pid >= n_video:
                     st = client
                     n_ul += 1
                 else:
                     st = ap
-                if enqueue(st, pkt, now) == "accepted":
+                if enqueue(st, pid, now) == "accepted":
                     if st is ap:
                         advance_queue(now, 1)
                     if len(st.buffer) == 1:
@@ -323,33 +341,44 @@ class _Sim:
         m = self.metrics
         m.generated_ul, m.generated_video = n_ul, i - n_ul
         self.advance_queue(self.duration_us)
-        self.finalize_frames(frames)
+        packets = self.packets
+        self.finalize_frames(frames, packets.delivery_us[:n_video])
         m.dropped_retx = sum(s.drops_retx for s in self.stations.values())
         m.dropped_buffer = sum(s.drops_buffer for s in self.stations.values())
         in_flight_count = (len(self.in_flight[1].mpdus)
                            if isinstance(self.in_flight, tuple) else 0)
         m.residual = (sum(len(s.buffer) for s in self.stations.values())
                       + in_flight_count)
-        return RunResult(config_echo=cfg, seed=self.seed,
-                         metrics=m,
-                         frames=frames if self.keep_packets else None)
+        kept = None
+        if self.keep_packets:
+            kept = dataclasses.replace(
+                frames, enqueue_us=packets.enqueue_us[:n_video],
+                delivery_us=packets.delivery_us[:n_video],
+                retx_count=packets.retx_count[:n_video])
+        return RunResult(config_echo=cfg, seed=self.seed, metrics=m,
+                         frames=kept)
 
-    def finalize_frames(self, frames) -> None:
-        """Frame-level delays for every fully delivered post-warm-up frame."""
-        for frame in frames:
-            if frame.gen_time_us < self.warmup_us:
-                continue
-            packets = [p for b in frame.batches for p in b.packets]
-            if not packets:
-                continue
-            try:
-                self.metrics.vf_delays_us.append(vf_delay(frame, packets))
-            except ValueError:
-                self.metrics.incomplete_frames += 1
-                continue
-            deliveries = [p.delivery_time_us for p in packets]
-            self.metrics.assembly_delays_us.append(
-                max(deliveries) - min(deliveries))
+    def finalize_frames(self, frames: VideoTraffic,
+                        delivery_us: list) -> None:
+        """Frame-level delays for every fully delivered post-warm-up
+        frame, in frame order, from each video packet's delivery time."""
+        has_packets = frames.frame_packets > 0
+        n_pk = frames.frame_packets[has_packets]
+        delivered = np.array(delivery_us, dtype=float)   # None: NaN
+        starts = np.cumsum(n_pk) - n_pk
+        last = np.maximum.reduceat(delivered, starts)
+        first = np.minimum.reduceat(delivered, starts)
+        measured = frames.frame_gen_us[has_packets] >= self.warmup_us
+        done = measured & ~np.isnan(last)
+        m = self.metrics
+        m.incomplete_frames = int(np.count_nonzero(measured)
+                                  - np.count_nonzero(done))
+        m.assembly_delays_us.extend((last - first)[done].tolist())
+        rows = np.repeat(done, n_pk)
+        n_pk = n_pk[done]
+        m.vf_delays_us.extend(vf_delay(frames.packet_gen_us[rows],
+                                       delivered[rows],
+                                       np.cumsum(n_pk) - n_pk).tolist())
 
 
 def run_simulation(cfg: SimConfig, seed: int,

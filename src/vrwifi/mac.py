@@ -2,7 +2,9 @@
 A-MPDU assembly and the selective-retransmission bookkeeping driven by
 block acknowledgments.
 
-The DES engine owns all timing; this module only mutates station state.
+A packet is an integer id into the run's Packets columns; buffers and
+A-MPDUs hold ids. The DES engine owns all timing; this module only
+mutates station state and those columns.
 """
 
 from __future__ import annotations
@@ -13,15 +15,33 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from vrwifi.config import MacConfig
-from vrwifi.traffic import Packet
 
 AP = "ap"
 CLIENT = "client"
 
 
+@dataclass(eq=False)
+class Packets:
+    """Per-packet columns of one run, indexed by packet id: size, the
+    time it entered a buffer and the time it was delivered (us, None
+    until then), and its retry count. Lists, not arrays: the event loop
+    reads and writes one entry at a time."""
+
+    size_bytes: list
+    enqueue_us: list
+    delivery_us: list
+    retx_count: list
+
+    @classmethod
+    def of_sizes(cls, size_bytes: list) -> Packets:
+        """Fresh columns for packets of these sizes."""
+        n = len(size_bytes)
+        return cls(size_bytes, [None] * n, [None] * n, [0] * n)
+
+
 @dataclass
 class Ampdu:
-    mpdus: list[Packet]
+    mpdus: list[int]
     total_bytes: int
 
     def __len__(self) -> int:
@@ -34,6 +54,7 @@ class MacStation:
     capacity: int
     cw_min: int
     cw_max: int
+    packets: Packets
     rts_cts: bool = True
     buffer: deque = field(default_factory=deque)
     cw: int = 0
@@ -51,20 +72,22 @@ class MacStation:
         return len(self.buffer) > 0
 
 
-def make_station(role: str, mac: MacConfig) -> MacStation:
+def make_station(role: str, mac: MacConfig, packets: Packets) -> MacStation:
+    """A station whose buffer holds ids into `packets`."""
     capacity = mac.ap_buffer if role == AP else mac.client_buffer
     rts = mac.rts_cts_enabled if role == AP else mac.ul_rts_cts_enabled
     return MacStation(role=role, capacity=capacity, cw_min=mac.cw_min,
-                      cw_max=mac.cw_max, rts_cts=rts)
+                      cw_max=mac.cw_max, packets=packets, rts_cts=rts)
 
 
-def enqueue(station: MacStation, pkt: Packet, now_us: float) -> str:
-    """Tail-drop FIFO admission; returns "accepted" or "dropped"."""
+def enqueue(station: MacStation, pid: int, now_us: float) -> str:
+    """Tail-drop FIFO admission of packet `pid`, stamping its enqueue
+    time; returns "accepted" or "dropped"."""
     if len(station.buffer) >= station.capacity:
         station.drops_buffer += 1
         return "dropped"
-    pkt.enqueue_time_us = now_us
-    station.buffer.append(pkt)
+    station.packets.enqueue_us[pid] = now_us
+    station.buffer.append(pid)
     return "accepted"
 
 
@@ -99,20 +122,21 @@ def assemble_ampdu(station: MacStation, max_ampdu: int,
     the aggregate size in bytes; at least one packet always goes out.
     Returns None on an empty buffer (no transmission attempt).
     """
-    if not station.buffer:
+    buffer = station.buffer
+    if not buffer:
         return None
-    n = min(len(station.buffer), max_ampdu)
+    n = min(len(buffer), max_ampdu)
     if limit is not None:
         n = max(1, min(n, limit))
+    size = station.packets.size_bytes
     mpdus, total = [], 0
-    while station.buffer and len(mpdus) < n:
-        nxt = station.buffer[0]
-        if (max_bytes is not None and mpdus
-                and total + nxt.size_bytes > max_bytes):
+    while buffer and len(mpdus) < n:
+        nxt = size[buffer[0]]
+        if max_bytes is not None and mpdus and total + nxt > max_bytes:
             break
-        mpdus.append(station.buffer.popleft())
-        total += nxt.size_bytes
-    return Ampdu(mpdus=mpdus, total_bytes=total)
+        mpdus.append(buffer.popleft())
+        total += nxt
+    return Ampdu(mpdus, total)
 
 
 def apply_per(ampdu: Ampdu, per: float, rng: np.random.Generator) -> np.ndarray:
@@ -122,7 +146,7 @@ def apply_per(ampdu: Ampdu, per: float, rng: np.random.Generator) -> np.ndarray:
 
 
 def handle_back(station: MacStation, ampdu: Ampdu, flags: np.ndarray,
-                max_retx: int) -> tuple[list[Packet], list[Packet], list[Packet]]:
+                max_retx: int) -> tuple[list[int], list[int], list[int]]:
     """Split the acknowledged A-MPDU into (delivered, requeued, dropped).
 
     Failed MPDUs that still have retries left go back to the head of the
@@ -130,15 +154,16 @@ def handle_back(station: MacStation, ampdu: Ampdu, flags: np.ndarray,
     the next aggregate. A packet that fails with retx_count == max_retx
     is dropped and counted.
     """
+    retx = station.packets.retx_count
     delivered, requeue, dropped = [], [], []
-    for pkt, ok in zip(ampdu.mpdus, flags):
+    for pid, ok in zip(ampdu.mpdus, flags.tolist()):
         if ok:
-            delivered.append(pkt)
-        elif pkt.retx_count >= max_retx:
-            dropped.append(pkt)
+            delivered.append(pid)
+        elif retx[pid] >= max_retx:
+            dropped.append(pid)
         else:
-            pkt.retx_count += 1
-            requeue.append(pkt)
+            retx[pid] += 1
+            requeue.append(pid)
     station.buffer.extendleft(reversed(requeue))
     station.drops_retx += len(dropped)
     return delivered, requeue, dropped

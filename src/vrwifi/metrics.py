@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from vrwifi.mac import Ampdu
-from vrwifi.traffic import Packet, VideoFrame, UL_STREAM
+from vrwifi.mac import Ampdu, Packets
 
 
 @dataclass
@@ -63,27 +62,36 @@ class RunMetrics:
         (retransmission attempts included)."""
         self.ampdu_sizes.append(len(ampdu))
 
-    def record_delivery(self, pkt: Packet) -> None:
-        """Append the packet's buffer delay to its stream's samples."""
-        delay = pkt.delivery_time_us - pkt.enqueue_time_us
-        if pkt.stream == UL_STREAM:
-            self.ul_packet_delays_us.append(delay)
-        else:
-            self.dl_packet_delays_us.append(delay)
+    def record_delivery(self, packets: Packets, ids: list,
+                        uplink: bool) -> None:
+        """Append the buffer delay of each delivered packet in `ids` that
+        entered its buffer after the warm-up to the samples of its stream,
+        in the order of `ids`."""
+        enqueue, delivery, warmup = (packets.enqueue_us, packets.delivery_us,
+                                     self.warmup_us)
+        samples = (self.ul_packet_delays_us if uplink
+                   else self.dl_packet_delays_us)
+        samples.extend([delivery[p] - enqueue[p] for p in ids
+                        if enqueue[p] >= warmup])
 
 
-def vf_delay(frame: VideoFrame, packets: list[Packet]) -> float:
-    """Frame delivery time in us: from the frame's first packet
-    generation to the last packet's delivery.
+def vf_delay(gen_us: np.ndarray, delivery_us: np.ndarray,
+             starts: np.ndarray) -> np.ndarray:
+    """Frame delivery times in us: from each frame's first packet
+    generation to its last packet's delivery.
 
-    Raises ValueError if any packet is undelivered; callers exclude such
-    frames and count them instead.
+    The packets of frame i are rows starts[i] to starts[i + 1] - 1 of the
+    per-packet generation and delivery times (the last frame's run to
+    the end); starts increase strictly. An undelivered packet's delivery
+    time is NaN. Raises ValueError if any packet is undelivered; callers
+    exclude such frames and count them instead.
     """
-    if any(p.delivery_time_us is None for p in packets):
-        raise ValueError(f"frame {frame.frame_id} has undelivered packets")
-    last = max(p.delivery_time_us for p in packets)
-    first_gen = min(p.gen_time_us for p in packets)
-    return last - first_gen
+    undelivered = np.isnan(delivery_us)
+    if undelivered.any():
+        frame = np.searchsorted(starts, np.argmax(undelivered), "right") - 1
+        raise ValueError(f"frame {frame} has undelivered packets")
+    return (np.maximum.reduceat(delivery_us, starts)
+            - np.minimum.reduceat(gen_us, starts))
 
 
 def summarize(samples_us: list) -> dict:

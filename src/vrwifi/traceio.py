@@ -24,7 +24,7 @@ from operator import attrgetter, itemgetter
 
 import numpy as np
 
-from vrwifi.traffic import VideoFrame
+from vrwifi.traffic import VideoTraffic
 
 CANONICAL_COLUMNS = [
     "timestamp", "length", "src_port", "dst_port", "direction",
@@ -338,22 +338,31 @@ def parse_trace(path: str) -> ParseResult:
                                              kind="stable")), skipped)
 
 
-def write_trace(records: list, path: str) -> None:
-    """Write records using the canonical header; None fields stay empty."""
+_WRITE_BLOCK = 4096   # rows write_trace formats at a time
+
+
+def write_trace(records, path: str) -> None:
+    """Write a Trace (or a list of TraceRecord) using the canonical
+    header, one row per packet in its order; absent values stay empty."""
+    trace = _as_trace(records)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CANONICAL_COLUMNS)
-        for r in records:
-            marker = "" if r.rtp_marker is None else str(r.rtp_marker).lower()
-            writer.writerow([
-                f"{r.timestamp_s:.6f}", r.length, r.src_port, r.dst_port,
-                r.direction,
-                "" if r.rtp_payload_type is None else r.rtp_payload_type,
-                "" if r.rtp_ssrc is None else r.rtp_ssrc,
-                "" if r.rtp_timestamp is None else r.rtp_timestamp,
-                marker,
-                r.protocol or "",
-            ])
+        # a block of rows at a time, so the cells of a long trace are
+        # never all held at once
+        for start in range(0, len(trace), _WRITE_BLOCK):
+            t = trace.take(slice(start, start + _WRITE_BLOCK))
+            # csv.writer writes None as an empty cell
+            writer.writerows(zip(
+                map("{:.6f}".format, t.timestamp_s.tolist()),
+                t.length.tolist(), t.src_port.tolist(), t.dst_port.tolist(),
+                ["UL" if u else "DL" for u in t.uplink.tolist()],
+                _optional(t.rtp_payload_type, t.has_rtp_payload_type),
+                _optional(t.rtp_ssrc, t.has_rtp_ssrc),
+                _optional(t.rtp_timestamp, t.has_rtp_timestamp),
+                [None if m is None else str(m).lower()
+                 for m in t.rtp_marker.tolist()],
+                t.protocol.tolist()))
 
 
 # -- classification ------------------------------------------------------
@@ -678,46 +687,45 @@ VIDEO_PT = 96
 VIDEO_PORT = (50000, 5004)
 
 
-def frame_rtp_timestamp(frame: VideoFrame) -> int:
-    return int(round(frame.gen_time_us * RTP_CLOCK_HZ / 1e6))
-
-
-def _video_trace(frames: list[VideoFrame], attr: str) -> list[TraceRecord]:
-    """One row per packet at its `attr` instant (us); packets without
-    one are left out. Rows come back in time order, each timestamp
-    rounded to the microsecond as write_trace prints it, so the list
-    equals what parse_trace reads back from its file."""
-    out = []
-    for frame in frames:
-        ts = frame_rtp_timestamp(frame)
-        for batch in frame.batches:
-            for pkt in batch.packets:
-                t_us = getattr(pkt, attr)
-                if t_us is None:
-                    continue
-                out.append(TraceRecord(
-                    timestamp_s=t_us / 1e6,
-                    length=pkt.size_bytes,
-                    src_port=VIDEO_PORT[0], dst_port=VIDEO_PORT[1],
-                    direction="DL",
-                    rtp_payload_type=VIDEO_PT, rtp_ssrc=VIDEO_SSRC,
-                    rtp_timestamp=ts,
-                ))
-    out.sort(key=lambda r: r.timestamp_s)
+def _video_trace(frames: VideoTraffic, times_us: np.ndarray) -> Trace:
+    """One row per packet at its instant in times_us (NaN: no row). Rows
+    come back in time order, each timestamp rounded to the microsecond
+    as write_trace prints it, so the Trace equals what parse_trace reads
+    back from its file."""
+    has_time = ~np.isnan(times_us)
+    times_s = times_us[has_time] / 1e6
+    # stable: packets are in packet_id order, which breaks ties
+    order = np.argsort(times_s, kind="stable")
+    rows = np.flatnonzero(has_time)[order]
+    n = len(rows)
+    rtp_ts = np.rint(frames.frame_gen_us * RTP_CLOCK_HZ / 1e6).astype(
+        np.int64)
+    present = np.ones(n, dtype=bool)
     # round after the sort: rows whose times differ by less than 1 us
     # keep their time order, as they do in the written file
-    for r in out:
-        r.timestamp_s = float(f"{r.timestamp_s:.6f}")
-    return out
+    return Trace(
+        np.array(list(map(float, map("{:.6f}".format,
+                                     times_s[order].tolist())))),
+        np.array(frames.packet_bytes, dtype=np.int64)[rows],
+        np.full(n, VIDEO_PORT[0], dtype=np.int64),
+        np.full(n, VIDEO_PORT[1], dtype=np.int64),
+        np.zeros(n, dtype=bool),
+        np.full(n, VIDEO_PT, dtype=np.int64), present,
+        np.full(n, VIDEO_SSRC, dtype=np.int64), present,
+        np.repeat(rtp_ts, frames.frame_packets)[rows], present,
+        np.full(n, None, dtype=object), np.full(n, None, dtype=object))
 
 
-def generated_video_trace(frames: list[VideoFrame]) -> list[TraceRecord]:
+def generated_video_trace(frames: VideoTraffic) -> Trace:
     """Server-side view of generated video traffic: one row per packet at
     its generation instant."""
-    return _video_trace(frames, "gen_time_us")
+    return _video_trace(frames, frames.packet_gen_us)
 
 
-def delivered_trace(frames: list[VideoFrame]) -> list[TraceRecord]:
+def delivered_trace(frames: VideoTraffic) -> Trace:
     """Client-side view of a finished run: delivered packets at their
     delivery instants (undelivered packets are absent, as in a capture)."""
-    return _video_trace(frames, "delivery_time_us")
+    delivery = frames.delivery_us
+    if delivery is None:    # traffic of no run: nothing delivered
+        delivery = [None] * len(frames.packet_bytes)
+    return _video_trace(frames, np.array(delivery, dtype=float))

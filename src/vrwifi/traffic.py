@@ -5,13 +5,18 @@ Frame sizes are constant (bitrate/fps); each frame is split into a
 uniformly random number of equal-size batches released one inter-batch
 interval apart. Packets within a batch are full-size except the last,
 truncated so every frame's bytes sum exactly to bitrate/fps.
+
+Traffic is held by column: a VideoTraffic has one array per frame,
+batch and packet field, and a packet is its index in them. The
+VideoFrame, Batch and Packet objects are read-only views, built when a
+VideoTraffic, Emissions or UplinkStream is iterated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -56,6 +61,68 @@ class VideoFrame:
     batches: list[Batch] = field(default_factory=list)
 
 
+@dataclass(eq=False)
+class VideoTraffic:
+    """Video frames, their batches and their packets, by column, in frame
+    order. Packet ids run from first_packet_id in (frame, batch, packet)
+    order, so a packet's row is its id less first_packet_id.
+
+    A run that keeps its packets fills the per-packet enqueue and
+    delivery times (None where a packet has none) and retry counts.
+    len() counts the frames; iterating gives VideoFrame views, with
+    their Batch and Packet views, built when read.
+    """
+
+    period_us: float
+    frame_bytes: int
+    first_packet_id: int
+    # per frame
+    frame_id: np.ndarray
+    frame_gen_us: np.ndarray
+    n_batches: np.ndarray
+    frame_packets: np.ndarray
+    # per batch: its index in the frame, bytes, release time, packets
+    batch_index: np.ndarray
+    batch_bytes: np.ndarray
+    batch_release_us: np.ndarray
+    batch_packets: np.ndarray
+    # per packet: a list, because the event loop indexes it
+    packet_bytes: list
+    packet_gen_us: np.ndarray
+    # per packet, set by a run
+    enqueue_us: list | None = None
+    delivery_us: list | None = None
+    retx_count: list | None = None
+
+    def __len__(self) -> int:
+        return len(self.frame_id)
+
+    def packets(self) -> list[Packet]:
+        """Every packet as a Packet view, in packet id order."""
+        n = len(self.packet_bytes)
+        frame_of = np.repeat(self.frame_id, self.frame_packets).tolist()
+        return list(map(
+            Packet, range(self.first_packet_id, self.first_packet_id + n),
+            repeat(VIDEO_STREAM), self.packet_bytes,
+            self.packet_gen_us.tolist(), frame_of,
+            np.repeat(self.batch_index, self.batch_packets).tolist(),
+            self.enqueue_us or repeat(None), self.delivery_us or repeat(None),
+            self.retx_count or repeat(0)))
+
+    def __iter__(self):
+        packets = self.packets()
+        pk_end = np.cumsum(self.batch_packets).tolist()
+        batches = list(map(
+            Batch, self.batch_index.tolist(), self.batch_bytes.tolist(),
+            self.batch_release_us.tolist(),
+            map(packets.__getitem__, map(slice, [0, *pk_end], pk_end))))
+        b_end = np.cumsum(self.n_batches).tolist()
+        return map(VideoFrame, self.frame_id.tolist(),
+                   self.frame_gen_us.tolist(), repeat(self.frame_bytes),
+                   self.n_batches.tolist(), repeat(self.period_us),
+                   map(batches.__getitem__, map(slice, [0, *b_end], b_end)))
+
+
 def max_batches(cfg: TrafficConfig) -> int:
     """Largest batch count for one frame: ceil(T / batch interval).
 
@@ -71,39 +138,43 @@ def frame_size_bytes(cfg: TrafficConfig) -> int:
     return math.ceil(cfg.bitrate_bps / cfg.fps / 8.0)
 
 
-def next_video_frame(cfg: TrafficConfig, rng: np.random.Generator,
-                     frame_id: int) -> VideoFrame:
-    """Create frame `frame_id` with its batch count drawn uniformly from
-    {1, ..., ceil(T/tau)}. Consumes exactly one draw from rng."""
+def _draw_frames(cfg: TrafficConfig, rng: np.random.Generator,
+                 first_id: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The generation times (us) and batch counts of frames first_id, ...,
+    first_id + count - 1: each batch count uniform in {1, ..., ceil(T/tau)},
+    drawn together in one call."""
     if cfg.fps <= 0:
         raise ValueError("fps must be positive")
-    period_us = 1e6 / cfg.fps
-    n_batches = int(rng.integers(1, max_batches(cfg) + 1))
-    return VideoFrame(
-        frame_id=frame_id,
-        gen_time_us=frame_id * period_us,
-        size_bytes=frame_size_bytes(cfg),
-        n_batches=n_batches,
-        period_us=period_us,
-    )
+    n_batches = rng.integers(1, max_batches(cfg) + 1, size=count)
+    return (first_id + np.arange(count)) * (1e6 / cfg.fps), n_batches
+
+
+def next_video_frame(cfg: TrafficConfig, rng: np.random.Generator,
+                     frame_id: int) -> VideoFrame:
+    """Create frame `frame_id` by generate_video_frames' frame rule, with
+    its batch count drawn uniformly from {1, ..., ceil(T/tau)}; not yet
+    packetized. Consumes exactly one draw from rng."""
+    gen_us, n_batches = _draw_frames(cfg, rng, frame_id, 1)
+    return VideoFrame(frame_id, gen_us.item(), frame_size_bytes(cfg),
+                      n_batches.item(), 1e6 / cfg.fps)
 
 
 def packetize_frame(frame: VideoFrame, cfg: TrafficConfig,
                     first_packet_id: int = 0) -> list[Batch]:
-    """Split one frame into its batches and packets (see _packetize)."""
-    _packetize([frame], cfg, first_packet_id)
+    """Split one frame into its batches and packets (see _packetize),
+    set them as the frame's batches and return them."""
+    (view,) = _packetize(cfg, np.array([frame.frame_id]),
+                         np.array([frame.gen_time_us], dtype=float),
+                         np.array([frame.n_batches]), frame.size_bytes,
+                         frame.period_us, first_packet_id)
+    frame.batches = view.batches
     return frame.batches
 
 
-def _runs(values, counts):
-    """Each of `values` repeated its count of times, lazily."""
-    return chain.from_iterable(map(repeat, values, counts))
-
-
-def _packetize(frames: list[VideoFrame], cfg: TrafficConfig,
-               first_packet_id: int) -> None:
-    """Set every frame's batches and packets, packet ids sequential from
-    first_packet_id.
+def _packetize(cfg: TrafficConfig, frame_id: np.ndarray, gen_us: np.ndarray,
+               n_b: np.ndarray, frame_bytes: int, period_us: float,
+               first_packet_id: int) -> VideoTraffic:
+    """The batches and packets of the given frames, as columns.
 
     Batch sizes are the equal split of the frame size (remainder bytes go
     one apiece to the trailing batches). Every packet is full-size except
@@ -113,43 +184,34 @@ def _packetize(frames: list[VideoFrame], cfg: TrafficConfig,
     """
     tau_us = cfg.inter_batch_time_ms * 1e3
     l_p = cfg.packet_size_bytes
-    n_b = np.array([f.n_batches for f in frames], dtype=np.int64)
+    b_start = np.cumsum(n_b) - n_b
     # per batch: its frame, its index k in the frame, bytes and release
-    fb = np.repeat(np.arange(len(frames)), n_b)
-    k = np.arange(len(fb)) - np.repeat(np.cumsum(n_b) - n_b, n_b)
-    base, rem = np.divmod(np.array([f.size_bytes for f in frames],
-                                   dtype=np.int64), n_b)
+    fb = np.repeat(np.arange(len(n_b)), n_b)
+    k = np.arange(len(fb)) - np.repeat(b_start, n_b)
+    base, rem = np.divmod(np.int64(frame_bytes), n_b)
     b_bytes = base[fb] + (k >= (n_b - rem)[fb])
-    release = (np.array([f.gen_time_us for f in frames], dtype=float)[fb]
-               + k * tau_us)
+    release = gen_us[fb] + k * tau_us
     n_pk = -(-b_bytes // l_p)
     pk_end = np.cumsum(n_pk)
-    pk_start = pk_end - n_pk
-    # per packet: its index j in the batch and generation time
-    j = np.arange(int(n_pk.sum())) - np.repeat(pk_start, n_pk)
-    gen_us = np.repeat(release, n_pk) + j * cfg.intra_batch_gap_us
-
-    n_pk_l, k_l = n_pk.tolist(), k.tolist()
-    sizes = chain.from_iterable(
-        chain(repeat(l_p, n - 1), (n_bytes - (n - 1) * l_p,))
-        for n, n_bytes in zip(n_pk_l, b_bytes.tolist()) if n)
-    frame_ids = _runs(_runs([f.frame_id for f in frames], n_b.tolist()),
-                      n_pk_l)
-    packets = list(map(
-        Packet, range(first_packet_id, first_packet_id + len(gen_us)),
-        repeat(VIDEO_STREAM), sizes, gen_us.tolist(), frame_ids,
-        _runs(k_l, n_pk_l)))
-    batches = list(map(
-        Batch, k_l, b_bytes.tolist(), release.tolist(),
-        map(packets.__getitem__,
-            map(slice, pk_start.tolist(), pk_end.tolist()))))
-    b_end = np.cumsum(n_b).tolist()
-    for frame, a, b in zip(frames, [0, *b_end], b_end):
-        frame.batches = batches[a:b]
+    # per packet: its index j in the batch, size and generation time
+    n = int(pk_end[-1]) if len(pk_end) else 0
+    j = np.arange(n) - np.repeat(pk_end - n_pk, n_pk)
+    size = np.full(n, l_p, dtype=np.int64)
+    full = n_pk > 0
+    size[pk_end[full] - 1] = (b_bytes - (n_pk - 1) * l_p)[full]
+    return VideoTraffic(
+        period_us=period_us, frame_bytes=frame_bytes,
+        first_packet_id=first_packet_id, frame_id=frame_id,
+        frame_gen_us=gen_us, n_batches=n_b,
+        frame_packets=(np.add.reduceat(n_pk, b_start) if len(n_b)
+                       else np.zeros(0, dtype=np.int64)),
+        batch_index=k, batch_bytes=b_bytes, batch_release_us=release,
+        batch_packets=n_pk, packet_bytes=size.tolist(),
+        packet_gen_us=np.repeat(release, n_pk) + j * cfg.intra_batch_gap_us)
 
 
 def generate_video_frames(cfg: TrafficConfig, rng: np.random.Generator,
-                          duration_s: float) -> list[VideoFrame]:
+                          duration_s: float) -> VideoTraffic:
     """All frames generated in [0, duration), packetized, ids sequential.
 
     Draws one batch count per frame period of the run, in one call: the
@@ -157,33 +219,33 @@ def generate_video_frames(cfg: TrafficConfig, rng: np.random.Generator,
     """
     period_us = 1e6 / cfg.fps
     n_frames = max(0, math.ceil(duration_s * 1e6 / period_us))
-    n_batches = rng.integers(1, max_batches(cfg) + 1, size=n_frames)
-    gen_us = np.arange(n_frames) * period_us
+    gen_us, n_batches = _draw_frames(cfg, rng, 0, n_frames)
     n_kept = int(np.count_nonzero(gen_us < duration_s * 1e6))
-    frames = list(map(VideoFrame, range(n_kept), gen_us[:n_kept].tolist(),
-                      repeat(frame_size_bytes(cfg)),
-                      n_batches[:n_kept].tolist(), repeat(period_us)))
-    _packetize(frames, cfg, 0)
-    return frames
+    return _packetize(cfg, np.arange(n_kept), gen_us[:n_kept],
+                      n_batches[:n_kept], frame_size_bytes(cfg), period_us, 0)
 
 
 @dataclass(frozen=True, eq=False)
 class Emissions:
     """Video packet emissions in time order, ties in packet_id order:
-    parallel arrays of emission times (us) and Packets. Iterating gives
-    (time, packet) pairs."""
+    parallel arrays of emission times (us) and packet ids into `traffic`.
+    Iterating gives (time, Packet view) pairs."""
 
     times_us: np.ndarray
-    packets: np.ndarray
+    packet_ids: np.ndarray
+    traffic: VideoTraffic
 
     def __len__(self) -> int:
         return len(self.times_us)
 
     def __iter__(self):
-        return zip(self.times_us.tolist(), self.packets.tolist())
+        packets = self.traffic.packets()
+        rows = self.packet_ids - self.traffic.first_packet_id
+        return zip(self.times_us.tolist(),
+                   map(packets.__getitem__, rows.tolist()))
 
 
-def video_packet_emissions(frames: list[VideoFrame],
+def video_packet_emissions(frames: VideoTraffic,
                            cfg: TrafficConfig) -> Emissions:
     """The emission time of every video packet, time-ordered.
 
@@ -192,23 +254,38 @@ def video_packet_emissions(frames: list[VideoFrame],
     for the next multiple of tau at or after its release time.
     """
     tau_us = cfg.inter_batch_time_ms * 1e3
-    batches = [b for f in frames for b in f.batches]
-    packets = [p for b in batches for p in b.packets]
-    n_pk = np.array([len(b.packets) for b in batches], dtype=np.int64)
-    start = np.array([b.release_time_us for b in batches], dtype=float)
+    n_pk = frames.batch_packets
+    start = frames.batch_release_us
     if cfg.pacer_anchor == "global":
         start = np.ceil(start / tau_us - 1e-9) * tau_us
-    j = np.arange(len(packets)) - np.repeat(np.cumsum(n_pk) - n_pk, n_pk)
+    n = len(frames.packet_bytes)
+    j = np.arange(n) - np.repeat(np.cumsum(n_pk) - n_pk, n_pk)
     times = np.repeat(start, n_pk) + j * cfg.intra_batch_gap_us
-    # packets are listed in packet_id order, so a stable sort on time
-    # alone gives (time, packet_id) order
+    # packets are in packet_id order, so a stable sort on time alone
+    # gives (time, packet_id) order
     order = np.argsort(times, kind="stable")
-    return Emissions(times[order],
-                     np.fromiter(packets, dtype=object,
-                                 count=len(packets))[order])
+    return Emissions(times[order], order + frames.first_packet_id, frames)
 
 
-def ul_controller_stream(cfg: TrafficConfig, duration_s: float) -> list[Packet]:
+@dataclass(frozen=True, eq=False)
+class UplinkStream:
+    """Uplink controller packets by column: the generation time (us) of
+    each, all of one size. Packet k, from 1, is generated at
+    k * ul_period. Iterating gives Packet views."""
+
+    times_us: np.ndarray
+    size_bytes: int
+
+    def __len__(self) -> int:
+        return len(self.times_us)
+
+    def __iter__(self):
+        return map(Packet, range(1, len(self) + 1), repeat(UL_STREAM),
+                   repeat(self.size_bytes), self.times_us.tolist())
+
+
+def ul_controller_stream(cfg: TrafficConfig,
+                         duration_s: float) -> UplinkStream:
     """Fixed-size uplink controller packets, one per refresh period.
 
     Packet k is generated at k * ul_period, k >= 1, so a run of length D
@@ -218,9 +295,5 @@ def ul_controller_stream(cfg: TrafficConfig, duration_s: float) -> list[Packet]:
         raise ValueError("ul_period_ms must be positive")
     period_us = cfg.ul_period_ms * 1e3
     count = math.floor(duration_s * 1e6 / period_us + 1e-9)
-    return [
-        Packet(packet_id=k, stream=UL_STREAM,
-               size_bytes=cfg.ul_packet_size_bytes,
-               gen_time_us=k * period_us)
-        for k in range(1, count + 1)
-    ]
+    return UplinkStream(np.arange(1, count + 1) * period_us,
+                        cfg.ul_packet_size_bytes)

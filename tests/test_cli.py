@@ -134,7 +134,7 @@ def test_simulate_analyzes_the_records_it_writes(traffic, tmp_path,
     parsed = traceio.parse_trace(str(out / "sim_trace.csv"))
     (records,) = analysed
     assert records and not parsed.skipped
-    assert records == list(parsed.records)
+    assert list(records) == list(parsed.records)
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])

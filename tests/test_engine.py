@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from vrwifi import mac as mac_mod
-from vrwifi import phy
+from vrwifi import phy, traceio
 from vrwifi.config import validate_config
 from vrwifi.engine import run_seeds, run_simulation, run_sweep, set_axis
 from vrwifi.mac import AP
@@ -262,6 +262,85 @@ def test_vf_delay_no_smaller_than_largest_packet_delay():
         worst_packet = max(p.delivery_time_us - p.enqueue_time_us
                            for p in pkts)
         assert vf >= worst_packet - 1e-9
+
+
+# kept runs whose columns are checked against the per-packet rules: tail
+# drops, retransmissions and incomplete frames at MCS 0, and the global
+# pacer at a frame rate whose RTP timestamps need rounding; both with a
+# warm-up
+KEPT_RUNS = {
+    "mcs0_per0.2_buffer50": {"phy": {"mcs_index": 0},
+                             "mac": {"per": 0.2, "ap_buffer": 50}},
+    "global_pacer_fps70": {"traffic": {"pacer_anchor": "global",
+                                       "fps": 70.0}},
+}
+
+
+def reference_video_trace(frames, attr):
+    """One TraceRecord per packet at its `attr` instant, one packet at a
+    time over the object view: time-sorted, then rounded to the
+    microsecond."""
+    out = []
+    for frame in frames:
+        ts = int(round(frame.gen_time_us * traceio.RTP_CLOCK_HZ / 1e6))
+        for batch in frame.batches:
+            for pkt in batch.packets:
+                t_us = getattr(pkt, attr)
+                if t_us is None:
+                    continue
+                out.append(traceio.TraceRecord(
+                    timestamp_s=t_us / 1e6, length=pkt.size_bytes,
+                    src_port=traceio.VIDEO_PORT[0],
+                    dst_port=traceio.VIDEO_PORT[1], direction="DL",
+                    rtp_payload_type=traceio.VIDEO_PT,
+                    rtp_ssrc=traceio.VIDEO_SSRC, rtp_timestamp=ts))
+    out.sort(key=lambda r: r.timestamp_s)
+    for r in out:
+        r.timestamp_s = float(f"{r.timestamp_s:.6f}")
+    return out
+
+
+def reference_frame_delays(frames, warmup_us):
+    """(VF delays, assembly delays, incomplete frames), one frame at a
+    time over the object view."""
+    vf, assembly, incomplete = [], [], 0
+    for frame in frames:
+        packets = [p for b in frame.batches for p in b.packets]
+        if frame.gen_time_us < warmup_us or not packets:
+            continue
+        deliveries = [p.delivery_time_us for p in packets]
+        if None in deliveries:
+            incomplete += 1
+            continue
+        vf.append(max(deliveries) - min(p.gen_time_us for p in packets))
+        assembly.append(max(deliveries) - min(deliveries))
+    return vf, assembly, incomplete
+
+
+@pytest.mark.parametrize("name", sorted(KEPT_RUNS))
+def test_kept_run_columns_follow_the_per_packet_rules(name):
+    cfg = fast_cfg(warmup_ms=200.0, **KEPT_RUNS[name])
+    res = run_simulation(cfg, 2, keep_packets=True)
+    frames, m = res.frames, res.metrics
+    packets = [p for f in frames for b in f.batches for p in b.packets]
+    assert [(p.enqueue_time_us, p.delivery_time_us, p.retx_count)
+            for p in packets] == list(zip(
+                frames.enqueue_us, frames.delivery_us, frames.retx_count))
+    delivered = [p for p in packets if p.delivery_time_us is not None]
+    assert len(delivered) == m.delivered_video
+    assert sorted(p.delivery_time_us - p.enqueue_time_us for p in delivered
+                  if p.enqueue_time_us >= m.warmup_us) == sorted(
+                      m.dl_packet_delays_us)
+    if name.startswith("mcs0"):
+        assert m.dropped_buffer and m.incomplete_frames
+        assert max(frames.retx_count) > 0
+
+    assert list(traceio.delivered_trace(frames)) == reference_video_trace(
+        frames, "delivery_time_us")
+    assert list(traceio.generated_video_trace(frames)) == (
+        reference_video_trace(frames, "gen_time_us"))
+    assert (m.vf_delays_us, m.assembly_delays_us, m.incomplete_frames) == (
+        reference_frame_delays(frames, m.warmup_us))
 
 
 def test_collisions_disabled_mode_runs_clean():

@@ -3,19 +3,16 @@ import pytest
 
 from vrwifi import mac
 from vrwifi.config import MacConfig
-from vrwifi.traffic import Packet, VIDEO_STREAM
 
 
-def pkt(pid, size=1243, retx=0):
-    p = Packet(packet_id=pid, stream=VIDEO_STREAM, size_bytes=size,
-               gen_time_us=float(pid))
-    p.retx_count = retx
-    return p
+def packets(n=10_001, size=1243):
+    """Columns of n packets of one size, ids 0 to n - 1."""
+    return mac.Packets.of_sizes([size] * n)
 
 
-def ap(capacity=1000):
+def ap(capacity=1000, pk=None):
     cfg = MacConfig(ap_buffer=capacity)
-    return mac.make_station(mac.AP, cfg)
+    return mac.make_station(mac.AP, cfg, pk or packets())
 
 
 def rng(seed=0):
@@ -24,32 +21,32 @@ def rng(seed=0):
 
 def test_station_capacities_from_config():
     cfg = MacConfig()
-    assert mac.make_station(mac.AP, cfg).capacity == 1000
-    assert mac.make_station(mac.CLIENT, cfg).capacity == 150
+    assert mac.make_station(mac.AP, cfg, packets()).capacity == 1000
+    assert mac.make_station(mac.CLIENT, cfg, packets()).capacity == 150
 
 
 def test_enqueue_accepts_below_capacity():
     st = ap(capacity=1000)
     for i in range(999):
-        assert mac.enqueue(st, pkt(i), float(i)) == "accepted"
-    assert mac.enqueue(st, pkt(999), 999.0) == "accepted"
+        assert mac.enqueue(st, i, float(i)) == "accepted"
+    assert mac.enqueue(st, 999, 999.0) == "accepted"
     assert st.drops_buffer == 0
 
 
 def test_enqueue_tail_drops_at_capacity():
     st = ap(capacity=1000)
     for i in range(1000):
-        mac.enqueue(st, pkt(i), 0.0)
-    assert mac.enqueue(st, pkt(1000), 1.0) == "dropped"
+        mac.enqueue(st, i, 0.0)
+    assert mac.enqueue(st, 1000, 1.0) == "dropped"
     assert st.drops_buffer == 1
     assert len(st.buffer) == 1000
 
 
 def test_enqueue_stamps_time():
     st = ap()
-    p = pkt(0)
-    mac.enqueue(st, p, 123.5)
-    assert p.enqueue_time_us == 123.5
+    mac.enqueue(st, 0, 123.5)
+    assert st.packets.enqueue_us[0] == 123.5
+    assert st.packets.enqueue_us[1] is None
 
 
 def test_backoff_within_window():
@@ -86,17 +83,17 @@ def test_cw_for_retry_scaling():
 def test_assemble_respects_max_ampdu():
     st = ap()
     for i in range(300):
-        mac.enqueue(st, pkt(i), 0.0)
+        mac.enqueue(st, i, 0.0)
     ampdu = mac.assemble_ampdu(st, max_ampdu=256)
     assert len(ampdu) == 256
-    assert [p.packet_id for p in ampdu.mpdus] == list(range(256))
+    assert ampdu.mpdus == list(range(256))
     assert len(st.buffer) == 44
 
 
 def test_assemble_takes_whole_small_buffer():
     st = ap()
     for i in range(14):
-        mac.enqueue(st, pkt(i), 0.0)
+        mac.enqueue(st, i, 0.0)
     ampdu = mac.assemble_ampdu(st, max_ampdu=256)
     assert len(ampdu) == 14
     assert ampdu.total_bytes == 14 * 1243
@@ -109,29 +106,29 @@ def test_assemble_empty_buffer_no_attempt():
 def test_assemble_with_snapshot_limit():
     st = ap()
     for i in range(40):
-        mac.enqueue(st, pkt(i), 0.0)
+        mac.enqueue(st, i, 0.0)
     ampdu = mac.assemble_ampdu(st, max_ampdu=256, limit=10)
     assert len(ampdu) == 10
-    assert [p.packet_id for p in ampdu.mpdus] == list(range(10))
+    assert ampdu.mpdus == list(range(10))
 
 
 def test_assemble_byte_bound():
     st = ap()
     for i in range(100):
-        mac.enqueue(st, pkt(i), 0.0)
+        mac.enqueue(st, i, 0.0)
     ampdu = mac.assemble_ampdu(st, max_ampdu=256, max_bytes=65535)
     assert len(ampdu) == 65535 // 1243 == 52
     assert ampdu.total_bytes <= 65535
     # a single oversized packet still goes out alone
-    st2 = ap()
-    mac.enqueue(st2, pkt(0, size=70_000), 0.0)
+    st2 = ap(pk=packets(1, size=70_000))
+    mac.enqueue(st2, 0, 0.0)
     assert len(mac.assemble_ampdu(st2, 256, max_bytes=65535)) == 1
 
 
 def test_apply_per_extremes():
     st = ap()
     for i in range(20):
-        mac.enqueue(st, pkt(i), 0.0)
+        mac.enqueue(st, i, 0.0)
     ampdu = mac.assemble_ampdu(st, 256)
     assert mac.apply_per(ampdu, 0.0, rng()).all()
     assert not mac.apply_per(ampdu, 1.0, rng()).any()
@@ -140,7 +137,7 @@ def test_apply_per_extremes():
 def test_apply_per_binomial_three_sigma():
     st = ap()
     for i in range(10_000):
-        st.buffer.append(pkt(i))
+        st.buffer.append(i)
     ampdu = mac.assemble_ampdu(st, max_ampdu=10_000)
     failures = int((~mac.apply_per(ampdu, 0.1, rng(7))).sum())
     assert abs(failures - 1000) <= 90   # 3 sigma of Binomial(1e4, 0.1)
@@ -149,7 +146,7 @@ def test_apply_per_binomial_three_sigma():
 def test_handle_back_all_success():
     st = ap()
     for i in range(10):
-        mac.enqueue(st, pkt(i), 0.0)
+        mac.enqueue(st, i, 0.0)
     ampdu = mac.assemble_ampdu(st, 256)
     delivered, requeued, dropped = mac.handle_back(
         st, ampdu, np.ones(10, dtype=bool), max_retx=7)
@@ -160,34 +157,34 @@ def test_handle_back_all_success():
 def test_handle_back_failed_subset_precedes_new_packets():
     st = ap()
     for i in range(6):
-        mac.enqueue(st, pkt(i), 0.0)
+        mac.enqueue(st, i, 0.0)
     ampdu = mac.assemble_ampdu(st, max_ampdu=4)    # takes 0..3
     flags = np.array([True, False, True, False])
     delivered, requeued, dropped = mac.handle_back(st, ampdu, flags, 7)
-    assert [p.packet_id for p in delivered] == [0, 2]
-    assert [p.packet_id for p in requeued] == [1, 3]
-    assert all(p.retx_count == 1 for p in requeued)
+    assert delivered == [0, 2]
+    assert requeued == [1, 3]
+    assert st.packets.retx_count[:6] == [0, 1, 0, 1, 0, 0]
     nxt = mac.assemble_ampdu(st, 256)
-    assert [p.packet_id for p in nxt.mpdus] == [1, 3, 4, 5]
+    assert nxt.mpdus == [1, 3, 4, 5]
 
 
 def test_handle_back_drop_after_max_retx():
     st = ap()
-    p = pkt(0, retx=7)
-    mac.enqueue(st, p, 0.0)
+    st.packets.retx_count[0] = 7
+    mac.enqueue(st, 0, 0.0)
     ampdu = mac.assemble_ampdu(st, 256)
     delivered, requeued, dropped = mac.handle_back(
         st, ampdu, np.array([False]), max_retx=7)
-    assert dropped == [p] and not delivered and not requeued
+    assert dropped == [0] and not delivered and not requeued
     assert st.drops_retx == 1
     assert len(st.buffer) == 0
 
 
 def test_handle_back_retry_below_limit_requeues():
     st = ap()
-    p = pkt(0, retx=6)
-    mac.enqueue(st, p, 0.0)
+    st.packets.retx_count[0] = 6
+    mac.enqueue(st, 0, 0.0)
     ampdu = mac.assemble_ampdu(st, 256)
     _, requeued, dropped = mac.handle_back(st, ampdu, np.array([False]), 7)
-    assert requeued == [p] and not dropped
-    assert p.retx_count == 7
+    assert requeued == [0] and not dropped
+    assert st.packets.retx_count[0] == 7

@@ -3,14 +3,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vrwifi import metrics as mx
-from vrwifi.mac import Ampdu
-from vrwifi.traffic import Packet, VideoFrame, UL_STREAM, VIDEO_STREAM
+from vrwifi.mac import Ampdu, Packets
 
 
-def delivered_packet(pid, enqueue, delivery, stream=VIDEO_STREAM):
-    return Packet(packet_id=pid, stream=stream, size_bytes=1243,
-                  gen_time_us=enqueue, enqueue_time_us=enqueue,
-                  delivery_time_us=delivery)
+def delivered_packets(*times):
+    """Columns of 1243-B packets, one per (enqueue, delivery) pair."""
+    pk = Packets.of_sizes([1243] * len(times))
+    pk.enqueue_us[:] = [enqueue for enqueue, _ in times]
+    pk.delivery_us[:] = [delivery for _, delivery in times]
+    return pk
 
 
 def test_summarize_basic():
@@ -64,53 +65,59 @@ def test_ecdf_empty_errors():
 
 def test_record_delivery_appends_delay_only():
     m = mx.RunMetrics()
-    m.record_delivery(delivered_packet(0, 10.0, 1210.0))
-    m.record_delivery(delivered_packet(1, 10.0, 1210.0))
+    pk = delivered_packets((10.0, 1210.0), (10.0, 1210.0))
+    m.record_delivery(pk, [0], uplink=False)
+    m.record_delivery(pk, [1], uplink=False)
     assert m.dl_packet_delays_us == [1200.0, 1200.0]   # 1.2 ms each
     assert m.ampdu_sizes == []       # sizes are sampled per attempt only
 
 
 def test_record_delivery_routes_ul_stream():
     m = mx.RunMetrics()
-    p = delivered_packet(0, 0.0, 500.0, stream=UL_STREAM)
-    m.record_delivery(p)
+    m.record_delivery(delivered_packets((0.0, 500.0)), [0], uplink=True)
     assert m.ul_packet_delays_us == [500.0]
     assert m.dl_packet_delays_us == []
 
 
+def test_record_delivery_skips_warmup_enqueues_in_order():
+    m = mx.RunMetrics(warmup_us=100.0)
+    pk = delivered_packets((99.0, 900.0), (150.0, 900.0), (100.0, 900.0))
+    m.record_delivery(pk, [2, 0, 1], uplink=False)
+    assert m.dl_packet_delays_us == [800.0, 750.0]
+
+
 def test_record_attempt_counts_retransmission_attempts():
     m = mx.RunMetrics()
-    ampdu = Ampdu(mpdus=[delivered_packet(0, 0, 1)], total_bytes=1243)
+    ampdu = Ampdu(mpdus=[0], total_bytes=1243)
     m.record_attempt(ampdu)
-    retx = Ampdu(mpdus=[delivered_packet(0, 0, 2)], total_bytes=1243)
+    retx = Ampdu(mpdus=[0], total_bytes=1243)
     m.record_attempt(retx)
     assert m.ampdu_sizes == [1, 1]
 
 
+def vf_delays(gen_us, delivery_us, starts):
+    return mx.vf_delay(np.array(gen_us, dtype=float),
+                       np.array(delivery_us, dtype=float),
+                       np.array(starts)).tolist()
+
+
 def test_vf_delay_single_packet_frame():
-    frame = VideoFrame(frame_id=0, gen_time_us=100.0, size_bytes=1243,
-                       n_batches=1, period_us=11111.0)
-    pkt = delivered_packet(0, 100.0, 900.0)
-    pkt.gen_time_us = 100.0
-    assert mx.vf_delay(frame, [pkt]) == 800.0
+    assert vf_delays([100.0], [900.0], [0]) == [800.0]
 
 
 def test_vf_delay_spans_first_gen_to_last_delivery():
-    frame = VideoFrame(frame_id=0, gen_time_us=0.0, size_bytes=2486,
-                       n_batches=2, period_us=11111.0)
-    early = delivered_packet(0, 0.0, 700.0)
-    late = delivered_packet(1, 5560.0, 6500.0)
-    late.gen_time_us = 5560.0
-    assert mx.vf_delay(frame, [early, late]) == 6500.0
+    # one frame of two batches: the late batch's packet is delivered last
+    assert vf_delays([0.0, 5560.0], [700.0, 6500.0], [0]) == [6500.0]
+    # each frame spans its own packets only
+    assert vf_delays([0.0, 5560.0, 11111.0, 11116.0],
+                     [700.0, 6500.0, 12000.0, 11900.0],
+                     [0, 2]) == [6500.0, 889.0]
 
 
 def test_vf_delay_undelivered_raises():
-    frame = VideoFrame(frame_id=3, gen_time_us=0.0, size_bytes=1243,
-                       n_batches=1, period_us=11111.0)
-    pkt = delivered_packet(0, 0.0, 700.0)
-    pkt.delivery_time_us = None
     with pytest.raises(ValueError, match="frame 3"):
-        mx.vf_delay(frame, [pkt])
+        vf_delays([0.0, 10.0, 20.0, 30.0, 40.0],
+                  [700.0, 710.0, 720.0, 730.0, None], [0, 1, 2, 3])
 
 
 def test_airtime_fraction_explicit_duration():

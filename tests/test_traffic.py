@@ -138,7 +138,7 @@ def test_ul_stream_count_and_load(traffic_cfg):
 
 
 def test_ul_stream_zero_duration(traffic_cfg):
-    assert tr.ul_controller_stream(traffic_cfg, 0.0) == []
+    assert list(tr.ul_controller_stream(traffic_cfg, 0.0)) == []
 
 
 def test_ul_stream_bad_period():
