@@ -351,8 +351,9 @@ def test_collisions_disabled_mode_runs_clean():
     assert generated == accounted
 
 
-# sha256 of every sample list, counter and tx_log entry of a 1 s seed-1
-# run. The event loop may be reworked for speed, but these must not move.
+# sha256 of every sample list, counter and tx_log entry of a seed-1 run,
+# 1 s unless given. The event loop may be reworked for speed, but these
+# must not move.
 PINNED_RUNS = {
     "defaults": (
         {},
@@ -390,6 +391,13 @@ PINNED_RUNS = {
     "mcs0_per_tail_drops": (
         {"phy": {"mcs_index": 0}, "mac": {"per": 0.2, "ap_buffer": 50}},
         "ecfdb9f416e70766af39757e96bed22affac78ccf3184c986249a7a54f6e7163"),
+    # the same link for 3 s: failed MPDUs requeued at the head leave the
+    # AP buffer above its capacity, and the arrivals that find it so are
+    # tail-dropped
+    "mcs0_per_requeue_over_capacity": (
+        {"duration_s": 3.0, "phy": {"mcs_index": 0},
+         "mac": {"per": 0.2, "ap_buffer": 50}},
+        "cefd1257a619c201b0569d3257560b44025b1dc20b91ddad071d3179ca497ede"),
 }
 
 
