@@ -4,24 +4,39 @@ traffic), and sweep orchestration across seeds.
 
 Event ordering contract (what makes a run replay bit-identically):
 
-- Packet arrivals are known before the loop starts. They sit in two
-  parallel pre-sorted lists, times and packet ids, walked by a cursor.
-  Every arrival up to the pending runtime event is admitted in one
-  pass; only one that newly backlogs a station can move that event.
+- Packet arrivals are known before the loop starts. Each station has
+  its own pre-sorted lists of arrival times and packet ids, walked by a
+  cursor.
 - At most one runtime event is pending, at `_Sim.wake_us`: while the
   channel is busy, the end of the exchange on the air; while it is
   idle, the earliest backoff expiry (none if no station is backlogged).
   A new earliest expiry replaces the pending one, so no event is ever
   stale.
-- At equal times an arrival is handled before the runtime event.
-- At equal times a video arrival is handled before an uplink arrival.
+- At equal times an arrival is handled before the runtime event, and a
+  video arrival before an uplink arrival.
+- Before each runtime event, every arrival up to it (and up to the end
+  of the run) is admitted: one bisect and one slice into mac.enqueue per
+  station. Only an arrival that newly backlogs a station on an idle
+  channel is admitted alone, in time order, and resolved at once: it
+  draws that station's backoff and may bring the runtime event forward,
+  which shortens the span still to admit. An already backlogged
+  station's timers are armed (or frozen under a busy channel), so its
+  arrivals commute with that resolve.
+- The loop only records what the statistics need: the admitted AP
+  arrivals, the time and size of each AP queue drop at an exchange end,
+  and each exchange's delivered ids and stamp. After the loop the AP
+  queue integral and busy time are summed from those records in event
+  order (arrivals first at equal times), with the same sequential
+  floating-point additions as a running sum, and the delay samples and
+  delivery times are built in one numpy pass per stream.
 
 Packet state is columnar: a packet is an integer id, video packets first
 in packet_id order and uplink packets after them. Station buffers and
-A-MPDUs hold ids, and sizes, enqueue and delivery times and retry counts
-are per-packet lists (mac.Packets). Frame delays come from the delivery
-column in one reduction over the frame offsets. A run that keeps its
-packets returns its traffic columns with that run state attached.
+A-MPDUs hold ids, sizes and retry counts are per-packet lists
+(mac.Packets), and a packet's enqueue time is its arrival time. Frame
+delays come from the delivery column in one reduction over the frame
+offsets. A run that keeps its packets returns its traffic columns with
+the enqueue and delivery times and retry counts attached.
 
 One PCG64 stream per run keeps every run reproducible and independent of
 any other.
@@ -31,6 +46,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -42,7 +58,7 @@ from vrwifi import phy as phy_mod
 from vrwifi import traffic as traffic_mod
 from vrwifi.config import SimConfig, validate_config
 from vrwifi.mac import AP, CLIENT, MacStation, Packets
-from vrwifi.metrics import RunMetrics, TxRecord, vf_delay
+from vrwifi.metrics import DeliveryLog, RunMetrics, TxRecord, vf_delay
 from vrwifi.traffic import VideoTraffic
 
 SWEEP_AXES = {
@@ -80,10 +96,11 @@ class _Sim:
         self.metrics = RunMetrics(duration_us=self.duration_us,
                                   warmup_us=self.warmup_us,
                                   buffer_capacity=cfg.mac.ap_buffer)
-        # AP packets admitted and not yet delivered or dropped, including
-        # those inside an in-flight A-MPDU; integrated since queue_t
-        self.ap_outstanding = 0
-        self.queue_t = 0.0
+        # each station's deliveries, and the time and size of each drop
+        # of the AP queue at an exchange end (delivered plus dropped)
+        self.delivered = {AP: DeliveryLog(), CLIENT: DeliveryLog()}
+        self.ap_end_us: list[float] = []
+        self.ap_end_n: list[int] = []
         self.drawn = {AP: -1, CLIENT: -1}
         self.airtime_cache: dict = {}   # (bytes, mpdus, rts_cts) -> us
         # pre-computed timing constants
@@ -140,21 +157,47 @@ class _Sim:
         if b > a:
             self.metrics.airtime_busy_us += b - a
 
-    def advance_queue(self, now: float, change: int = 0) -> None:
-        """Integrate the AP queue length since queue_t, clipped to the
-        measured window, then change it by `change` packets."""
-        # max(queue_t, warmup) and min(now, duration), without the calls
-        a, b = self.queue_t, now
-        if self.warmup_us > a:
-            a = self.warmup_us
-        if self.duration_us < b:
-            b = self.duration_us
-        if b > a:
-            self.metrics.buffer_level_integral += self.ap_outstanding * (b - a)
-            if self.ap_outstanding > 0:
-                self.metrics.buffer_busy_us += b - a
-        self.queue_t = now
-        self.ap_outstanding += change
+    def queue_statistics(self, arrive_us: np.ndarray) -> None:
+        """The AP queue's length integral and busy time over the measured
+        window, from its admitted arrival times (in time order).
+
+        The queue grows by one at each admitted arrival and shrinks at
+        each AP exchange end by the packets delivered or dropped;
+        arrivals come first at equal times. Each interval between two
+        changes (the last one ends at the end of the run), clipped to
+        [warm-up, duration], that is not empty and has packets queued
+        adds its length to the busy time and its length times the queue
+        length to the integral. The sums run in event order with
+        np.cumsum, a sequential add, so they equal a running sum in the
+        loop bit for bit; the empty-queue intervals it skips would add
+        +0.0.
+        """
+        end_us = np.array(self.ap_end_us)
+        # each exchange end's place among the changes: after the arrivals
+        # up to its time and the ends before it
+        at = (np.searchsorted(arrive_us, end_us, side="right")
+              + np.arange(len(end_us)))
+        is_end = np.zeros(len(arrive_us) + len(end_us), dtype=bool)
+        is_end[at] = True
+        t = np.empty(len(is_end))
+        t[is_end] = end_us
+        t[~is_end] = arrive_us
+        level = np.ones(len(t), dtype=np.int64)
+        level[at] = -np.array(self.ap_end_n, dtype=np.int64)
+        del end_us, at, is_end
+        np.cumsum(level, out=level)   # the queue length after each change
+        length = np.append(t[1:], self.duration_us)
+        np.minimum(length, self.duration_us, out=length)
+        np.maximum(t, self.warmup_us, out=t)
+        length -= t
+        del t
+        counted = (length > 0) & (level > 0)
+        length, level = length[counted], level[counted]
+        m = self.metrics
+        m.buffer_busy_us = float(np.cumsum(length)[-1]) if len(length) else 0.0
+        length *= level
+        m.buffer_level_integral = (float(np.cumsum(length)[-1])
+                                   if len(length) else 0.0)
 
     # -- event handlers ---------------------------------------------------
 
@@ -228,21 +271,17 @@ class _Sim:
         delivered, requeued, dropped = mac_mod.handle_back(
             st, ampdu, flags, self.cfg.mac.max_retx)
         if st.role == AP and (delivered or dropped):
-            self.advance_queue(self.now, -len(delivered) - len(dropped))
+            self.ap_end_us.append(self.now)
+            self.ap_end_n.append(len(delivered) + len(dropped))
         if delivered:
             if self.cfg.mac.delivery_stamp == "back_end":
                 stamp = self.now
             else:
                 stamp = self.now - self.cfg.mac.sifs_us - self.back_air
-            delivery = self.packets.delivery_us
-            for pid in delivered:
-                delivery[pid] = stamp
-            if st.role == AP:
-                self.metrics.delivered_video += len(delivered)
-            else:
-                self.metrics.delivered_ul += len(delivered)
-            self.metrics.record_delivery(self.packets, delivered,
-                                         st.role == CLIENT)
+            log = self.delivered[st.role]
+            log.ids += delivered
+            log.stamps.append(stamp)
+            log.counts.append(len(delivered))
         policy = self.cfg.mac.cw_policy
         if policy != "retry":
             if not delivered:
@@ -255,119 +294,160 @@ class _Sim:
 
     # -- main loop --------------------------------------------------------
 
-    def arrivals(self, frames: VideoTraffic) -> tuple[list, list, Packets]:
-        """Every packet arrival as parallel lists of times and packet ids,
-        time-ordered with video first at ties, and the run's Packets
-        columns; the times end in an inf sentinel. Video emitted at or
-        after the end is left out. The numpy temporaries are freed on
-        return, before the loop runs."""
+    def arrivals(self, frames: VideoTraffic) -> tuple:
+        """Each station's packet arrivals as a time-ordered list of times,
+        ending in an inf sentinel, and a parallel list of packet ids (AP,
+        then client); every packet's arrival time by id; and the run's
+        Packets columns. Video emitted at or after the end is left out of
+        the AP's lists. The numpy temporaries are freed on return, before
+        the loop runs."""
         cfg = self.cfg
         video = traffic_mod.video_packet_emissions(frames, cfg.traffic)
-        n_video = int(np.searchsorted(video.times_us, self.duration_us))
-        times, ids = video.times_us[:n_video], video.packet_ids[:n_video]
         sizes = frames.packet_bytes
+        n_video = len(sizes)
+        ul_times = np.zeros(0)
         if cfg.traffic.ul_enabled:
             ul = traffic_mod.ul_controller_stream(cfg.traffic, cfg.duration_s)
-            times = np.concatenate([times, ul.times_us])
-            ids = np.concatenate(
-                [ids, len(sizes) + np.arange(len(ul), dtype=ids.dtype)])
+            ul_times = ul.times_us
             sizes = sizes + [ul.size_bytes] * len(ul)
-        order = np.argsort(times, kind="stable")   # video first at ties
-        times = times[order].tolist()
-        times.append(math.inf)
-        return times, ids[order].tolist(), Packets.of_sizes(sizes)
+        arrival_us = np.empty(len(sizes))
+        arrival_us[video.packet_ids] = video.times_us
+        arrival_us[n_video:] = ul_times
+        cut = int(np.searchsorted(video.times_us, self.duration_us))
+        ap_times = video.times_us[:cut].tolist()
+        ap_times.append(math.inf)
+        client_times = ul_times.tolist()
+        client_times.append(math.inf)
+        return ((ap_times, video.packet_ids[:cut].tolist()),
+                (client_times, list(range(n_video, len(sizes)))),
+                arrival_us, Packets.of_sizes(sizes))
 
     def run(self) -> RunResult:
         cfg = self.cfg
         frames = traffic_mod.generate_video_frames(
             cfg.traffic, self.rng, cfg.duration_s)
-        times, ids, self.packets = self.arrivals(frames)
+        ((ap_times, ap_ids), (ul_times, ul_ids), arrival_us,
+         self.packets) = self.arrivals(frames)
         ap = self.stations[AP] = mac_mod.make_station(AP, cfg.mac,
                                                       self.packets)
         client = self.stations[CLIENT] = mac_mod.make_station(
             CLIENT, cfg.mac, self.packets)
-        enqueue, advance_queue = mac_mod.enqueue, self.advance_queue
+        enqueue = mac_mod.enqueue
         duration_us = self.duration_us
-        # ids from n_video on are uplink packets
-        n_video = len(frames.packet_bytes)
-        i = n_ul = 0
+        inf = math.inf
+        a = u = 0   # arrivals handled so far, AP and client
+        # [first dropped, end of span, ...] for each AP span with drops
+        ap_drops = []
         now = self.now
         while True:
-            # arrivals win ties against the runtime event: admit every
-            # arrival up to it in one pass
             wake = self.wake_us
-            t = times[i]
-            while t <= wake:
-                # an uplink packet at t == end still enters; >= moves digests
-                if t > duration_us:
-                    break
-                assert t >= now - 1e-6, "virtual clock went backwards"
-                if t > now:
-                    now = t
-                pid = ids[i]
-                i += 1
-                if pid >= n_video:
-                    st = client
-                    n_ul += 1
-                else:
-                    st = ap
-                if enqueue(st, pid, now) == "accepted":
+            limit = wake if wake < duration_us else duration_us
+            if self.in_flight is None:
+                # an arrival that backlogs an empty station is admitted
+                # alone, earliest first and video first at ties, and
+                # resolved: it may bring the runtime event forward
+                while True:
+                    t_ap = inf if ap.buffer else ap_times[a]
+                    t_ul = inf if client.buffer else ul_times[u]
+                    if t_ap <= t_ul:
+                        t, st = t_ap, ap
+                    else:
+                        t, st = t_ul, client
+                    if t > limit:
+                        break
+                    assert t >= now - 1e-6, "virtual clock went backwards"
+                    if t > now:
+                        now = t
+                    # an empty buffer has room: capacities are at least 1
                     if st is ap:
-                        advance_queue(now, 1)
-                    if len(st.buffer) == 1:
-                        # an already backlogged station's timers are
-                        # armed (or frozen under a busy channel), so only
-                        # a newly backlogged one can move the earliest
-                        # expiry
-                        self.now = now
-                        self.resolve()
-                        wake = self.wake_us
-                t = times[i]
-            if t <= wake:
-                break   # the next arrival is past the end
-            self.wake_us = math.inf
+                        enqueue(ap, ap_ids[a:a + 1])
+                        a += 1
+                    else:
+                        enqueue(client, ul_ids[u:u + 1])
+                        u += 1
+                    self.now = now
+                    self.resolve()
+                    wake = self.wake_us
+                    limit = wake if wake < duration_us else duration_us
+            # the rest of each station's arrivals up to the event, and
+            # those at its time: an uplink packet at t == end still
+            # enters, and leaving it out moves digests
+            end = bisect_right(ap_times, limit, a)
+            if end > a:
+                taken = enqueue(ap, ap_ids[a:end])
+                if a + taken < end:
+                    ap_drops += (a + taken, end)
+                a = end
+            end = bisect_right(ul_times, limit, u)
+            if end > u:
+                enqueue(client, ul_ids[u:end])
+                u = end
             if wake > duration_us:
                 break
             assert wake >= now - 1e-6, "virtual clock went backwards"
             if wake > now:
                 now = wake
             self.now = now
+            self.wake_us = inf
             if self.in_flight is not None:
                 self.on_end()
             else:
                 self.on_access()
-        self.now = now
 
         m = self.metrics
-        m.generated_ul, m.generated_video = n_ul, i - n_ul
-        self.advance_queue(self.duration_us)
-        packets = self.packets
-        self.finalize_frames(frames, packets.delivery_us[:n_video])
+        m.generated_video, m.generated_ul = a, u
+        n_video = len(frames.packet_bytes)
+        # the AP's admitted arrivals: each span's prefix up to its drops
+        bounds = [0, *ap_drops, a]
+        admitted = np.repeat(np.resize([True, False], len(bounds) - 1),
+                             np.diff(bounds))
+        del ap_times[a:], ap_ids[a:], ul_times, ul_ids
+        kept = None
+        if self.keep_packets:
+            # the times and stamps as the loop's own float objects
+            log = self.delivered[AP]
+            kept = dataclasses.replace(
+                frames,
+                enqueue_us=_column(
+                    n_video, np.array(ap_ids)[admitted],
+                    np.array(ap_times, dtype=object)[admitted]),
+                delivery_us=_column(
+                    n_video, log.ids,
+                    np.repeat(np.array(log.stamps, dtype=object),
+                              log.counts)),
+                retx_count=self.packets.retx_count[:n_video])
+        del ap_ids
+        arrive_us = np.array(ap_times)[admitted]
+        del ap_times, admitted
+        self.queue_statistics(arrive_us)
+        del arrive_us
+        m.delivered_video = len(self.delivered[AP].ids)
+        m.delivered_ul = len(self.delivered[CLIENT].ids)
+        delivery_us = np.full(len(arrival_us), np.nan)
+        for role, uplink in ((AP, False), (CLIENT, True)):
+            m.record_delivery(self.delivered.pop(role), arrival_us,
+                              delivery_us, uplink)
+        del arrival_us
+        self.finalize_frames(frames, delivery_us[:n_video])
         m.dropped_retx = sum(s.drops_retx for s in self.stations.values())
         m.dropped_buffer = sum(s.drops_buffer for s in self.stations.values())
         in_flight_count = (len(self.in_flight[1].mpdus)
                            if isinstance(self.in_flight, tuple) else 0)
         m.residual = (sum(len(s.buffer) for s in self.stations.values())
                       + in_flight_count)
-        kept = None
-        if self.keep_packets:
-            kept = dataclasses.replace(
-                frames, enqueue_us=packets.enqueue_us[:n_video],
-                delivery_us=packets.delivery_us[:n_video],
-                retx_count=packets.retx_count[:n_video])
         return RunResult(config_echo=cfg, seed=self.seed, metrics=m,
                          frames=kept)
 
     def finalize_frames(self, frames: VideoTraffic,
-                        delivery_us: list) -> None:
+                        delivery_us: np.ndarray) -> None:
         """Frame-level delays for every fully delivered post-warm-up
-        frame, in frame order, from each video packet's delivery time."""
+        frame, in frame order, from each video packet's delivery time
+        (NaN if undelivered)."""
         has_packets = frames.frame_packets > 0
         n_pk = frames.frame_packets[has_packets]
-        delivered = np.array(delivery_us, dtype=float)   # None: NaN
         starts = np.cumsum(n_pk) - n_pk
-        last = np.maximum.reduceat(delivered, starts)
-        first = np.minimum.reduceat(delivered, starts)
+        last = np.maximum.reduceat(delivery_us, starts)
+        first = np.minimum.reduceat(delivery_us, starts)
         measured = frames.frame_gen_us[has_packets] >= self.warmup_us
         done = measured & ~np.isnan(last)
         m = self.metrics
@@ -377,8 +457,16 @@ class _Sim:
         rows = np.repeat(done, n_pk)
         n_pk = n_pk[done]
         m.vf_delays_us.extend(vf_delay(frames.packet_gen_us[rows],
-                                       delivered[rows],
+                                       delivery_us[rows],
                                        np.cumsum(n_pk) - n_pk).tolist())
+
+
+def _column(n: int, ids, values: np.ndarray) -> list:
+    """A list of n entries: the objects in `values` at `ids` and None
+    elsewhere."""
+    column = np.full(n, None, dtype=object)
+    column[ids] = values
+    return column.tolist()
 
 
 def run_simulation(cfg: SimConfig, seed: int,

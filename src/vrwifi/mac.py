@@ -4,13 +4,17 @@ block acknowledgments.
 
 A packet is an integer id into the run's Packets columns; buffers and
 A-MPDUs hold ids. The DES engine owns all timing; this module only
-mutates station state and those columns.
+mutates station state and the retry column. Every call handles a slice
+of ids, so its Python work is per call, not per packet; only a failed
+MPDU's retry bookkeeping is per packet.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate, compress
+from operator import not_
 
 import numpy as np
 
@@ -22,21 +26,20 @@ CLIENT = "client"
 
 @dataclass(eq=False)
 class Packets:
-    """Per-packet columns of one run, indexed by packet id: size, the
-    time it entered a buffer and the time it was delivered (us, None
-    until then), and its retry count. Lists, not arrays: the event loop
-    reads and writes one entry at a time."""
+    """Per-packet columns of one run that the MAC reads or writes,
+    indexed by packet id: size and retry count. Lists, not arrays: an
+    A-MPDU gathers its sizes with one map over its ids, and only failed
+    MPDUs touch the retry column. A packet's enqueue time is its arrival
+    time, and delivery times are kept by exchange, so the engine builds
+    both per-packet columns after the run."""
 
     size_bytes: list
-    enqueue_us: list
-    delivery_us: list
     retx_count: list
 
     @classmethod
     def of_sizes(cls, size_bytes: list) -> Packets:
         """Fresh columns for packets of these sizes."""
-        n = len(size_bytes)
-        return cls(size_bytes, [None] * n, [None] * n, [0] * n)
+        return cls(size_bytes, [0] * len(size_bytes))
 
 
 @dataclass
@@ -56,7 +59,7 @@ class MacStation:
     cw_max: int
     packets: Packets
     rts_cts: bool = True
-    buffer: deque = field(default_factory=deque)
+    buffer: list = field(default_factory=list)
     cw: int = 0
     drops_buffer: int = 0
     drops_retx: int = 0
@@ -80,20 +83,43 @@ def make_station(role: str, mac: MacConfig, packets: Packets) -> MacStation:
                       cw_max=mac.cw_max, packets=packets, rts_cts=rts)
 
 
-def enqueue(station: MacStation, pid: int, now_us: float) -> str:
-    """Tail-drop FIFO admission of packet `pid`, stamping its enqueue
-    time; returns "accepted" or "dropped"."""
-    if len(station.buffer) >= station.capacity:
-        station.drops_buffer += 1
-        return "dropped"
-    station.packets.enqueue_us[pid] = now_us
-    station.buffer.append(pid)
-    return "accepted"
+def enqueue(station: MacStation, ids: list) -> int:
+    """Tail-drop FIFO admission of the packets `ids`, in order: as many
+    as the buffer has room for enter it and the rest are dropped and
+    counted. Returns how many entered."""
+    # a requeue can leave the buffer above capacity: then nothing enters
+    room = max(0, station.capacity - len(station.buffer))
+    if room < len(ids):
+        station.drops_buffer += len(ids) - room
+        ids = ids[:room]
+    station.buffer += ids
+    return len(ids)
 
 
 def draw_backoff(station: MacStation, rng: np.random.Generator) -> int:
-    """Uniform backoff in [0, cw] slots at the current window."""
-    return int(rng.integers(0, station.cw + 1))
+    """Uniform backoff in [0, cw] slots at the current window.
+
+    The value and the generator state after it are those of
+    rng.integers(0, cw + 1): below 2**32 - 1 numpy maps one 32-bit draw
+    into the range by Lemire's multiply-and-reject rule (Lemire, "Fast
+    Random Integer Generation in an Interval", ACM TOMACS 2019), done
+    here on the bit generator's own next_uint32 to skip the cost of a
+    Generator call.
+    """
+    cw = station.cw
+    if cw == 0:
+        return 0
+    if cw >= 0xFFFFFFFF:
+        return int(rng.integers(0, cw + 1))
+    bits = rng.bit_generator.ctypes
+    next32, state = bits.next_uint32, bits.state
+    span = cw + 1
+    m = next32(state) * span
+    if m & 0xFFFFFFFF < span:
+        threshold = (0x100000000 - span) % span
+        while m & 0xFFFFFFFF < threshold:
+            m = next32(state) * span
+    return m >> 32
 
 
 def note_exchange_failure(station: MacStation) -> None:
@@ -128,14 +154,16 @@ def assemble_ampdu(station: MacStation, max_ampdu: int,
     n = min(len(buffer), max_ampdu)
     if limit is not None:
         n = max(1, min(n, limit))
-    size = station.packets.size_bytes
-    mpdus, total = [], 0
-    while buffer and len(mpdus) < n:
-        nxt = size[buffer[0]]
-        if max_bytes is not None and mpdus and total + nxt > max_bytes:
-            break
-        mpdus.append(buffer.popleft())
-        total += nxt
+    mpdus = buffer[:n]
+    sizes = map(station.packets.size_bytes.__getitem__, mpdus)
+    if max_bytes is None:
+        total = sum(sizes)
+    else:
+        upto = list(accumulate(sizes))
+        n = max(1, bisect_right(upto, max_bytes))
+        total = upto[n - 1]
+        del mpdus[n:]
+    del buffer[:n]
     return Ampdu(mpdus, total)
 
 
@@ -154,16 +182,17 @@ def handle_back(station: MacStation, ampdu: Ampdu, flags: np.ndarray,
     the next aggregate. A packet that fails with retx_count == max_retx
     is dropped and counted.
     """
+    ok = flags.tolist()
+    if all(ok):
+        return ampdu.mpdus, [], []
     retx = station.packets.retx_count
-    delivered, requeue, dropped = [], [], []
-    for pid, ok in zip(ampdu.mpdus, flags.tolist()):
-        if ok:
-            delivered.append(pid)
-        elif retx[pid] >= max_retx:
+    requeue, dropped = [], []
+    for pid in compress(ampdu.mpdus, map(not_, ok)):
+        if retx[pid] >= max_retx:
             dropped.append(pid)
         else:
             retx[pid] += 1
             requeue.append(pid)
-    station.buffer.extendleft(reversed(requeue))
+    station.buffer[:0] = requeue
     station.drops_retx += len(dropped)
-    return delivered, requeue, dropped
+    return list(compress(ampdu.mpdus, ok)), requeue, dropped

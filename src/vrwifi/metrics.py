@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from vrwifi.mac import Ampdu, Packets
+from vrwifi.mac import Ampdu
 
 
-@dataclass
+@dataclass(slots=True)
 class TxRecord:
     """One channel occupation: a data exchange or a collision."""
 
@@ -24,6 +25,22 @@ class TxRecord:
     busy_end_us: float
     n_mpdus: int
     backoff_slots: int   # slots drawn for this access (-1 for collisions)
+
+    def __reduce__(self):
+        # a worker returns thousands of these: pickled as constructor
+        # arguments they are smaller and faster than as slot state
+        return TxRecord, (self.role, self.tx_start_us, self.busy_end_us,
+                          self.n_mpdus, self.backoff_slots)
+
+
+@dataclass
+class DeliveryLog:
+    """The packets one station delivered, exchange by exchange: exchange
+    k delivered the next counts[k] ids, all stamped stamps[k] (us)."""
+
+    ids: list = field(default_factory=list)
+    stamps: list = field(default_factory=list)
+    counts: list = field(default_factory=list)
 
 
 @dataclass
@@ -62,17 +79,23 @@ class RunMetrics:
         (retransmission attempts included)."""
         self.ampdu_sizes.append(len(ampdu))
 
-    def record_delivery(self, packets: Packets, ids: list,
-                        uplink: bool) -> None:
-        """Append the buffer delay of each delivered packet in `ids` that
-        entered its buffer after the warm-up to the samples of its stream,
-        in the order of `ids`."""
-        enqueue, delivery, warmup = (packets.enqueue_us, packets.delivery_us,
-                                     self.warmup_us)
+    def record_delivery(self, log: DeliveryLog, enqueue_us: np.ndarray,
+                        delivery_us: np.ndarray, uplink: bool) -> None:
+        """Stamp each packet in `log` with its delivery time in
+        `delivery_us` (by packet id), and append the buffer delay of each
+        that entered its buffer after the warm-up, at its time in
+        `enqueue_us`, to the samples of its stream, in delivery order."""
+        ids = np.array(log.ids, dtype=np.intp)
+        delay = np.repeat(np.array(log.stamps, dtype=float), log.counts)
+        delivery_us[ids] = delay
+        enqueued = enqueue_us[ids]
+        del ids
+        measured = enqueued >= self.warmup_us
+        delay -= enqueued
+        del enqueued
         samples = (self.ul_packet_delays_us if uplink
                    else self.dl_packet_delays_us)
-        samples.extend([delivery[p] - enqueue[p] for p in ids
-                        if enqueue[p] >= warmup])
+        samples.extend(delay[measured].tolist())
 
 
 def vf_delay(gen_us: np.ndarray, delivery_us: np.ndarray,
@@ -94,25 +117,32 @@ def vf_delay(gen_us: np.ndarray, delivery_us: np.ndarray,
             - np.minimum.reduceat(gen_us, starts))
 
 
-def summarize(samples_us: list) -> dict:
-    """Nearest-rank summary: mean, p50, p99, p99.99, min, max."""
+def summarize(samples_us) -> dict:
+    """Nearest-rank summary: mean, p50, p99, p99.99, min, max, as Python
+    numbers, of a list of numbers or of a 1-D numpy array, which it sorts
+    in place."""
     if len(samples_us) == 0:
         raise ValueError("cannot summarize an empty sample list")
-    s = sorted(samples_us)
+    # a list becomes one array; a stable sort orders non-NaN numbers as
+    # sorted() does
+    s = np.asarray(samples_us)
+    s.sort(kind="stable")
     n = len(s)
 
     def rank(q):
-        return s[max(0, math.ceil(q / 100.0 * n) - 1)]
+        return s[max(0, math.ceil(q / 100.0 * n) - 1)].item()
 
+    lo, hi = s[0].item(), s[-1].item()
+    # fsum is exact, so the order it reads the samples in does not matter;
     # fsum-then-clamp keeps mean inside [min, max] even at 1-ulp edges
-    mean = min(max(math.fsum(s) / n, s[0]), s[-1])
+    mean = min(max(math.fsum(memoryview(s)) / n, lo), hi)
     return {
         "mean": mean,
         "p50": rank(50.0),
         "p99": rank(99.0),
         "p99_99": rank(99.99),
-        "min": s[0],
-        "max": s[-1],
+        "min": lo,
+        "max": hi,
         "count": n,
     }
 
@@ -189,17 +219,22 @@ def sample_summaries(runs: list[RunMetrics]) -> dict:
     """Nearest-rank summary of each sample set pooled over the runs, in
     reporting units (delays in ms); None for an empty set."""
     out = {}
-    for name, attr, scale in (
-        ("dl_packet_delay_ms", "dl_packet_delays_us", 1e-3),
-        ("ul_packet_delay_ms", "ul_packet_delays_us", 1e-3),
-        ("vf_delay_ms", "vf_delays_us", 1e-3),
-        ("assembly_delay_ms", "assembly_delays_us", 1e-3),
-        ("ampdu_size", "ampdu_sizes", 1.0),
+    for name, attr, scale, dtype in (
+        ("dl_packet_delay_ms", "dl_packet_delays_us", 1e-3, float),
+        ("ul_packet_delay_ms", "ul_packet_delays_us", 1e-3, float),
+        ("vf_delay_ms", "vf_delays_us", 1e-3, float),
+        ("assembly_delay_ms", "assembly_delays_us", 1e-3, float),
+        ("ampdu_size", "ampdu_sizes", 1.0, np.int64),
     ):
-        samples = [v for m in runs for v in getattr(m, attr)]
+        runs_samples = [getattr(m, attr) for m in runs]
+        n = sum(map(len, runs_samples))
+        # one run's list as it is; several runs' samples straight into
+        # one array, without a pooled list, which summarize sorts
+        samples = (runs_samples[0] if len(runs_samples) == 1 else
+                   np.fromiter(chain.from_iterable(runs_samples), dtype, n))
         out[name] = ({k: (v * scale if k != "count" else v)
                       for k, v in summarize(samples).items()}
-                     if samples else None)
+                     if n else None)
     return out
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from vrwifi import mac as mac_mod
-from vrwifi import phy, traceio
+from vrwifi import phy, traceio, traffic
 from vrwifi.config import validate_config
 from vrwifi.engine import run_seeds, run_simulation, run_sweep, set_axis
 from vrwifi.mac import AP
@@ -326,8 +326,14 @@ def test_kept_run_columns_follow_the_per_packet_rules(name):
     assert [(p.enqueue_time_us, p.delivery_time_us, p.retx_count)
             for p in packets] == list(zip(
                 frames.enqueue_us, frames.delivery_us, frames.retx_count))
+    # a packet enters its buffer when it is emitted, unless tail-dropped
+    em = traffic.video_packet_emissions(frames, cfg.traffic)
+    emitted = dict(zip(em.packet_ids.tolist(), em.times_us.tolist()))
+    assert all(p.enqueue_time_us in (None, emitted[p.packet_id])
+               for p in packets)
     delivered = [p for p in packets if p.delivery_time_us is not None]
     assert len(delivered) == m.delivered_video
+    assert all(p.enqueue_time_us is not None for p in delivered)
     assert sorted(p.delivery_time_us - p.enqueue_time_us for p in delivered
                   if p.enqueue_time_us >= m.warmup_us) == sorted(
                       m.dl_packet_delays_us)
@@ -341,6 +347,16 @@ def test_kept_run_columns_follow_the_per_packet_rules(name):
         reference_video_trace(frames, "gen_time_us"))
     assert (m.vf_delays_us, m.assembly_delays_us, m.incomplete_frames) == (
         reference_frame_delays(frames, m.warmup_us))
+
+
+def test_queue_statistics_without_an_ap_exchange_end():
+    # 10 us: two video packets arrive (t = 0 and 5 us) and the AP's
+    # first access is still pending at the end
+    m = run_simulation(fast_cfg(duration_s=1e-5), 1).metrics
+    assert (m.generated_video, m.delivered_video, m.residual) == (2, 0, 2)
+    assert not m.tx_log
+    assert m.buffer_busy_us == 10.0
+    assert m.buffer_level_integral == 1 * 5.0 + 2 * 5.0
 
 
 def test_collisions_disabled_mode_runs_clean():

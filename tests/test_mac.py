@@ -27,26 +27,38 @@ def test_station_capacities_from_config():
 
 def test_enqueue_accepts_below_capacity():
     st = ap(capacity=1000)
-    for i in range(999):
-        assert mac.enqueue(st, i, float(i)) == "accepted"
-    assert mac.enqueue(st, 999, 999.0) == "accepted"
+    assert mac.enqueue(st, list(range(999))) == 999
+    assert mac.enqueue(st, [999]) == 1
+    assert mac.enqueue(st, []) == 0
     assert st.drops_buffer == 0
+    assert st.buffer == list(range(1000))
 
 
 def test_enqueue_tail_drops_at_capacity():
     st = ap(capacity=1000)
-    for i in range(1000):
-        mac.enqueue(st, i, 0.0)
-    assert mac.enqueue(st, 1000, 1.0) == "dropped"
+    mac.enqueue(st, list(range(1000)))
+    assert mac.enqueue(st, [1000]) == 0
     assert st.drops_buffer == 1
     assert len(st.buffer) == 1000
+    # a span that overfills the buffer: its head enters, its tail drops
+    st = ap(capacity=10)
+    assert mac.enqueue(st, list(range(4))) == 4
+    assert mac.enqueue(st, list(range(4, 20))) == 6
+    assert st.buffer == list(range(10)) and st.drops_buffer == 10
 
 
-def test_enqueue_stamps_time():
-    st = ap()
-    mac.enqueue(st, 0, 123.5)
-    assert st.packets.enqueue_us[0] == 123.5
-    assert st.packets.enqueue_us[1] is None
+def test_enqueue_admits_nothing_above_capacity():
+    # failed MPDUs requeued at the head can leave the buffer above its
+    # capacity; a span of arrivals then drops whole
+    st = ap(capacity=4)
+    mac.enqueue(st, list(range(4)))
+    ampdu = mac.assemble_ampdu(st, max_ampdu=3)
+    mac.enqueue(st, [4, 5, 6])
+    mac.handle_back(st, ampdu, np.zeros(3, dtype=bool), max_retx=7)
+    assert st.buffer == [0, 1, 2, 3, 4, 5, 6]
+    assert mac.enqueue(st, [7, 8, 9, 10, 11]) == 0
+    assert st.drops_buffer == 5
+    assert st.buffer == [0, 1, 2, 3, 4, 5, 6]
 
 
 def test_backoff_within_window():
@@ -55,6 +67,31 @@ def test_backoff_within_window():
     draws = [mac.draw_backoff(st, r) for _ in range(2000)]
     assert min(draws) >= 0 and max(draws) <= 31
     assert 0 in draws and 31 in draws
+
+
+# 999 and 2**31 are ranges that Lemire's rule must reject draws in (about
+# half of them for 2**31)
+@pytest.mark.parametrize("cw", [0, 1, 31, 999, 1023, 2**31, 2**32 - 2,
+                                2**32 - 1, 2**33])
+def test_backoff_draw_is_numpy_integers(cw):
+    """draw_backoff gives Generator.integers(0, cw + 1)'s value and leaves
+    the generator where it leaves it, between vector draws and after an
+    odd count of 32-bit draws, which leaves half a 64-bit output
+    buffered."""
+    st = ap()
+    st.cw = cw
+    mine, ref = rng(3), rng(3)
+    for g in (mine, ref):
+        g.integers(1, 3, size=901)
+    for k in range(400):
+        assert mac.draw_backoff(st, mine) == ref.integers(0, cw + 1)
+        if k % 7 == 0:
+            n = k % 5
+            assert (mine.random(n) == ref.random(n)).all()
+        if k % 11 == 0:
+            assert (mine.integers(1, 3, size=k % 3)
+                    == ref.integers(1, 3, size=k % 3)).all()
+    assert mine.bit_generator.state == ref.bit_generator.state
 
 
 def test_cw_doubling_sequence_and_cap():
@@ -82,8 +119,7 @@ def test_cw_for_retry_scaling():
 
 def test_assemble_respects_max_ampdu():
     st = ap()
-    for i in range(300):
-        mac.enqueue(st, i, 0.0)
+    mac.enqueue(st, list(range(300)))
     ampdu = mac.assemble_ampdu(st, max_ampdu=256)
     assert len(ampdu) == 256
     assert ampdu.mpdus == list(range(256))
@@ -92,8 +128,7 @@ def test_assemble_respects_max_ampdu():
 
 def test_assemble_takes_whole_small_buffer():
     st = ap()
-    for i in range(14):
-        mac.enqueue(st, i, 0.0)
+    mac.enqueue(st, list(range(14)))
     ampdu = mac.assemble_ampdu(st, max_ampdu=256)
     assert len(ampdu) == 14
     assert ampdu.total_bytes == 14 * 1243
@@ -105,8 +140,7 @@ def test_assemble_empty_buffer_no_attempt():
 
 def test_assemble_with_snapshot_limit():
     st = ap()
-    for i in range(40):
-        mac.enqueue(st, i, 0.0)
+    mac.enqueue(st, list(range(40)))
     ampdu = mac.assemble_ampdu(st, max_ampdu=256, limit=10)
     assert len(ampdu) == 10
     assert ampdu.mpdus == list(range(10))
@@ -114,21 +148,19 @@ def test_assemble_with_snapshot_limit():
 
 def test_assemble_byte_bound():
     st = ap()
-    for i in range(100):
-        mac.enqueue(st, i, 0.0)
+    mac.enqueue(st, list(range(100)))
     ampdu = mac.assemble_ampdu(st, max_ampdu=256, max_bytes=65535)
     assert len(ampdu) == 65535 // 1243 == 52
     assert ampdu.total_bytes <= 65535
     # a single oversized packet still goes out alone
     st2 = ap(pk=packets(1, size=70_000))
-    mac.enqueue(st2, 0, 0.0)
+    mac.enqueue(st2, [0])
     assert len(mac.assemble_ampdu(st2, 256, max_bytes=65535)) == 1
 
 
 def test_apply_per_extremes():
     st = ap()
-    for i in range(20):
-        mac.enqueue(st, i, 0.0)
+    mac.enqueue(st, list(range(20)))
     ampdu = mac.assemble_ampdu(st, 256)
     assert mac.apply_per(ampdu, 0.0, rng()).all()
     assert not mac.apply_per(ampdu, 1.0, rng()).any()
@@ -136,8 +168,7 @@ def test_apply_per_extremes():
 
 def test_apply_per_binomial_three_sigma():
     st = ap()
-    for i in range(10_000):
-        st.buffer.append(i)
+    st.buffer.extend(range(10_000))
     ampdu = mac.assemble_ampdu(st, max_ampdu=10_000)
     failures = int((~mac.apply_per(ampdu, 0.1, rng(7))).sum())
     assert abs(failures - 1000) <= 90   # 3 sigma of Binomial(1e4, 0.1)
@@ -145,8 +176,7 @@ def test_apply_per_binomial_three_sigma():
 
 def test_handle_back_all_success():
     st = ap()
-    for i in range(10):
-        mac.enqueue(st, i, 0.0)
+    mac.enqueue(st, list(range(10)))
     ampdu = mac.assemble_ampdu(st, 256)
     delivered, requeued, dropped = mac.handle_back(
         st, ampdu, np.ones(10, dtype=bool), max_retx=7)
@@ -156,8 +186,7 @@ def test_handle_back_all_success():
 
 def test_handle_back_failed_subset_precedes_new_packets():
     st = ap()
-    for i in range(6):
-        mac.enqueue(st, i, 0.0)
+    mac.enqueue(st, list(range(6)))
     ampdu = mac.assemble_ampdu(st, max_ampdu=4)    # takes 0..3
     flags = np.array([True, False, True, False])
     delivered, requeued, dropped = mac.handle_back(st, ampdu, flags, 7)
@@ -171,7 +200,7 @@ def test_handle_back_failed_subset_precedes_new_packets():
 def test_handle_back_drop_after_max_retx():
     st = ap()
     st.packets.retx_count[0] = 7
-    mac.enqueue(st, 0, 0.0)
+    mac.enqueue(st, [0])
     ampdu = mac.assemble_ampdu(st, 256)
     delivered, requeued, dropped = mac.handle_back(
         st, ampdu, np.array([False]), max_retx=7)
@@ -183,7 +212,7 @@ def test_handle_back_drop_after_max_retx():
 def test_handle_back_retry_below_limit_requeues():
     st = ap()
     st.packets.retx_count[0] = 6
-    mac.enqueue(st, 0, 0.0)
+    mac.enqueue(st, [0])
     ampdu = mac.assemble_ampdu(st, 256)
     _, requeued, dropped = mac.handle_back(st, ampdu, np.array([False]), 7)
     assert requeued == [0] and not dropped

@@ -1,17 +1,26 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from vrwifi import metrics as mx
-from vrwifi.mac import Ampdu, Packets
+from vrwifi.mac import Ampdu
 
 
-def delivered_packets(*times):
-    """Columns of 1243-B packets, one per (enqueue, delivery) pair."""
-    pk = Packets.of_sizes([1243] * len(times))
-    pk.enqueue_us[:] = [enqueue for enqueue, _ in times]
-    pk.delivery_us[:] = [delivery for _, delivery in times]
-    return pk
+def record(m, enqueue_us, exchanges, uplink=False):
+    """Record the deliveries of `exchanges`, (stamp, ids) pairs, of
+    packets enqueued at `enqueue_us` (by id); returns the delivery
+    column."""
+    log = mx.DeliveryLog()
+    for stamp, ids in exchanges:
+        log.ids += ids
+        log.stamps.append(stamp)
+        log.counts.append(len(ids))
+    delivery_us = np.full(len(enqueue_us), np.nan)
+    m.record_delivery(log, np.array(enqueue_us, dtype=float), delivery_us,
+                      uplink)
+    return delivery_us.tolist()
 
 
 def test_summarize_basic():
@@ -65,25 +74,26 @@ def test_ecdf_empty_errors():
 
 def test_record_delivery_appends_delay_only():
     m = mx.RunMetrics()
-    pk = delivered_packets((10.0, 1210.0), (10.0, 1210.0))
-    m.record_delivery(pk, [0], uplink=False)
-    m.record_delivery(pk, [1], uplink=False)
+    delivery = record(m, [10.0, 10.0, 10.0], [(1210.0, [0]), (1210.0, [1])])
     assert m.dl_packet_delays_us == [1200.0, 1200.0]   # 1.2 ms each
+    assert delivery[:2] == [1210.0, 1210.0] and np.isnan(delivery[2])
     assert m.ampdu_sizes == []       # sizes are sampled per attempt only
 
 
 def test_record_delivery_routes_ul_stream():
     m = mx.RunMetrics()
-    m.record_delivery(delivered_packets((0.0, 500.0)), [0], uplink=True)
+    record(m, [0.0], [(500.0, [0])], uplink=True)
     assert m.ul_packet_delays_us == [500.0]
     assert m.dl_packet_delays_us == []
 
 
 def test_record_delivery_skips_warmup_enqueues_in_order():
     m = mx.RunMetrics(warmup_us=100.0)
-    pk = delivered_packets((99.0, 900.0), (150.0, 900.0), (100.0, 900.0))
-    m.record_delivery(pk, [2, 0, 1], uplink=False)
-    assert m.dl_packet_delays_us == [800.0, 750.0]
+    delivery = record(m, [99.0, 150.0, 100.0, 0.0],
+                      [(900.0, [2, 0]), (1000.0, [1])])
+    assert m.dl_packet_delays_us == [800.0, 850.0]
+    # the warm-up packet is stamped all the same
+    assert delivery[:3] == [900.0, 1000.0, 900.0] and np.isnan(delivery[3])
 
 
 def test_record_attempt_counts_retransmission_attempts():
@@ -180,3 +190,41 @@ def test_pooled_summary_pools_samples_and_averages_runs():
     # one run pooled alone gives that run's own sample summaries
     alone, s = mx.sample_summaries([a]), mx.metrics_summary(a)
     assert alone == {k: s[k] for k in alone}
+
+
+def reference_summary(samples):
+    """summarize's rule over a sorted() list: the reference the numpy
+    version must match value for value and type for type."""
+    s = sorted(samples)
+    n = len(s)
+
+    def rank(q):
+        return s[max(0, math.ceil(q / 100.0 * n) - 1)]
+
+    return {"mean": min(max(math.fsum(s) / n, s[0]), s[-1]),
+            "p50": rank(50.0), "p99": rank(99.0), "p99_99": rank(99.99),
+            "min": s[0], "max": s[-1], "count": n}
+
+
+def test_pooled_samples_summarize_as_sorted_lists():
+    rng = np.random.default_rng(4)
+    runs = []
+    for n in (0, 1, 37, 2000):
+        m = mx.RunMetrics()
+        # repeated values, as quantized delays have
+        m.dl_packet_delays_us.extend(
+            np.round(rng.exponential(900.0, n), 1).tolist())
+        m.ampdu_sizes.extend(rng.integers(1, 257, n).tolist())
+        runs.append(m)
+    got = mx.sample_summaries(runs)
+    for name, attr in (("dl_packet_delay_ms", "dl_packet_delays_us"),
+                       ("ampdu_size", "ampdu_sizes")):
+        pooled = [v for m in runs for v in getattr(m, attr)]
+        alone = mx.summarize(pooled)
+        for k, v in reference_summary(pooled).items():
+            assert type(alone[k]) is type(v) and alone[k] == v
+            assert got[name][k] == (v if k == "count" else
+                                    v * (1e-3 if name.endswith("ms")
+                                         else 1.0))
+    # the runs' own lists are left as they were
+    assert runs[3].ampdu_sizes != sorted(runs[3].ampdu_sizes)
