@@ -346,20 +346,15 @@ class _Sim:
                 # an arrival that backlogs an empty station is admitted
                 # alone, earliest first and video first at ties, and
                 # resolved: it may bring the runtime event forward
-                while True:
-                    t_ap = inf if ap.buffer else ap_times[a]
-                    t_ul = inf if client.buffer else ul_times[u]
-                    if t_ap <= t_ul:
-                        t, st = t_ap, ap
-                    else:
-                        t, st = t_ul, client
-                    if t > limit:
-                        break
+                t_ap = inf if ap.buffer else ap_times[a]
+                t_ul = inf if client.buffer else ul_times[u]
+                t = t_ap if t_ap <= t_ul else t_ul
+                if t <= limit:
                     assert t >= now - 1e-6, "virtual clock went backwards"
                     if t > now:
                         now = t
                     # an empty buffer has room: capacities are at least 1
-                    if st is ap:
+                    if t_ap <= t_ul:
                         enqueue(ap, ap_ids[a:a + 1])
                         a += 1
                     else:
@@ -367,8 +362,7 @@ class _Sim:
                         u += 1
                     self.now = now
                     self.resolve()
-                    wake = self.wake_us
-                    limit = wake if wake < duration_us else duration_us
+                    continue
             # the rest of each station's arrivals up to the event, and
             # those at its time: an uplink packet at t == end still
             # enters, and leaving it out moves digests
@@ -401,6 +395,8 @@ class _Sim:
         bounds = [0, *ap_drops, a]
         admitted = np.repeat(np.resize([True, False], len(bounds) - 1),
                              np.diff(bounds))
+        # each del frees loop state before the next numpy pass: the
+        # after-loop accounting must not raise a run's peak memory
         del ap_times[a:], ap_ids[a:], ul_times, ul_ids
         kept = None
         if self.keep_packets:
