@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, compress
+from itertools import accumulate, compress, islice
 from operator import not_
 
 import numpy as np
@@ -154,15 +154,21 @@ def assemble_ampdu(station: MacStation, max_ampdu: int,
     n = min(len(buffer), max_ampdu)
     if limit is not None:
         n = max(1, min(n, limit))
-    mpdus = buffer[:n]
-    sizes = map(station.packets.size_bytes.__getitem__, mpdus)
+    size = station.packets.size_bytes
     if max_bytes is None:
-        total = sum(sizes)
+        total = sum(map(size.__getitem__, islice(buffer, n)))
     else:
-        upto = list(accumulate(sizes))
-        n = max(1, bisect_right(upto, max_bytes))
+        # running totals as far as packets of the head's size could fit
+        # (the bound usually falls there), and over all n if they all fit
+        look = min(n, max_bytes // size[buffer[0]] + 1)
+        upto = list(accumulate(map(size.__getitem__, islice(buffer, look))))
+        fit = bisect_right(upto, max_bytes)
+        if fit == look < n:
+            upto = list(accumulate(map(size.__getitem__, islice(buffer, n))))
+            fit = bisect_right(upto, max_bytes)
+        n = max(1, fit)
         total = upto[n - 1]
-        del mpdus[n:]
+    mpdus = buffer[:n]
     del buffer[:n]
     return Ampdu(mpdus, total)
 

@@ -217,3 +217,37 @@ def test_handle_back_retry_below_limit_requeues():
     _, requeued, dropped = mac.handle_back(st, ampdu, np.array([False]), 7)
     assert requeued == [0] and not dropped
     assert st.packets.retx_count[0] == 7
+
+
+def reference_assemble(buffer, size, n, max_bytes):
+    """The per-packet rule: take head packets while the byte bound holds,
+    at least one; returns (mpdus, total bytes)."""
+    mpdus, total = [], 0
+    for pid in buffer[:n]:
+        if max_bytes is not None and mpdus and total + size[pid] > max_bytes:
+            break
+        mpdus.append(pid)
+        total += size[pid]
+    return mpdus, total
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_assemble_matches_the_per_packet_rule(seed):
+    # mixed sizes, with the head full-size or small, so that the bound
+    # falls inside or beyond the look-ahead by the head's size
+    r = rng(seed)
+    sizes = r.choice([1243, 1243, 1243, 60, 700, 3000], size=3000).tolist()
+    for _ in range(300):
+        st = ap(capacity=10_000, pk=mac.Packets.of_sizes(sizes))
+        st.buffer.extend(r.permutation(3000)[:r.integers(1, 400)].tolist())
+        max_ampdu = int(r.choice([1, 4, 64, 256]))
+        limit = None if r.random() < 0.5 else int(r.integers(1, 300))
+        max_bytes = [None, 1, 1243, 5000, 65535][r.integers(5)]
+        n = min(len(st.buffer), max_ampdu)
+        if limit is not None:
+            n = max(1, min(n, limit))
+        before = list(st.buffer)
+        mpdus, total = reference_assemble(before, sizes, n, max_bytes)
+        ampdu = mac.assemble_ampdu(st, max_ampdu, limit, max_bytes)
+        assert (ampdu.mpdus, ampdu.total_bytes) == (mpdus, total)
+        assert st.buffer == before[len(mpdus):]
