@@ -155,22 +155,40 @@ def assemble_ampdu(station: MacStation, max_ampdu: int,
     if limit is not None:
         n = max(1, min(n, limit))
     size = station.packets.size_bytes
-    if max_bytes is None:
+    if n == 1:
+        # the most common take: one packet goes out, whatever its size
+        total = size[buffer[0]]
+    elif max_bytes is None:
         total = sum(map(size.__getitem__, islice(buffer, n)))
     else:
-        # running totals as far as packets of the head's size could fit
-        # (the bound usually falls there), and over all n if they all fit
-        look = min(n, max_bytes // size[buffer[0]] + 1)
-        upto = list(accumulate(map(size.__getitem__, islice(buffer, look))))
-        fit = bisect_right(upto, max_bytes)
-        if fit == look < n:
-            upto = list(accumulate(map(size.__getitem__, islice(buffer, n))))
-            fit = bisect_right(upto, max_bytes)
-        n = max(1, fit)
-        total = upto[n - 1]
+        n, total = _within_bytes(buffer, size, n, max_bytes)
     mpdus = buffer[:n]
     del buffer[:n]
     return Ampdu(mpdus, total)
+
+
+def _within_bytes(buffer: list, size: list, n: int,
+                  max_bytes: int) -> tuple[int, int]:
+    """The longest head of at most n packets of `buffer` within max_bytes,
+    at least one packet, as (packets, bytes).
+
+    `look` packets of the head packet's size overrun the bound, so a take
+    shorter than that usually fits whole and a longer one is usually cut
+    within its first `look`: the running totals rarely cover more.
+    """
+    look = max_bytes // size[buffer[0]] + 1
+    if n < look:
+        total = sum(map(size.__getitem__, islice(buffer, n)))
+        if total <= max_bytes:
+            return n, total
+    upto = list(accumulate(map(size.__getitem__,
+                               islice(buffer, min(n, look)))))
+    fit = bisect_right(upto, max_bytes)
+    if fit == len(upto) < n:
+        upto = list(accumulate(map(size.__getitem__, islice(buffer, n))))
+        fit = bisect_right(upto, max_bytes)
+    n = max(1, fit)
+    return n, upto[n - 1]
 
 
 def apply_per(ampdu: Ampdu, per: float, rng: np.random.Generator) -> np.ndarray:
