@@ -414,6 +414,12 @@ PINNED_RUNS = {
         {"duration_s": 3.0, "phy": {"mcs_index": 0},
          "mac": {"per": 0.2, "ap_buffer": 50}},
         "cefd1257a619c201b0569d3257560b44025b1dc20b91ddad071d3179ca497ede"),
+    # the window doubles per failed exchange, and no station sends RTS/CTS
+    "mcs0_exchange_no_rts": (
+        {"phy": {"mcs_index": 0},
+         "mac": {"per": 0.2, "cw_policy": "exchange",
+                 "rts_cts_enabled": False, "ul_rts_cts_enabled": False}},
+        "b73fe4df9f67ff16cb1a5e2bfa861fafb0a3ea6308506a2b469a8110254add3b"),
 }
 
 
