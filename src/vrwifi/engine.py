@@ -9,9 +9,14 @@ Event ordering contract (what makes a run replay bit-identically):
   cursor.
 - At most one runtime event is pending, at `_Sim.wake_us`: while the
   channel is busy, the end of the exchange on the air; while it is
-  idle, the earliest backoff expiry (none if no station is backlogged).
-  A new earliest expiry replaces the pending one, so no event is ever
-  stale.
+  idle, the earlier of the two stations' backoff expiries (none if
+  neither is backlogged). A new earlier expiry replaces the pending
+  one, so no event is ever stale.
+- Contention is between a fixed pair. On an idle channel the AP is
+  armed before the client, so it draws its backoff first. If both
+  expire together they collide, or the AP transmits when collisions
+  are disabled; the station that defers keeps the slots it has not
+  counted down and re-runs AIFS when the channel clears.
 - At equal times an arrival is handled before the runtime event, and a
   video arrival before an uplink arrival.
 - Before each runtime event, every arrival up to it (and up to the end
@@ -92,16 +97,15 @@ class _Sim:
         self.wake_us = math.inf   # time of the one pending runtime event
         self.in_flight = None   # (station, ampdu) or "collision" while busy
         self.packets: Packets | None = None    # set by run()
-        self.stations: dict[str, MacStation] = {}   # AP first, set by run()
+        self.ap = self.client = None   # MacStations, set by run()
         self.metrics = RunMetrics(duration_us=self.duration_us,
                                   warmup_us=self.warmup_us,
                                   buffer_capacity=cfg.mac.ap_buffer)
         # each station's deliveries, and the time and size of each drop
         # of the AP queue at an exchange end (delivered plus dropped)
-        self.delivered = {AP: DeliveryLog(), CLIENT: DeliveryLog()}
+        self.ap_log, self.client_log = DeliveryLog(), DeliveryLog()
         self.ap_end_us: list[float] = []
         self.ap_end_n: list[int] = []
-        self.drawn = {AP: -1, CLIENT: -1}
         self.airtime_cache: dict = {}   # (bytes, mpdus, rts_cts) -> us
         # pre-computed timing constants
         m = cfg.mac
@@ -113,42 +117,29 @@ class _Sim:
 
     # -- contention -----------------------------------------------------
 
-    def access_time(self, st: MacStation) -> float:
-        return st.aifs_end_us + st.slots_left * self.slot
+    def arm(self, st: MacStation) -> None:
+        """Set the station's backoff expiry: inf on an empty buffer;
+        otherwise AIFS starts now unless it is running, and a backoff is
+        drawn unless slots are left over."""
+        if not st.buffer:
+            st.expiry_us = math.inf
+            return
+        if st.aifs_end_us is None:
+            st.aifs_end_us = self.now + self.aifs
+        if st.slots_left is None:
+            if self.cfg.mac.cw_policy == "retry":
+                st.cw = mac_mod.cw_for_retry(
+                    st, self.packets.retx_count[st.buffer[0]])
+            st.slots_left = st.drawn_slots = mac_mod.draw_backoff(st, self.rng)
+            st.snapshot_len = len(st.buffer)
+        st.expiry_us = st.aifs_end_us + st.slots_left * self.slot
 
     def resolve(self) -> None:
-        """While idle, make the earliest pending backoff expiry the
-        pending event."""
-        if self.in_flight is not None:
-            return
-        best = None
-        for st in self.stations.values():
-            if not st.backlogged():
-                continue
-            if st.aifs_end_us is None:
-                st.aifs_end_us = self.now + self.aifs
-            if st.slots_left is None:
-                if self.cfg.mac.cw_policy == "retry":
-                    st.cw = mac_mod.cw_for_retry(
-                        st, self.packets.retx_count[st.buffer[0]])
-                st.slots_left = mac_mod.draw_backoff(st, self.rng)
-                self.drawn[st.role] = st.slots_left
-                st.snapshot_len = len(st.buffer)
-            t = self.access_time(st)
-            if best is None or t < best:
-                best = t
-        if best is not None:
-            self.wake_us = best
-
-    def freeze_loser(self, st: MacStation, tx_start: float) -> None:
-        """Consume the slots a deferring station counted down before the
-        channel went busy; it re-runs AIFS when the channel clears."""
-        if st.aifs_end_us is None or st.slots_left is None:
-            return
-        elapsed = tx_start - st.aifs_end_us
-        if elapsed > 0:
-            st.slots_left = max(0, st.slots_left - int(elapsed / self.slot + 1e-9))
-        st.aifs_end_us = None
+        """On an idle channel, arm the AP, then the client, and make the
+        earlier expiry the pending event."""
+        self.arm(self.ap)
+        self.arm(self.client)
+        self.wake_us = min(self.ap.expiry_us, self.client.expiry_us)
 
     # -- channel accounting ----------------------------------------------
 
@@ -202,30 +193,26 @@ class _Sim:
     # -- event handlers ---------------------------------------------------
 
     def on_access(self) -> None:
-        winners = [
-            st for st in self.stations.values()
-            if st.backlogged() and st.aifs_end_us is not None
-            and st.slots_left is not None
-            and self.access_time(st) == self.now
-        ]
-        if not winners:
+        """A backoff expires now: the pair's contention rule (module
+        docstring) picks who transmits."""
+        ap, client = self.ap, self.client
+        if ap.expiry_us == client.expiry_us and self.cfg.mac.collisions_enabled:
+            self.start_collision()
             return
-        if len(winners) > 1:
-            if self.cfg.mac.collisions_enabled:
-                self.start_collision(winners)
-                return
-            winners.sort(key=lambda s: 0 if s.role == AP else 1)
-        winner = winners[0]
-        for st in self.stations.values():
-            if st is not winner:
-                self.freeze_loser(st, self.now)
-        self.start_exchange(winner)
+        st, other = ((ap, client) if ap.expiry_us <= client.expiry_us
+                     else (client, ap))
+        if other.buffer:
+            elapsed = self.now - other.aifs_end_us
+            if elapsed > 0:
+                other.slots_left = max(
+                    0, other.slots_left - int(elapsed / self.slot + 1e-9))
+            other.aifs_end_us = None
+        self.start_exchange(st)
 
-    def start_collision(self, stations: list[MacStation]) -> None:
-        for st in stations:
+    def start_collision(self) -> None:
+        for st in (self.ap, self.client):
             mac_mod.note_exchange_failure(st)
-            st.slots_left = None
-            st.aifs_end_us = None
+            st.slots_left = st.aifs_end_us = None
         end = self.now + self.collision_busy
         self.add_airtime(self.now, end)
         if self.now >= self.warmup_us:
@@ -239,11 +226,8 @@ class _Sim:
         limit = st.snapshot_len if self.cfg.mac.ampdu_snapshot else None
         ampdu = mac_mod.assemble_ampdu(st, self.cfg.mac.max_ampdu, limit,
                                        self.cfg.mac.max_ampdu_bytes)
-        if ampdu is None:
-            self.resolve()
-            return
         # uplink aggregates stay out of ampdu_sizes
-        if st.role == AP and self.now >= self.warmup_us:
+        if st is self.ap and self.now >= self.warmup_us:
             self.metrics.record_attempt(ampdu)
         key = (ampdu.total_bytes, len(ampdu), st.rts_cts)
         dur = self.airtime_cache.get(key)
@@ -257,7 +241,7 @@ class _Sim:
         st.aifs_end_us = None
         self.add_airtime(self.now, end)
         self.metrics.tx_log.append(
-            TxRecord(st.role, self.now, end, len(ampdu), self.drawn[st.role]))
+            TxRecord(st.role, self.now, end, len(ampdu), st.drawn_slots))
         self.in_flight = (st, ampdu)
         self.wake_us = end
 
@@ -270,7 +254,7 @@ class _Sim:
         flags = mac_mod.apply_per(ampdu, self.cfg.mac.per, self.rng)
         delivered, requeued, dropped = mac_mod.handle_back(
             st, ampdu, flags, self.cfg.mac.max_retx)
-        if st.role == AP and (delivered or dropped):
+        if st is self.ap and (delivered or dropped):
             self.ap_end_us.append(self.now)
             self.ap_end_n.append(len(delivered) + len(dropped))
         if delivered:
@@ -278,7 +262,7 @@ class _Sim:
                 stamp = self.now
             else:
                 stamp = self.now - self.cfg.mac.sifs_us - self.back_air
-            log = self.delivered[st.role]
+            log = self.ap_log if st is self.ap else self.client_log
             log.ids += delivered
             log.stamps.append(stamp)
             log.counts.append(len(delivered))
@@ -328,10 +312,9 @@ class _Sim:
             cfg.traffic, self.rng, cfg.duration_s)
         ((ap_times, ap_ids), (ul_times, ul_ids), arrival_us,
          self.packets) = self.arrivals(frames)
-        ap = self.stations[AP] = mac_mod.make_station(AP, cfg.mac,
-                                                      self.packets)
-        client = self.stations[CLIENT] = mac_mod.make_station(
-            CLIENT, cfg.mac, self.packets)
+        ap = self.ap = mac_mod.make_station(AP, cfg.mac, self.packets)
+        client = self.client = mac_mod.make_station(CLIENT, cfg.mac,
+                                                    self.packets)
         enqueue = mac_mod.enqueue
         duration_us = self.duration_us
         inf = math.inf
@@ -401,7 +384,7 @@ class _Sim:
         kept = None
         if self.keep_packets:
             # the times and stamps as the loop's own float objects
-            log = self.delivered[AP]
+            log = self.ap_log
             kept = dataclasses.replace(
                 frames,
                 enqueue_us=_column(
@@ -417,20 +400,18 @@ class _Sim:
         del ap_times, admitted
         self.queue_statistics(arrive_us)
         del arrive_us
-        m.delivered_video = len(self.delivered[AP].ids)
-        m.delivered_ul = len(self.delivered[CLIENT].ids)
+        m.delivered_video = len(self.ap_log.ids)
+        m.delivered_ul = len(self.client_log.ids)
         delivery_us = np.full(len(arrival_us), np.nan)
-        for role, uplink in ((AP, False), (CLIENT, True)):
-            m.record_delivery(self.delivered.pop(role), arrival_us,
-                              delivery_us, uplink)
-        del arrival_us
+        m.record_delivery(self.ap_log, arrival_us, delivery_us, False)
+        m.record_delivery(self.client_log, arrival_us, delivery_us, True)
+        del self.ap_log, self.client_log, arrival_us
         self.finalize_frames(frames, delivery_us[:n_video])
-        m.dropped_retx = sum(s.drops_retx for s in self.stations.values())
-        m.dropped_buffer = sum(s.drops_buffer for s in self.stations.values())
+        m.dropped_retx = ap.drops_retx + client.drops_retx
+        m.dropped_buffer = ap.drops_buffer + client.drops_buffer
         in_flight_count = (len(self.in_flight[1].mpdus)
                            if isinstance(self.in_flight, tuple) else 0)
-        m.residual = (sum(len(s.buffer) for s in self.stations.values())
-                      + in_flight_count)
+        m.residual = len(ap.buffer) + len(client.buffer) + in_flight_count
         return RunResult(config_echo=cfg, seed=self.seed, metrics=m,
                          frames=kept)
 

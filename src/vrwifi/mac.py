@@ -11,6 +11,7 @@ MPDU's retry bookkeeping is per packet.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, islice
@@ -63,16 +64,17 @@ class MacStation:
     cw: int = 0
     drops_buffer: int = 0
     drops_retx: int = 0
-    # contention bookkeeping written by the engine
+    # contention state written by the engine: AIFS end and slots left
+    # (None when due to restart or redraw), the last draw and the buffer
+    # length at it, and the backoff expiry (inf when empty)
     aifs_end_us: float | None = None
     slots_left: int | None = None
+    drawn_slots: int = -1
     snapshot_len: int = 0
+    expiry_us: float = math.inf
 
     def __post_init__(self):
         self.cw = self.cw_min
-
-    def backlogged(self) -> bool:
-        return len(self.buffer) > 0
 
 
 def make_station(role: str, mac: MacConfig, packets: Packets) -> MacStation:

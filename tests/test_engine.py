@@ -10,7 +10,7 @@ from vrwifi import mac as mac_mod
 from vrwifi import phy, traceio, traffic
 from vrwifi.config import validate_config
 from vrwifi.engine import run_seeds, run_simulation, run_sweep, set_axis
-from vrwifi.mac import AP
+from vrwifi.mac import AP, CLIENT
 from vrwifi.metrics import conservation_balance, metrics_summary
 from tests.conftest import make_cfg
 
@@ -367,6 +367,63 @@ def test_collisions_disabled_mode_runs_clean():
     assert generated == accounted
 
 
+def tie_cfg(collisions: bool):
+    """The first UL packet arrives with a video frame at 10 ms; with no
+    backoff, both stations' expiries fall AIFS later."""
+    return fast_cfg(duration_s=0.05,
+                    traffic={"fps": 100.0, "ul_period_ms": 10.0},
+                    mac={"cw_min": 0, "cw_max": 0,
+                         "collisions_enabled": collisions})
+
+
+def collision_busy_us(cfg) -> float:
+    return (phy.rts_airtime(cfg.phy) + cfg.mac.sifs_us
+            + phy.cts_airtime(cfg.phy))
+
+
+def test_tied_expiries_collide_when_collisions_are_enabled():
+    cfg = tie_cfg(True)
+    m = run_simulation(cfg, 1).metrics
+    first = next(i for i, t in enumerate(m.tx_log) if t.role != AP)
+    log = m.tx_log[first:]
+    assert (log[0].role, log[0].tx_start_us) == ("collision", 10034.0)
+    assert log[0].busy_end_us - log[0].tx_start_us == pytest.approx(
+        collision_busy_us(cfg), abs=1e-6)
+    # both windows stay 0, so both stations re-arm and tie again
+    for prev, t in zip(log, log[1:]):
+        assert t.role == "collision"
+        assert t.tx_start_us == pytest.approx(
+            prev.busy_end_us + cfg.mac.aifs_us, abs=1e-6)
+    assert m.delivered_ul == 0
+
+
+def test_tied_expiries_go_to_the_ap_when_collisions_are_disabled():
+    m = run_simulation(tie_cfg(False), 1).metrics
+    assert all(t.role != "collision" for t in m.tx_log)
+    (tie,) = [t for t in m.tx_log if t.tx_start_us == 10034.0]
+    assert tie.role == AP
+    client = next(t for t in m.tx_log if t.role == CLIENT)
+    assert client.backoff_slots == 0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "under cw_policy 'retry' each draw recomputes the window from the "
+    "head packet's retry count, so the doubling after a collision is lost"))
+def test_retry_policy_widens_the_window_after_a_collision():
+    cfg = fast_cfg(mac={"cw_min": 3, "per": 0.0})
+    windows = []
+    draw = mac_mod.draw_backoff
+
+    def recording_draw(station, rng):
+        windows.append(station.cw)
+        return draw(station, rng)
+
+    with mock.patch.object(mac_mod, "draw_backoff", recording_draw):
+        m = run_simulation(cfg, 1).metrics
+    assert m.collisions > 0
+    assert max(windows) > cfg.mac.cw_min
+
+
 # sha256 of every sample list, counter and tx_log entry of a seed-1 run,
 # 1 s unless given. The event loop may be reworked for speed, but these
 # must not move.
@@ -525,6 +582,21 @@ def test_engine_invariants_over_valid_configs(
                for d in m.dl_packet_delays_us)
     assert all(d >= floor_us(cfg.traffic.ul_packet_size_bytes, rts_cts[1])
                for d in m.ul_packet_delays_us)
+
+    # a collision occupies RTS + SIFS + CTS and carries nothing; a data
+    # exchange carries at least one MPDU after a draw within the window
+    collisions_seen = 0
+    for t in m.tx_log:
+        if t.role == "collision":
+            assert collisions
+            assert t.busy_end_us - t.tx_start_us == pytest.approx(
+                collision_busy_us(cfg), abs=1e-6)
+            assert (t.n_mpdus, t.backoff_slots) == (0, -1)
+            collisions_seen += t.tx_start_us >= m.warmup_us
+        else:
+            assert t.n_mpdus >= 1
+            assert 0 <= t.backoff_slots <= cw[1]
+    assert m.collisions == collisions_seen
 
     assert all(1 <= n <= max_ampdu for n in m.ampdu_sizes)
     for n, size in aggregates:
