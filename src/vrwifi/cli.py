@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import itertools
 import json
 import math
 import os
@@ -26,8 +25,8 @@ from vrwifi.config import (ConfigError, SimConfig, config_to_dict,
                            load_config, validate_config)
 from vrwifi.engine import (SWEEP_AXES, run_simulation, run_sweep, run_tasks,
                            set_axis)
-from vrwifi.metrics import (ecdf, metrics_summary, pooled_summary,
-                             summarize)
+from vrwifi.metrics import (SAMPLE_SETS, RunMetrics, ecdf, metrics_summary,
+                            pooled_summary, summarize)
 
 OUTPUT_ENV = "VRWIFI_OUTPUT_DIR"
 # skipped trace rows analyze names on stderr; the rest are only counted
@@ -74,6 +73,26 @@ SAMPLE_CSVS = (
 )
 
 
+def _simulate_task(task) -> tuple[RunMetrics, dict | None]:
+    """One seed of simulate, in a pool worker or in this process. Given a
+    trace path, the run also writes its delivered trace there and returns
+    the trace's metrics. Its metrics come back lean: no channel log, each
+    sample set one array."""
+    cfg, seed, trace_path = task
+    run = run_simulation(cfg, seed, keep_packets=trace_path is not None)
+    m, trace_metrics = run.metrics, None
+    if trace_path is not None:
+        # delivered_trace rounds like the file, so analyze reads back this
+        # very trace from sim_trace.csv; the packets are freed before both
+        trace = traceio.delivered_trace(run.frames)
+        del run
+        traceio.write_trace(trace, trace_path)
+        trace_metrics = traceio.analyze_video(trace).trace_metrics()
+    return dataclasses.replace(m, tx_log=[], **{
+        attr: np.array(getattr(m, attr), dtype)
+        for _, attr, _, dtype in SAMPLE_SETS}), trace_metrics
+
+
 def cmd_simulate(args) -> int:
     try:
         cfg = _load_cfg(args)
@@ -82,38 +101,31 @@ def cmd_simulate(args) -> int:
         return 2
     outdir = _outdir(args)
     seeds = [cfg.seed + i for i in range(cfg.runs)]
-    runs, per_run = [], []
-    # the pool simulates seeds[1:] while this process runs the first seed,
-    # exports its trace and writes each run's samples as the run arrives
-    with (run_tasks([(cfg, s) for s in seeds[1:]], args.jobs) as results,
+    runs, per_run, trace_metrics = [], [], None
+    # the pool simulates every seed, the first exporting its trace, while
+    # this process writes each run's samples as the run arrives
+    tasks = [(cfg, s, outdir / "sim_trace.csv" if s == cfg.seed else None)
+             for s in seeds]
+    with (run_tasks(_simulate_task, tasks, args.jobs) as results,
           ExitStack() as files):
-        first = run_simulation(cfg, cfg.seed, keep_packets=True)
-        # delivered_trace rounds like the file, so analyze reads back this
-        # very trace from sim_trace.csv
-        trace = traceio.delivered_trace(first.frames)
-        traceio.write_trace(trace, outdir / "sim_trace.csv")
-        trace_metrics = traceio.analyze_video(trace).trace_metrics()
-        # nothing past the export needs the first run's packets
-        kept = [(first.seed, first.metrics)]
-        del first, trace
         dumps = []
         for attr, fname, header in SAMPLE_CSVS:
             fh = files.enter_context(
                 open(outdir / fname, "w", newline="", encoding="utf-8"))
             fh.write(f"seed,{header}\r\n")
             dumps.append((attr, fh))
-        for seed, m in itertools.chain(
-                kept, ((r.seed, r.metrics) for r in results)):
-            # the bytes csv.writer writes (repr of a float, CRLF), without
-            # its per-row cost
+        for seed, (m, tm) in zip(seeds, results):
+            # the bytes csv.writer writes (repr of a Python number, CRLF),
+            # without its per-row cost, before the summary sorts the array
             for attr, fh in dumps:
-                values = getattr(m, attr)
+                values = getattr(m, attr).tolist()
                 if values:
                     fh.write(f"{seed}," + f"\r\n{seed},".join(
                         map(repr, values)) + "\r\n")
             per_run.append(metrics_summary(m))
-            # the pooled summary reads the samples, not the channel log
-            runs.append(dataclasses.replace(m, tx_log=[]))
+            runs.append(m)
+            if tm is not None:
+                trace_metrics = tm
 
     pooled = pooled_summary(runs)
     loss_ok = pooled["loss_rate"] <= QOS_LOSS_RATE

@@ -455,7 +455,7 @@ def run_simulation(cfg: SimConfig, seed: int,
 
 def run_seeds(cfg: SimConfig, jobs: int = 1) -> list[RunResult]:
     """cfg.runs independent runs; run i uses seed cfg.seed + i."""
-    with run_tasks([(cfg, cfg.seed + i) for i in range(cfg.runs)],
+    with run_tasks(_worker, [(cfg, cfg.seed + i) for i in range(cfg.runs)],
                    jobs) as results:
         return list(results)
 
@@ -481,7 +481,7 @@ def run_sweep(base: SimConfig, axis: str, values: list, seeds: list[int],
         for seed in seeds:
             tasks.append((cfg, seed))
             keys.append((value, seed))
-    with run_tasks(tasks, jobs) as results:
+    with run_tasks(_worker, tasks, jobs) as results:
         return dict(zip(keys, results))
 
 
@@ -491,21 +491,21 @@ def _worker(task) -> RunResult:
 
 
 @contextmanager
-def run_tasks(tasks: list, jobs: int):
-    """Yield an iterator over the RunResults of (cfg, seed) tasks, in
-    task order.
+def run_tasks(fn, tasks: list, jobs: int):
+    """Yield an iterator over fn(task) for each task, in task order; fn
+    is a module-level function, such as _worker for (cfg, seed) tasks.
 
     With jobs > 1 and more than one task, min(jobs, len(tasks)) worker
     processes start on entry and work through every task while the
     caller's block runs; leaving the block early cancels the tasks still
-    waiting for a worker. Otherwise each run happens in this process as
+    waiting for a worker. Otherwise each task runs in this process as
     the iterator reaches it.
     """
     if jobs <= 1 or len(tasks) <= 1:
-        yield map(_worker, tasks)
+        yield map(fn, tasks)
         return
     pool = ProcessPoolExecutor(max_workers=min(jobs, len(tasks)))
     try:
-        yield pool.map(_worker, tasks)
+        yield pool.map(fn, tasks)
     finally:
         pool.shutdown(cancel_futures=True)

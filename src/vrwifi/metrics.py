@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -47,7 +46,8 @@ class DeliveryLog:
 class RunMetrics:
     duration_us: float = 0.0
     warmup_us: float = 0.0
-    # sample sets (all filtered to the post-warm-up window)
+    # sample sets (all filtered to the post-warm-up window): lists, or
+    # arrays of SAMPLE_SETS' dtypes in a lean copy
     dl_packet_delays_us: list = field(default_factory=list)
     ul_packet_delays_us: list = field(default_factory=list)
     vf_delays_us: list = field(default_factory=list)
@@ -215,26 +215,29 @@ def metrics_summary(metrics: RunMetrics) -> dict:
     return out
 
 
+# each sample set: report name, RunMetrics attribute, scale, array dtype
+SAMPLE_SETS = (
+    ("dl_packet_delay_ms", "dl_packet_delays_us", 1e-3, np.float64),
+    ("ul_packet_delay_ms", "ul_packet_delays_us", 1e-3, np.float64),
+    ("vf_delay_ms", "vf_delays_us", 1e-3, np.float64),
+    ("assembly_delay_ms", "assembly_delays_us", 1e-3, np.float64),
+    ("ampdu_size", "ampdu_sizes", 1.0, np.int64),
+)
+
+
 def sample_summaries(runs: list[RunMetrics]) -> dict:
     """Nearest-rank summary of each sample set pooled over the runs, in
-    reporting units (delays in ms); None for an empty set."""
+    reporting units (delays in ms); None for an empty set. A run's
+    samples are a list or an array; summarize sorts one run's array in
+    place."""
     out = {}
-    for name, attr, scale, dtype in (
-        ("dl_packet_delay_ms", "dl_packet_delays_us", 1e-3, float),
-        ("ul_packet_delay_ms", "ul_packet_delays_us", 1e-3, float),
-        ("vf_delay_ms", "vf_delays_us", 1e-3, float),
-        ("assembly_delay_ms", "assembly_delays_us", 1e-3, float),
-        ("ampdu_size", "ampdu_sizes", 1.0, np.int64),
-    ):
-        runs_samples = [getattr(m, attr) for m in runs]
-        n = sum(map(len, runs_samples))
-        # one run's list as it is; several runs' samples straight into
-        # one array, without a pooled list, which summarize sorts
-        samples = (runs_samples[0] if len(runs_samples) == 1 else
-                   np.fromiter(chain.from_iterable(runs_samples), dtype, n))
+    for name, attr, scale, dtype in SAMPLE_SETS:
+        per_run = [getattr(m, attr) for m in runs]
+        samples = (per_run[0] if len(per_run) == 1 else
+                   np.concatenate([np.asarray(s, dtype) for s in per_run]))
         out[name] = ({k: (v * scale if k != "count" else v)
                       for k, v in summarize(samples).items()}
-                     if n else None)
+                     if len(samples) else None)
     return out
 
 

@@ -407,8 +407,9 @@ def _flows(trace: Trace) -> list[np.ndarray]:
     row order."""
     key = np.zeros(len(trace), dtype=np.int64)
     for column in (trace.src_port, trace.dst_port, trace.uplink):
-        _, code = np.unique(column, return_inverse=True)
-        key = key * (code.max() + 1) + code
+        if (column != column[0]).any():   # a constant one keeps the key
+            _, code = np.unique(column, return_inverse=True)
+            key = key * (code.max() + 1) + code
     order = np.argsort(key, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
 
@@ -687,6 +688,19 @@ VIDEO_PT = 96
 VIDEO_PORT = (50000, 5004)
 
 
+def _round_us(t_s: np.ndarray) -> np.ndarray:
+    """Times in s as write_trace prints them, float("{:.6f}".format(t)):
+    the double nearest k us, k = round(t * 1e6), which k / 1e6 gives
+    exactly (k < 2**53). The string decides only where t * 1e6 lies
+    within its rounding error of a half, so that k is in doubt."""
+    scaled = t_s * 1e6
+    out = np.rint(scaled) / 1e6
+    tie = (np.abs(scaled - np.floor(scaled) - 0.5)
+           <= np.maximum(1e-6, np.spacing(np.abs(scaled))))
+    out[tie] = [float("{:.6f}".format(t)) for t in t_s[tie].tolist()]
+    return out
+
+
 def _video_trace(frames: VideoTraffic, times_us: np.ndarray) -> Trace:
     """One row per packet at its instant in times_us (NaN: no row). Rows
     come back in time order, each timestamp rounded to the microsecond
@@ -704,8 +718,7 @@ def _video_trace(frames: VideoTraffic, times_us: np.ndarray) -> Trace:
     # round after the sort: rows whose times differ by less than 1 us
     # keep their time order, as they do in the written file
     return Trace(
-        np.array(list(map(float, map("{:.6f}".format,
-                                     times_s[order].tolist())))),
+        _round_us(times_s[order]),
         np.array(frames.packet_bytes, dtype=np.int64)[rows],
         np.full(n, VIDEO_PORT[0], dtype=np.int64),
         np.full(n, VIDEO_PORT[1], dtype=np.int64),

@@ -1,12 +1,16 @@
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from vrwifi import traceio
+from vrwifi import cli, traceio
 from vrwifi.cli import main
 from vrwifi.config import SimConfig, save_config
+from vrwifi.engine import run_simulation
+from vrwifi.metrics import SAMPLE_SETS, metrics_summary, pooled_summary
 from tests.conftest import WRONGLY_TYPED, make_cfg, write_wrongly_typed
 
 
@@ -87,12 +91,83 @@ def test_simulate_serial_and_parallel_agree(tmp_path):
                 == (outs["2"] / name).read_bytes()), name
 
 
-def test_simulate_pool_runs_the_seeds_after_the_first(tmp_path, pool_sizes):
+def test_simulate_pool_runs_every_seed(tmp_path, pool_sizes):
     cfg = make_cfg(duration_s=0.2, runs=3)
     save_config(cfg, str(tmp_path / "cfg.yaml"))
     assert main(["simulate", "--config", str(tmp_path / "cfg.yaml"),
                  "--jobs", "500", "--output", str(tmp_path / "out")]) == 0
-    assert pool_sizes == [2]
+    assert pool_sizes == [3]
+
+
+def test_simulate_main_process_only_writes(tmp_path, monkeypatch):
+    # with a pool, the workers simulate and export; a call made in a
+    # worker lands in the worker's copy of `calls`, not in this one
+    cfg = make_cfg(duration_s=0.2, runs=2)
+    save_config(cfg, str(tmp_path / "cfg.yaml"))
+    calls = []
+
+    def spy(name, original):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return call
+
+    for module, name in ((cli, "run_simulation"),
+                         (traceio, "delivered_trace")):
+        monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(tmp_path / "cfg.yaml"),
+                 "--jobs", "2", "--output", str(out)]) == 0
+    assert calls == [] and (out / "sim_trace.csv").stat().st_size > 0
+    # the same patches see both calls when the run is made here
+    assert main(["simulate", "--config", str(tmp_path / "cfg.yaml"),
+                 "--jobs", "1", "--output", str(tmp_path / "serial")]) == 0
+    assert calls == ["run_simulation", "delivered_trace", "run_simulation"]
+
+
+def test_simulate_one_run_on_two_jobs_matches_one_job(tmp_path):
+    cfg = make_cfg(duration_s=0.5, runs=1, seed=4)
+    save_config(cfg, str(tmp_path / "cfg.yaml"))
+    outs = [tmp_path / f"jobs{jobs}" for jobs in ("1", "2")]
+    for jobs, out in zip(("1", "2"), outs):
+        assert main(["simulate", "--config", str(tmp_path / "cfg.yaml"),
+                     "--jobs", jobs, "--output", str(out)]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_simulate_task_returns_lean_metrics(tmp_path):
+    cfg = make_cfg(duration_s=0.5)
+    full = run_simulation(cfg, 3).metrics
+    for trace_path in (None, tmp_path / "trace.csv"):
+        m, trace_metrics = cli._simulate_task((cfg, 3, trace_path))
+        assert m.tx_log == [] and full.tx_log
+        assert (trace_metrics is None) == (trace_path is None)
+        for _, attr, _, dtype in SAMPLE_SETS:
+            values = getattr(m, attr)
+            assert isinstance(values, np.ndarray) and values.dtype == dtype
+            assert values.tolist() == getattr(full, attr)
+    assert m.ampdu_sizes.dtype == np.int64
+
+
+@pytest.mark.parametrize("ul_enabled", [True, False])
+def test_summaries_of_arrays_equal_summaries_of_lists(ul_enabled):
+    cfg = make_cfg(duration_s=0.5, traffic={"ul_enabled": ul_enabled})
+    lists = [run_simulation(cfg, seed).metrics for seed in (1, 2, 3)]
+    arrays = [cli._simulate_task((cfg, seed, None))[0] for seed in (1, 2, 3)]
+    assert (arrays[0].ul_packet_delays_us.size > 0) == ul_enabled
+    assert pooled_summary(arrays) == pooled_summary(lists)
+    # one run's summary sorts its array in place: pooled after it, as
+    # simulate does, the runs still give the same summary
+    assert ([metrics_summary(m) for m in arrays]
+            == [metrics_summary(m) for m in lists])
+    assert pooled_summary(arrays) == pooled_summary(lists)
+    assert ((pooled_summary(arrays)["ul_packet_delay_ms"] is None)
+            == (not ul_enabled))
+    # A-MPDU sizes are ints in either form
+    assert {type(v) for v in lists[0].ampdu_sizes} == {int}
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
@@ -559,6 +634,35 @@ def test_record_lists_agree_with_the_columns(tmp_path, capture, threshold):
         assert traceio.assembly_delays(frames) == va.assembly_delays_ms
     assert (traceio.analyze_video(records, threshold).trace_metrics()
             == va.trace_metrics())
+
+
+@pytest.mark.parametrize("capture", [write_capture, write_tshark_capture],
+                         ids=["canonical", "tshark"])
+def test_each_flow_alone_keeps_its_labels(tmp_path, capture):
+    # a trace of one flow skips classify_streams' np.unique passes; it
+    # must label each flow of a pinned capture as the full capture does
+    capture(tmp_path / "capture.csv")
+    trace = traceio.parse_trace(str(tmp_path / "capture.csv")).trace
+    labels = traceio.classify_streams(trace)
+    keys = list(zip(trace.src_port.tolist(), trace.dst_port.tolist(),
+                    trace.uplink.tolist()))
+    assert len(set(keys)) > 1
+    for key in set(keys):
+        rows = np.array([k == key for k in keys])
+        assert (traceio.classify_streams(trace.take(rows)).tolist()
+                == labels[rows].tolist())
+
+
+def test_simulate_export_labels_alone_and_among_other_flows():
+    cfg = make_cfg(duration_s=1.0)
+    export = traceio.delivered_trace(
+        run_simulation(cfg, 1, keep_packets=True).frames)
+    records = list(export)
+    other = traceio.classify_streams(
+        records + [dataclasses.replace(records[0], src_port=1)])
+    alone = traceio.classify_streams(export)
+    assert alone.tolist() == other[:-1].tolist()
+    assert set(alone.tolist()) == {traceio.SRTP_VIDEO}
 
 
 def test_pinned_sweep_digest(tiny_config, tmp_path):

@@ -6,7 +6,9 @@ import pytest
 
 from vrwifi import traceio as tio
 from vrwifi import traffic as tr
-from vrwifi.config import TrafficConfig
+from vrwifi.config import SimConfig, TrafficConfig
+from vrwifi.engine import run_simulation
+from tests.conftest import make_cfg
 
 
 def rec(t, length=1243, **kw):
@@ -401,3 +403,42 @@ def test_delivered_trace_drops_undelivered():
                                if t is not None)
     times = [r.timestamp_s for r in records]
     assert times == sorted(times)
+
+
+# the configs of benchmarks/golden.py's digest matrix
+GOLDEN_MATRIX = [
+    {}, {"traffic": {"fps": 30.0}}, {"traffic": {"fps": 60.0}},
+    {"traffic": {"inter_batch_time_ms": 0.01}}, {"mac": {"per": 0.0}},
+    {"mac": {"per": 0.5}},
+    {"mac": {"rts_cts_enabled": False, "ul_rts_cts_enabled": False}},
+    {"mac": {"collisions_enabled": False}}, {"mac": {"cw_policy": "exchange"}},
+]
+
+
+def printed(times_s: np.ndarray) -> np.ndarray:
+    return np.array([float("{:.6f}".format(t)) for t in times_s.tolist()])
+
+
+def test_round_us_matches_the_printed_times_of_the_golden_runs():
+    # every generation and delivery time of both runs of every entry
+    for over in GOLDEN_MATRIX:
+        cfg = make_cfg(duration_s=2.0, warmup_ms=SimConfig().warmup_ms,
+                       **over)
+        for seed in (1, 2):
+            frames = run_simulation(cfg, seed, keep_packets=True).frames
+            delivery = np.array(frames.delivery_us, dtype=float)
+            for times_us in (frames.packet_gen_us,
+                             delivery[~np.isnan(delivery)]):
+                t_s = times_us / 1e6
+                assert tio._round_us(t_s).tobytes() == printed(t_s).tobytes()
+
+
+def test_round_us_matches_the_printed_times_at_halves():
+    halves = (np.arange(0, 10**7, 9973) + 0.5) / 1e6
+    t_s = np.concatenate([
+        np.arange(1, 2**12, 2) / 128,   # exact ties: j * 7812.5 us
+        halves, np.nextafter(halves, 0), np.nextafter(halves, 1),
+        np.nextafter(np.nextafter(halves, 1), 1),
+        [0.0, -0.0, 1e-7, -1e-7, 5e-7, -5e-7, 2.0**33, 2.0**40 + 0.5,
+         1e10, 1e300]])
+    assert tio._round_us(t_s).tobytes() == printed(t_s).tobytes()
