@@ -554,6 +554,15 @@ PINNED_SWEEP = {
         "f0d9a030501ec2afd658dcaf8506815adf3e761495a85dd6bb34a96fd9c25da5",
 }
 
+# a sweep that lists equal values twice: rows keep the first-listed key,
+# per_value one entry per listed value's text
+PINNED_SWEEP_REPEATS = {
+    "sweep.json":
+        "96737bdd8f696ad74ae54305d57964eef7fd06c98c0dcc662276f9842b749244",
+    "sweep_table.csv":
+        "21f71a482c02470ac3b0c288cf10d32bea4160e596ebcf4613b51f947947abc0",
+}
+
 
 def test_pinned_analyze_digest(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -671,6 +680,16 @@ def test_pinned_sweep_digest(tiny_config, tmp_path):
                  "--values", "60,90", "--output", str(out)]) == 0
     assert {name: digest(out / name)
             for name in PINNED_SWEEP} == PINNED_SWEEP
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_pinned_sweep_repeats_digest(tiny_config, tmp_path, jobs):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", tiny_config, "--axis", "per",
+                 "--values", "0.1,0.1,-0.0,0.0", "--jobs", jobs,
+                 "--output", str(out)]) == 0
+    assert {name: digest(out / name)
+            for name in PINNED_SWEEP_REPEATS} == PINNED_SWEEP_REPEATS
 
 
 @pytest.mark.parametrize("threshold", ["nan", "inf", "-1", "-0.5"])
