@@ -23,8 +23,7 @@ import numpy as np
 from vrwifi import traceio
 from vrwifi.config import (ConfigError, SimConfig, config_to_dict,
                            load_config, validate_config)
-from vrwifi.engine import (SWEEP_AXES, run_simulation, run_sweep, run_tasks,
-                           set_axis)
+from vrwifi.engine import SWEEP_AXES, run_simulation, run_tasks, set_axis
 from vrwifi.metrics import (SAMPLE_SETS, RunMetrics, ecdf, metrics_summary,
                             pooled_summary, summarize)
 
@@ -73,11 +72,11 @@ SAMPLE_CSVS = (
 )
 
 
-def _simulate_task(task) -> tuple[RunMetrics, dict | None]:
-    """One seed of simulate, in a pool worker or in this process. Given a
-    trace path, the run also writes its delivered trace there and returns
-    the trace's metrics. Its metrics come back lean: no channel log, each
-    sample set one array."""
+def _run_task(task) -> tuple[RunMetrics, dict | None]:
+    """One run of simulate or sweep, in a pool worker or in this process.
+    Given a trace path, the run also writes its delivered trace there and
+    returns the trace's metrics. Its metrics come back lean: no channel
+    log, each sample set one array."""
     cfg, seed, trace_path = task
     run = run_simulation(cfg, seed, keep_packets=trace_path is not None)
     m, trace_metrics = run.metrics, None
@@ -106,7 +105,7 @@ def cmd_simulate(args) -> int:
     # this process writes each run's samples as the run arrives
     tasks = [(cfg, s, outdir / "sim_trace.csv" if s == cfg.seed else None)
              for s in seeds]
-    with (run_tasks(_simulate_task, tasks, args.jobs) as results,
+    with (run_tasks(_run_task, tasks, args.jobs) as results,
           ExitStack() as files):
         dumps = []
         for attr, fname, header in SAMPLE_CSVS:
@@ -183,28 +182,29 @@ def cmd_sweep(args) -> int:
         if args.axis not in SWEEP_AXES:
             raise ConfigError([f"unknown sweep axis '{args.axis}'"])
         values = _parse_values(args.axis, args.values)
-        for value in values:    # every value's config is valid before any run
-            set_axis(cfg, args.axis, value)
+        # every value's config is valid before any run; an equal value
+        # listed again runs once, under the key listed first
+        cfgs = {value: set_axis(cfg, args.axis, value) for value in values}
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     outdir = _outdir(args)
     seeds = [cfg.seed + i for i in range(cfg.runs)]
-    results = run_sweep(cfg, args.axis, values, seeds, jobs=args.jobs)
-
-    per_value = {
-        str(value): pooled_summary([results[(value, s)].metrics
-                                    for s in seeds])
-        for value in values}
+    keys = [(value, seed) for value in cfgs for seed in seeds]
+    runs = {value: [] for value in cfgs}
     rows = []
-    for (value, seed), r in results.items():
-        s = metrics_summary(r.metrics)
-        dl, vf, ampdu = (s["dl_packet_delay_ms"], s["vf_delay_ms"],
-                         s["ampdu_size"])
-        rows.append([value, seed, dl["mean"] if dl else "",
-                     dl["p99_99"] if dl else "", vf["mean"] if vf else "",
-                     ampdu["mean"] if ampdu else "",
-                     s["airtime_fraction"], s["buffer_occupancy"]])
+    with run_tasks(_run_task, [(cfgs[v], seed, None) for v, seed in keys],
+                   args.jobs) as results:
+        for (value, seed), (m, _) in zip(keys, results):
+            s = metrics_summary(m)
+            dl, vf, ampdu = (s["dl_packet_delay_ms"], s["vf_delay_ms"],
+                             s["ampdu_size"])
+            rows.append([value, seed, dl["mean"] if dl else "",
+                         dl["p99_99"] if dl else "", vf["mean"] if vf else "",
+                         ampdu["mean"] if ampdu else "",
+                         s["airtime_fraction"], s["buffer_occupancy"]])
+            runs[value].append(m)
+    per_value = {str(value): pooled_summary(runs[value]) for value in values}
     _write_csv(outdir / "sweep_table.csv",
                [args.axis, "seed", "dl_delay_mean_ms", "dl_delay_p99_99_ms",
                 "vf_delay_mean_ms", "ampdu_mean", "airtime_fraction",

@@ -381,23 +381,12 @@ class _Sim:
         # each del frees loop state before the next numpy pass: the
         # after-loop accounting must not raise a run's peak memory
         del ap_times[a:], ap_ids[a:], ul_times, ul_ids
-        kept = None
-        if self.keep_packets:
-            # the times and stamps as the loop's own float objects
-            log = self.ap_log
-            kept = dataclasses.replace(
-                frames,
-                enqueue_us=_column(
-                    n_video, np.array(ap_ids)[admitted],
-                    np.array(ap_times, dtype=object)[admitted]),
-                delivery_us=_column(
-                    n_video, log.ids,
-                    np.repeat(np.array(log.stamps, dtype=object),
-                              log.counts)),
-                retx_count=self.packets.retx_count[:n_video])
-        del ap_ids
         arrive_us = np.array(ap_times)[admitted]
-        del ap_times, admitted
+        del ap_times
+        if self.keep_packets:
+            enqueue_us = np.full(n_video, np.nan)
+            enqueue_us[np.array(ap_ids)[admitted]] = arrive_us
+        del ap_ids, admitted
         self.queue_statistics(arrive_us)
         del arrive_us
         m.delivered_video = len(self.ap_log.ids)
@@ -406,7 +395,13 @@ class _Sim:
         m.record_delivery(self.ap_log, arrival_us, delivery_us, False)
         m.record_delivery(self.client_log, arrival_us, delivery_us, True)
         del self.ap_log, self.client_log, arrival_us
-        self.finalize_frames(frames, delivery_us[:n_video])
+        delivery_us = delivery_us[:n_video]
+        self.finalize_frames(frames, delivery_us)
+        kept = None
+        if self.keep_packets:
+            kept = dataclasses.replace(
+                frames, enqueue_us=enqueue_us, delivery_us=delivery_us,
+                retx_count=self.packets.retx_count[:n_video])
         m.dropped_retx = ap.drops_retx + client.drops_retx
         m.dropped_buffer = ap.drops_buffer + client.drops_buffer
         in_flight_count = (len(self.in_flight[1].mpdus)
@@ -436,14 +431,6 @@ class _Sim:
         m.vf_delays_us.extend(vf_delay(frames.packet_gen_us[rows],
                                        delivery_us[rows],
                                        np.cumsum(n_pk) - n_pk).tolist())
-
-
-def _column(n: int, ids, values: np.ndarray) -> list:
-    """A list of n entries: the objects in `values` at `ids` and None
-    elsewhere."""
-    column = np.full(n, None, dtype=object)
-    column[ids] = values
-    return column.tolist()
 
 
 def run_simulation(cfg: SimConfig, seed: int,

@@ -141,18 +141,17 @@ def cw_for_retry(station: MacStation, retry_count: int) -> int:
 
 def assemble_ampdu(station: MacStation, max_ampdu: int,
                    limit: int | None = None,
-                   max_bytes: int | None = None) -> Ampdu | None:
-    """Take up to max_ampdu head-of-line packets out of the buffer.
+                   max_bytes: int | None = None) -> Ampdu:
+    """Take up to max_ampdu head-of-line packets out of the buffer, which
+    is not empty: the engine only calls this for a due station, whose
+    buffer can only grow between its arming and its access.
 
     FIFO order is preserved; pending retransmissions were re-queued at
     the head by handle_back, so they lead the aggregate. A `limit` caps
     the take further (the buffer-snapshot policy) and `max_bytes` bounds
     the aggregate size in bytes; at least one packet always goes out.
-    Returns None on an empty buffer (no transmission attempt).
     """
     buffer = station.buffer
-    if not buffer:
-        return None
     n = min(len(buffer), max_ampdu)
     if limit is not None:
         n = max(1, min(n, limit))

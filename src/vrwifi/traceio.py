@@ -740,5 +740,5 @@ def delivered_trace(frames: VideoTraffic) -> Trace:
     delivery instants (undelivered packets are absent, as in a capture)."""
     delivery = frames.delivery_us
     if delivery is None:    # traffic of no run: nothing delivered
-        delivery = [None] * len(frames.packet_bytes)
-    return _video_trace(frames, np.array(delivery, dtype=float))
+        delivery = np.full(len(frames.packet_bytes), np.nan)
+    return _video_trace(frames, np.asarray(delivery, dtype=float))

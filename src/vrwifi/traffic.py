@@ -68,7 +68,8 @@ class VideoTraffic:
     order, so a packet's row is its id less first_packet_id.
 
     A run that keeps its packets fills the per-packet enqueue and
-    delivery times (None where a packet has none) and retry counts.
+    delivery times (NaN where a packet has none; its Packet view reads
+    None) and retry counts.
     len() counts the frames; iterating gives VideoFrame views, with
     their Batch and Packet views, built when read.
     """
@@ -90,8 +91,8 @@ class VideoTraffic:
     packet_bytes: list
     packet_gen_us: np.ndarray
     # per packet, set by a run
-    enqueue_us: list | None = None
-    delivery_us: list | None = None
+    enqueue_us: np.ndarray | None = None
+    delivery_us: np.ndarray | None = None
     retx_count: list | None = None
 
     def __len__(self) -> int:
@@ -106,7 +107,7 @@ class VideoTraffic:
             repeat(VIDEO_STREAM), self.packet_bytes,
             self.packet_gen_us.tolist(), frame_of,
             np.repeat(self.batch_index, self.batch_packets).tolist(),
-            self.enqueue_us or repeat(None), self.delivery_us or repeat(None),
+            _times(self.enqueue_us), _times(self.delivery_us),
             self.retx_count or repeat(0)))
 
     def __iter__(self):
@@ -121,6 +122,15 @@ class VideoTraffic:
                    self.frame_gen_us.tolist(), repeat(self.frame_bytes),
                    self.n_batches.tolist(), repeat(self.period_us),
                    map(batches.__getitem__, map(slice, [0, *b_end], b_end)))
+
+
+def _times(column):
+    """A per-packet time column as Python floats, None for NaN; all None
+    when there is no column."""
+    if column is None:
+        return repeat(None)
+    return [None if math.isnan(t) else t
+            for t in np.asarray(column, dtype=float).tolist()]
 
 
 def max_batches(cfg: TrafficConfig) -> int:

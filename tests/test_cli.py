@@ -142,7 +142,7 @@ def test_simulate_task_returns_lean_metrics(tmp_path):
     cfg = make_cfg(duration_s=0.5)
     full = run_simulation(cfg, 3).metrics
     for trace_path in (None, tmp_path / "trace.csv"):
-        m, trace_metrics = cli._simulate_task((cfg, 3, trace_path))
+        m, trace_metrics = cli._run_task((cfg, 3, trace_path))
         assert m.tx_log == [] and full.tx_log
         assert (trace_metrics is None) == (trace_path is None)
         for _, attr, _, dtype in SAMPLE_SETS:
@@ -156,7 +156,7 @@ def test_simulate_task_returns_lean_metrics(tmp_path):
 def test_summaries_of_arrays_equal_summaries_of_lists(ul_enabled):
     cfg = make_cfg(duration_s=0.5, traffic={"ul_enabled": ul_enabled})
     lists = [run_simulation(cfg, seed).metrics for seed in (1, 2, 3)]
-    arrays = [cli._simulate_task((cfg, seed, None))[0] for seed in (1, 2, 3)]
+    arrays = [cli._run_task((cfg, seed, None))[0] for seed in (1, 2, 3)]
     assert (arrays[0].ul_packet_delays_us.size > 0) == ul_enabled
     assert pooled_summary(arrays) == pooled_summary(lists)
     # one run's summary sorts its array in place: pooled after it, as
@@ -245,13 +245,50 @@ def test_sweep_invalid_value_exits_2_before_any_run(tiny_config, tmp_path,
                                                     axis, values, key):
     from vrwifi import engine
     runs = []
-    monkeypatch.setattr(engine, "run_simulation",
-                        lambda *a, **kw: runs.append(a))
+    monkeypatch.setattr(engine._Sim, "run", lambda sim: runs.append(sim))
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", tiny_config, "--axis", axis,
                  "--values", values, "--output", str(out)]) == 2
     assert key in capsys.readouterr().err
     assert runs == [] and not out.exists()
+
+
+def test_sweep_pools_lean_metrics(tiny_config, tmp_path, monkeypatch):
+    pooled = []
+
+    def spy(runs):
+        pooled.append(runs)
+        return pooled_summary(runs)
+
+    monkeypatch.setattr(cli, "pooled_summary", spy)
+    assert main(["sweep", "--config", tiny_config, "--axis", "fps",
+                 "--values", "60,90", "--jobs", "2",
+                 "--output", str(tmp_path / "sweep")]) == 0
+    assert [len(runs) for runs in pooled] == [2, 2]
+    for m in (m for runs in pooled for m in runs):
+        assert m.tx_log == []
+        for _, attr, _, dtype in SAMPLE_SETS:
+            assert isinstance(getattr(m, attr), np.ndarray)
+
+
+def test_sweep_runs_each_distinct_value_once(tiny_config, tmp_path,
+                                             monkeypatch):
+    from vrwifi import engine
+    runs = []
+    sim_run = engine._Sim.run
+
+    def spy(sim):
+        runs.append(sim.cfg.mac.per)
+        return sim_run(sim)
+
+    monkeypatch.setattr(engine._Sim, "run", spy)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", tiny_config, "--axis", "per",
+                 "--values", "0.1,0.1,-0.0,0.0", "--jobs", "1",
+                 "--output", str(out)]) == 0
+    assert runs == [0.1, 0.1, 0.0, 0.0]    # two seeds of each value
+    assert set(read(out / "sweep.json")["per_value"]) == {"0.1", "-0.0",
+                                                          "0.0"}
 
 
 def test_sweep_empty_values_ok(tiny_config, tmp_path):

@@ -134,10 +134,6 @@ def test_assemble_takes_whole_small_buffer():
     assert ampdu.total_bytes == 14 * 1243
 
 
-def test_assemble_empty_buffer_no_attempt():
-    assert mac.assemble_ampdu(ap(), max_ampdu=256) is None
-
-
 def test_assemble_with_snapshot_limit():
     st = ap()
     mac.enqueue(st, list(range(40)))
