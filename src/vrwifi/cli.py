@@ -24,8 +24,8 @@ from vrwifi import traceio
 from vrwifi.config import (ConfigError, SimConfig, config_to_dict,
                            load_config, validate_config)
 from vrwifi.engine import SWEEP_AXES, run_simulation, run_tasks, set_axis
-from vrwifi.metrics import (SAMPLE_SETS, RunMetrics, ecdf, metrics_summary,
-                            pooled_summary, summarize)
+from vrwifi.metrics import (RunMetrics, ecdf, metrics_summary, pooled_summary,
+                            summarize)
 
 OUTPUT_ENV = "VRWIFI_OUTPUT_DIR"
 # skipped trace rows analyze names on stderr; the rest are only counted
@@ -75,8 +75,8 @@ SAMPLE_CSVS = (
 def _run_task(task) -> tuple[RunMetrics, dict | None]:
     """One run of simulate or sweep, in a pool worker or in this process.
     Given a trace path, the run also writes its delivered trace there and
-    returns the trace's metrics. Its metrics come back lean: no channel
-    log, each sample set one array."""
+    returns the trace's metrics. Its metrics come back without the
+    channel log."""
     cfg, seed, trace_path = task
     run = run_simulation(cfg, seed, keep_packets=trace_path is not None)
     m, trace_metrics = run.metrics, None
@@ -87,9 +87,7 @@ def _run_task(task) -> tuple[RunMetrics, dict | None]:
         del run
         traceio.write_trace(trace, trace_path)
         trace_metrics = traceio.analyze_video(trace).trace_metrics()
-    return dataclasses.replace(m, tx_log=[], **{
-        attr: np.array(getattr(m, attr), dtype)
-        for _, attr, _, dtype in SAMPLE_SETS}), trace_metrics
+    return dataclasses.replace(m, tx_log=[]), trace_metrics
 
 
 def cmd_simulate(args) -> int:
@@ -115,7 +113,7 @@ def cmd_simulate(args) -> int:
             dumps.append((attr, fh))
         for seed, (m, tm) in zip(seeds, results):
             # the bytes csv.writer writes (repr of a Python number, CRLF),
-            # without its per-row cost, before the summary sorts the array
+            # without its per-row cost
             for attr, fh in dumps:
                 values = getattr(m, attr).tolist()
                 if values:

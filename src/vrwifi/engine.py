@@ -291,9 +291,9 @@ class _Sim:
         n_video = len(sizes)
         ul_times = np.zeros(0)
         if cfg.traffic.ul_enabled:
-            ul = traffic_mod.ul_controller_stream(cfg.traffic, cfg.duration_s)
-            ul_times = ul.times_us
-            sizes = sizes + [ul.size_bytes] * len(ul)
+            ul_times = traffic_mod.ul_controller_stream(cfg.traffic,
+                                                        cfg.duration_s)
+            sizes = sizes + [cfg.traffic.ul_packet_size_bytes] * len(ul_times)
         arrival_us = np.empty(len(sizes))
         arrival_us[video.packet_ids] = video.times_us
         arrival_us[n_video:] = ul_times
@@ -425,12 +425,12 @@ class _Sim:
         m = self.metrics
         m.incomplete_frames = int(np.count_nonzero(measured)
                                   - np.count_nonzero(done))
-        m.assembly_delays_us.extend((last - first)[done].tolist())
+        m.assembly_delays_us.frombytes((last - first)[done].tobytes())
         rows = np.repeat(done, n_pk)
         n_pk = n_pk[done]
-        m.vf_delays_us.extend(vf_delay(frames.packet_gen_us[rows],
-                                       delivery_us[rows],
-                                       np.cumsum(n_pk) - n_pk).tolist())
+        m.vf_delays_us.frombytes(vf_delay(frames.packet_gen_us[rows],
+                                          delivery_us[rows],
+                                          np.cumsum(n_pk) - n_pk).tobytes())
 
 
 def run_simulation(cfg: SimConfig, seed: int,
@@ -457,18 +457,16 @@ def set_axis(cfg: SimConfig, axis: str, value) -> SimConfig:
 
 def run_sweep(base: SimConfig, axis: str, values: list, seeds: list[int],
               jobs: int = 1) -> dict:
-    """Cartesian product of values x seeds, keyed by (value, seed).
+    """Cartesian product of values x seeds, keyed by (value, seed). An
+    equal value listed again runs once, under the key listed first.
 
     Every run is independent; execution order (or parallelism) cannot
     change any individual result.
     """
-    tasks, keys = [], []
-    for value in values:
-        cfg = set_axis(base, axis, value)
-        for seed in seeds:
-            tasks.append((cfg, seed))
-            keys.append((value, seed))
-    with run_tasks(_worker, tasks, jobs) as results:
+    cfgs = {value: set_axis(base, axis, value) for value in values}
+    keys = [(value, seed) for value in cfgs for seed in seeds]
+    with run_tasks(_worker, [(cfgs[v], seed) for v, seed in keys],
+                   jobs) as results:
         return dict(zip(keys, results))
 
 

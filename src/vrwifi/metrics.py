@@ -8,7 +8,9 @@ of the same sample set reports identical numbers.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -46,13 +48,14 @@ class DeliveryLog:
 class RunMetrics:
     duration_us: float = 0.0
     warmup_us: float = 0.0
-    # sample sets (all filtered to the post-warm-up window): lists, or
-    # arrays of SAMPLE_SETS' dtypes in a lean copy
-    dl_packet_delays_us: list = field(default_factory=list)
-    ul_packet_delays_us: list = field(default_factory=list)
-    vf_delays_us: list = field(default_factory=list)
-    assembly_delays_us: list = field(default_factory=list)
-    ampdu_sizes: list = field(default_factory=list)
+    # sample sets, filtered to the post-warm-up window: flat arrays of
+    # C doubles (delays) and 64-bit ints (sizes), so == gives a bool,
+    # items read as Python numbers and numpy reads them without a copy
+    dl_packet_delays_us: array = field(default_factory=partial(array, "d"))
+    ul_packet_delays_us: array = field(default_factory=partial(array, "d"))
+    vf_delays_us: array = field(default_factory=partial(array, "d"))
+    assembly_delays_us: array = field(default_factory=partial(array, "d"))
+    ampdu_sizes: array = field(default_factory=partial(array, "q"))
     # channel / buffer aggregates over the measured window
     airtime_busy_us: float = 0.0
     buffer_busy_us: float = 0.0
@@ -95,7 +98,7 @@ class RunMetrics:
         del enqueued
         samples = (self.ul_packet_delays_us if uplink
                    else self.dl_packet_delays_us)
-        samples.extend(delay[measured].tolist())
+        samples.frombytes(delay[measured].tobytes())
 
 
 def vf_delay(gen_us: np.ndarray, delivery_us: np.ndarray,
@@ -119,8 +122,8 @@ def vf_delay(gen_us: np.ndarray, delivery_us: np.ndarray,
 
 def summarize(samples_us) -> dict:
     """Nearest-rank summary: mean, p50, p99, p99.99, min, max, as Python
-    numbers, of a list of numbers or of a 1-D numpy array, which it sorts
-    in place."""
+    numbers, of a list of numbers, or of a 1-D numpy array or an
+    array.array, which it sorts in place."""
     if len(samples_us) == 0:
         raise ValueError("cannot summarize an empty sample list")
     # a list becomes one array; a stable sort orders non-NaN numbers as
@@ -215,26 +218,23 @@ def metrics_summary(metrics: RunMetrics) -> dict:
     return out
 
 
-# each sample set: report name, RunMetrics attribute, scale, array dtype
+# each sample set: report name, RunMetrics attribute, scale
 SAMPLE_SETS = (
-    ("dl_packet_delay_ms", "dl_packet_delays_us", 1e-3, np.float64),
-    ("ul_packet_delay_ms", "ul_packet_delays_us", 1e-3, np.float64),
-    ("vf_delay_ms", "vf_delays_us", 1e-3, np.float64),
-    ("assembly_delay_ms", "assembly_delays_us", 1e-3, np.float64),
-    ("ampdu_size", "ampdu_sizes", 1.0, np.int64),
+    ("dl_packet_delay_ms", "dl_packet_delays_us", 1e-3),
+    ("ul_packet_delay_ms", "ul_packet_delays_us", 1e-3),
+    ("vf_delay_ms", "vf_delays_us", 1e-3),
+    ("assembly_delay_ms", "assembly_delays_us", 1e-3),
+    ("ampdu_size", "ampdu_sizes", 1.0),
 )
 
 
 def sample_summaries(runs: list[RunMetrics]) -> dict:
     """Nearest-rank summary of each sample set pooled over the runs, in
-    reporting units (delays in ms); None for an empty set. A run's
-    samples are a list or an array; summarize sorts one run's array in
-    place."""
+    reporting units (delays in ms); None for an empty set. The pooled
+    set is a fresh array, so no run's samples are reordered."""
     out = {}
-    for name, attr, scale, dtype in SAMPLE_SETS:
-        per_run = [getattr(m, attr) for m in runs]
-        samples = (per_run[0] if len(per_run) == 1 else
-                   np.concatenate([np.asarray(s, dtype) for s in per_run]))
+    for name, attr, scale in SAMPLE_SETS:
+        samples = np.concatenate([getattr(m, attr) for m in runs])
         out[name] = ({k: (v * scale if k != "count" else v)
                       for k, v in summarize(samples).items()}
                      if len(samples) else None)

@@ -9,7 +9,7 @@ truncated so every frame's bytes sum exactly to bitrate/fps.
 Traffic is held by column: a VideoTraffic has one array per frame,
 batch and packet field, and a packet is its index in them. The
 VideoFrame, Batch and Packet objects are read-only views, built when a
-VideoTraffic, Emissions or UplinkStream is iterated.
+VideoTraffic is iterated.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 from vrwifi.config import TrafficConfig
 
 VIDEO_STREAM = "video"
-UL_STREAM = "ul-control"
 
 
 @dataclass(slots=True)
@@ -238,21 +237,17 @@ def generate_video_frames(cfg: TrafficConfig, rng: np.random.Generator,
 @dataclass(frozen=True, eq=False)
 class Emissions:
     """Video packet emissions in time order, ties in packet_id order:
-    parallel arrays of emission times (us) and packet ids into `traffic`.
-    Iterating gives (time, Packet view) pairs."""
+    parallel arrays of emission times (us) and packet ids. Iterating
+    gives (time, packet_id) pairs of Python numbers."""
 
     times_us: np.ndarray
     packet_ids: np.ndarray
-    traffic: VideoTraffic
 
     def __len__(self) -> int:
         return len(self.times_us)
 
     def __iter__(self):
-        packets = self.traffic.packets()
-        rows = self.packet_ids - self.traffic.first_packet_id
-        return zip(self.times_us.tolist(),
-                   map(packets.__getitem__, rows.tolist()))
+        return zip(self.times_us.tolist(), self.packet_ids.tolist())
 
 
 def video_packet_emissions(frames: VideoTraffic,
@@ -274,29 +269,13 @@ def video_packet_emissions(frames: VideoTraffic,
     # packets are in packet_id order, so a stable sort on time alone
     # gives (time, packet_id) order
     order = np.argsort(times, kind="stable")
-    return Emissions(times[order], order + frames.first_packet_id, frames)
-
-
-@dataclass(frozen=True, eq=False)
-class UplinkStream:
-    """Uplink controller packets by column: the generation time (us) of
-    each, all of one size. Packet k, from 1, is generated at
-    k * ul_period. Iterating gives Packet views."""
-
-    times_us: np.ndarray
-    size_bytes: int
-
-    def __len__(self) -> int:
-        return len(self.times_us)
-
-    def __iter__(self):
-        return map(Packet, range(1, len(self) + 1), repeat(UL_STREAM),
-                   repeat(self.size_bytes), self.times_us.tolist())
+    return Emissions(times[order], order + frames.first_packet_id)
 
 
 def ul_controller_stream(cfg: TrafficConfig,
-                         duration_s: float) -> UplinkStream:
-    """Fixed-size uplink controller packets, one per refresh period.
+                         duration_s: float) -> np.ndarray:
+    """The generation times (us, float64) of the uplink controller
+    packets, one per refresh period, each ul_packet_size_bytes long.
 
     Packet k is generated at k * ul_period, k >= 1, so a run of length D
     carries floor(D / ul_period) packets.
@@ -305,5 +284,4 @@ def ul_controller_stream(cfg: TrafficConfig,
         raise ValueError("ul_period_ms must be positive")
     period_us = cfg.ul_period_ms * 1e3
     count = math.floor(duration_s * 1e6 / period_us + 1e-9)
-    return UplinkStream(np.arange(1, count + 1) * period_us,
-                        cfg.ul_packet_size_bytes)
+    return np.arange(1, count + 1) * period_us

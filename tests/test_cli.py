@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import json
+import pickle
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -145,29 +147,46 @@ def test_simulate_task_returns_lean_metrics(tmp_path):
         m, trace_metrics = cli._run_task((cfg, 3, trace_path))
         assert m.tx_log == [] and full.tx_log
         assert (trace_metrics is None) == (trace_path is None)
-        for _, attr, _, dtype in SAMPLE_SETS:
-            values = getattr(m, attr)
-            assert isinstance(values, np.ndarray) and values.dtype == dtype
-            assert values.tolist() == getattr(full, attr)
-    assert m.ampdu_sizes.dtype == np.int64
+        # the task's metrics are the library's, less the channel log
+        assert m == dataclasses.replace(full, tx_log=[])
+
+
+def test_sample_sets_are_typed_arrays():
+    cfg = make_cfg(duration_s=0.5)
+    for m in (run_simulation(cfg, 3).metrics,
+              cli._run_task((cfg, 3, None))[0]):
+        assert [(type(getattr(m, attr)), getattr(m, attr).typecode)
+                for _, attr, _ in SAMPLE_SETS] == [(array, "d")] * 4 + [
+                    (array, "q")]
+        assert pickle.loads(pickle.dumps(m)) == m
+
+
+def test_summaries_leave_a_runs_samples_in_delivery_order():
+    m, _ = cli._run_task((make_cfg(duration_s=0.5), 1, None))
+    attrs = [attr for _, attr, _ in SAMPLE_SETS]
+    before = [getattr(m, attr).tolist() for attr in attrs]
+    assert all(v != sorted(v) for v in before if v)
+    metrics_summary(m)
+    pooled_summary([m])
+    pooled_summary([m, m])
+    assert [getattr(m, attr).tolist() for attr in attrs] == before
 
 
 @pytest.mark.parametrize("ul_enabled", [True, False])
-def test_summaries_of_arrays_equal_summaries_of_lists(ul_enabled):
+def test_task_metrics_summarize_as_run_metrics(ul_enabled):
     cfg = make_cfg(duration_s=0.5, traffic={"ul_enabled": ul_enabled})
-    lists = [run_simulation(cfg, seed).metrics for seed in (1, 2, 3)]
-    arrays = [cli._run_task((cfg, seed, None))[0] for seed in (1, 2, 3)]
-    assert (arrays[0].ul_packet_delays_us.size > 0) == ul_enabled
-    assert pooled_summary(arrays) == pooled_summary(lists)
-    # one run's summary sorts its array in place: pooled after it, as
-    # simulate does, the runs still give the same summary
-    assert ([metrics_summary(m) for m in arrays]
-            == [metrics_summary(m) for m in lists])
-    assert pooled_summary(arrays) == pooled_summary(lists)
-    assert ((pooled_summary(arrays)["ul_packet_delay_ms"] is None)
-            == (not ul_enabled))
-    # A-MPDU sizes are ints in either form
-    assert {type(v) for v in lists[0].ampdu_sizes} == {int}
+    runs = [run_simulation(cfg, seed).metrics for seed in (1, 2, 3)]
+    tasks = [cli._run_task((cfg, seed, None))[0] for seed in (1, 2, 3)]
+    assert (len(tasks[0].ul_packet_delays_us) > 0) == ul_enabled
+    # each run summarized first, then pooled, as simulate does
+    assert ([metrics_summary(m) for m in tasks]
+            == [metrics_summary(m) for m in runs])
+    pooled = pooled_summary(tasks)
+    assert pooled == pooled_summary(runs)
+    assert (pooled["ul_packet_delay_ms"] is None) == (not ul_enabled)
+    # A-MPDU sizes read as ints in either result
+    assert {type(v) for m in (runs[0], tasks[0])
+            for v in m.ampdu_sizes} == {int}
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
@@ -267,8 +286,8 @@ def test_sweep_pools_lean_metrics(tiny_config, tmp_path, monkeypatch):
     assert [len(runs) for runs in pooled] == [2, 2]
     for m in (m for runs in pooled for m in runs):
         assert m.tx_log == []
-        for _, attr, _, dtype in SAMPLE_SETS:
-            assert isinstance(getattr(m, attr), np.ndarray)
+        for _, attr, _ in SAMPLE_SETS:
+            assert isinstance(getattr(m, attr), array)
 
 
 def test_sweep_runs_each_distinct_value_once(tiny_config, tmp_path,

@@ -205,6 +205,24 @@ def test_sweep_empty_values():
     assert run_sweep(fast_cfg(), "fps", [], [1, 2]) == {}
 
 
+def test_sweep_runs_each_distinct_value_once(monkeypatch):
+    from vrwifi import engine
+    runs = []
+    sim_run = engine._Sim.run
+
+    def spy(sim):
+        runs.append(sim.cfg.mac.per)
+        return sim_run(sim)
+
+    monkeypatch.setattr(engine._Sim, "run", spy)
+    results = run_sweep(fast_cfg(duration_s=0.2), "per",
+                        [0.1, 0.1, -0.0, 0.0], [7, 8])
+    assert runs == [0.1, 0.1, 0.0, 0.0]    # two seeds of each value
+    # keyed by the value listed first
+    assert [(str(v), seed) for v, seed in results] == [
+        ("0.1", 7), ("0.1", 8), ("-0.0", 7), ("-0.0", 8)]
+
+
 def test_sweep_results_independent_of_seed_order():
     cfg = fast_cfg(duration_s=0.5)
     fwd = run_sweep(cfg, "fps", [60.0, 90.0], [1, 2])
@@ -348,8 +366,8 @@ def test_kept_run_columns_follow_the_per_packet_rules(name):
         frames, "delivery_time_us")
     assert list(traceio.generated_video_trace(frames)) == (
         reference_video_trace(frames, "gen_time_us"))
-    assert (m.vf_delays_us, m.assembly_delays_us, m.incomplete_frames) == (
-        reference_frame_delays(frames, m.warmup_us))
+    assert (m.vf_delays_us.tolist(), m.assembly_delays_us.tolist(),
+            m.incomplete_frames) == reference_frame_delays(frames, m.warmup_us)
 
 
 def test_queue_statistics_without_an_ap_exchange_end():
@@ -485,8 +503,10 @@ PINNED_RUNS = {
 
 def run_digest(res) -> str:
     m = res.metrics
-    parts = (m.dl_packet_delays_us, m.ul_packet_delays_us, m.vf_delays_us,
-             m.assembly_delays_us, m.ampdu_sizes,
+    # each sample set read as a list, whose repr the digests were pinned on
+    parts = (m.dl_packet_delays_us.tolist(), m.ul_packet_delays_us.tolist(),
+             m.vf_delays_us.tolist(), m.assembly_delays_us.tolist(),
+             m.ampdu_sizes.tolist(),
              m.airtime_busy_us, m.buffer_busy_us, m.buffer_level_integral,
              m.generated_video, m.generated_ul, m.delivered_video,
              m.delivered_ul, m.dropped_buffer, m.dropped_retx, m.residual,

@@ -75,23 +75,23 @@ def test_ecdf_empty_errors():
 def test_record_delivery_appends_delay_only():
     m = mx.RunMetrics()
     delivery = record(m, [10.0, 10.0, 10.0], [(1210.0, [0]), (1210.0, [1])])
-    assert m.dl_packet_delays_us == [1200.0, 1200.0]   # 1.2 ms each
+    assert m.dl_packet_delays_us.tolist() == [1200.0, 1200.0]   # 1.2 ms each
     assert delivery[:2] == [1210.0, 1210.0] and np.isnan(delivery[2])
-    assert m.ampdu_sizes == []       # sizes are sampled per attempt only
+    assert m.ampdu_sizes.tolist() == []   # sizes are sampled per attempt only
 
 
 def test_record_delivery_routes_ul_stream():
     m = mx.RunMetrics()
     record(m, [0.0], [(500.0, [0])], uplink=True)
-    assert m.ul_packet_delays_us == [500.0]
-    assert m.dl_packet_delays_us == []
+    assert m.ul_packet_delays_us.tolist() == [500.0]
+    assert m.dl_packet_delays_us.tolist() == []
 
 
 def test_record_delivery_skips_warmup_enqueues_in_order():
     m = mx.RunMetrics(warmup_us=100.0)
     delivery = record(m, [99.0, 150.0, 100.0, 0.0],
                       [(900.0, [2, 0]), (1000.0, [1])])
-    assert m.dl_packet_delays_us == [800.0, 850.0]
+    assert m.dl_packet_delays_us.tolist() == [800.0, 850.0]
     # the warm-up packet is stamped all the same
     assert delivery[:3] == [900.0, 1000.0, 900.0] and np.isnan(delivery[3])
 
@@ -102,7 +102,7 @@ def test_record_attempt_counts_retransmission_attempts():
     m.record_attempt(ampdu)
     retx = Ampdu(mpdus=[0], total_bytes=1243)
     m.record_attempt(retx)
-    assert m.ampdu_sizes == [1, 1]
+    assert m.ampdu_sizes.tolist() == [1, 1]
 
 
 def vf_delays(gen_us, delivery_us, starts):
@@ -226,5 +226,5 @@ def test_pooled_samples_summarize_as_sorted_lists():
             assert got[name][k] == (v if k == "count" else
                                     v * (1e-3 if name.endswith("ms")
                                          else 1.0))
-    # the runs' own lists are left as they were
-    assert runs[3].ampdu_sizes != sorted(runs[3].ampdu_sizes)
+    # the runs' own samples are left as they were
+    assert runs[3].ampdu_sizes.tolist() != sorted(runs[3].ampdu_sizes)

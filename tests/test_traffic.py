@@ -128,17 +128,16 @@ def test_tiny_tau_collapses_frame_span():
 
 
 def test_ul_stream_count_and_load(traffic_cfg):
-    pkts = tr.ul_controller_stream(traffic_cfg, 1.0)
-    assert len(pkts) == 240   # floor(1000 / 4.16)
-    load = sum(p.size_bytes for p in pkts) * 8 / 1e6
+    times = tr.ul_controller_stream(traffic_cfg, 1.0)
+    assert times.dtype == np.float64
+    assert len(times) == 240   # floor(1000 / 4.16)
+    load = len(times) * traffic_cfg.ul_packet_size_bytes * 8 / 1e6
     assert load == pytest.approx(0.336, abs=0.01)
-    assert all(p.size_bytes == 175 for p in pkts)
-    gaps = np.diff([p.gen_time_us for p in pkts])
-    assert np.allclose(gaps, 4160.0)
+    assert times[0] == 4160.0 and np.allclose(np.diff(times), 4160.0)
 
 
 def test_ul_stream_zero_duration(traffic_cfg):
-    assert list(tr.ul_controller_stream(traffic_cfg, 0.0)) == []
+    assert tr.ul_controller_stream(traffic_cfg, 0.0).tolist() == []
 
 
 def test_ul_stream_bad_period():
@@ -150,20 +149,21 @@ def test_global_anchor_snaps_batch_starts_to_grid():
     cfg = TrafficConfig(fps=60.0, pacer_anchor="global")
     frames = tr.generate_video_frames(cfg, rng(8), 0.5)
     tau_us = cfg.inter_batch_time_ms * 1e3
-    first_emits = {}
-    for emit_us, pkt in tr.video_packet_emissions(frames, cfg):
-        first_emits.setdefault((pkt.frame_id, pkt.batch_index), emit_us)
-    assert first_emits
-    for emit in first_emits.values():
-        frac = (emit / tau_us) % 1.0
-        assert min(frac, 1.0 - frac) == pytest.approx(0.0, abs=1e-6)
+    em = tr.video_packet_emissions(frames, cfg)
+    batch = np.repeat(np.arange(len(frames.batch_packets)),
+                      frames.batch_packets)[em.packet_ids]
+    # emissions are in time order: each batch's first is its start
+    _, first = np.unique(batch, return_index=True)
+    frac = (em.times_us[first] / tau_us) % 1.0
+    assert len(frac) == len(frames.batch_packets)
+    assert np.allclose(np.minimum(frac, 1.0 - frac), 0.0, atol=1e-6)
 
 
 def test_frame_anchor_releases_at_generation():
     cfg = TrafficConfig(fps=60.0)
     frames = tr.generate_video_frames(cfg, rng(8), 0.5)
-    for emit_us, pkt in tr.video_packet_emissions(frames, cfg):
-        assert emit_us == pkt.gen_time_us
+    em = tr.video_packet_emissions(frames, cfg)
+    assert em.times_us.tolist() == frames.packet_gen_us[em.packet_ids].tolist()
 
 
 # sha256 of every frame, batch and packet field generate_video_frames
@@ -195,6 +195,7 @@ PINNED_TRAFFIC = {
 def traffic_digest(cfg: TrafficConfig, duration_s: float) -> str:
     r = rng(1)
     frames = tr.generate_video_frames(cfg, r, duration_s)
+    em = tr.video_packet_emissions(frames, cfg)
     parts = (
         [(f.frame_id, f.gen_time_us, f.size_bytes, f.n_batches, f.period_us,
           [(b.batch_index, b.size_bytes, b.release_time_us,
@@ -203,7 +204,7 @@ def traffic_digest(cfg: TrafficConfig, duration_s: float) -> str:
               p.delivery_time_us, p.retx_count) for p in b.packets])
            for b in f.batches])
          for f in frames],
-        [(t, p.packet_id) for t, p in tr.video_packet_emissions(frames, cfg)],
+        list(zip(em.times_us.tolist(), em.packet_ids.tolist())),
         r.bit_generator.state,
     )
     return hashlib.sha256(repr(parts).encode()).hexdigest()
@@ -279,6 +280,7 @@ def test_generation_follows_the_per_packet_rules(
                  p.batch_index) for p in b.packets])
               for b in f.batches])
             for f in frames] == expected_frames
-    assert [(t, p.packet_id) for t, p in tr.video_packet_emissions(
-        frames, cfg)] == expected_emissions
+    em = tr.video_packet_emissions(frames, cfg)
+    pairs = list(zip(em.times_us.tolist(), em.packet_ids.tolist()))
+    assert pairs == expected_emissions and list(em) == pairs
     assert r.bit_generator.state == r_ref.bit_generator.state
