@@ -189,8 +189,9 @@ def cmd_sweep(args) -> int:
     outdir = _outdir(args)
     seeds = [cfg.seed + i for i in range(cfg.runs)]
     keys = [(value, seed) for value in cfgs for seed in seeds]
-    runs = {value: [] for value in cfgs}
-    rows = []
+    # the tasks come value by value: each value is pooled as soon as its
+    # last seed arrives, so only one value's runs are held
+    pooled, runs, rows = {}, [], []
     with run_tasks(_run_task, [(cfgs[v], seed, None) for v, seed in keys],
                    args.jobs) as results:
         for (value, seed), (m, _) in zip(keys, results):
@@ -201,8 +202,11 @@ def cmd_sweep(args) -> int:
                          dl["p99_99"] if dl else "", vf["mean"] if vf else "",
                          ampdu["mean"] if ampdu else "",
                          s["airtime_fraction"], s["buffer_occupancy"]])
-            runs[value].append(m)
-    per_value = {str(value): pooled_summary(runs[value]) for value in values}
+            runs.append(m)
+            if len(runs) == len(seeds):
+                pooled[value] = pooled_summary(runs)
+                runs = []
+    per_value = {str(value): pooled[value] for value in values}
     _write_csv(outdir / "sweep_table.csv",
                [args.axis, "seed", "dl_delay_mean_ms", "dl_delay_p99_99_ms",
                 "vf_delay_mean_ms", "ampdu_mean", "airtime_fraction",

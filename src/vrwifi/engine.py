@@ -4,9 +4,12 @@ traffic), and sweep orchestration across seeds.
 
 Event ordering contract (what makes a run replay bit-identically):
 
-- Packet arrivals are known before the loop starts. Each station has
-  its own pre-sorted lists of arrival times and packet ids, walked by a
-  cursor.
+- Every traffic draw comes before the first MAC draw: all frames' batch
+  counts are drawn in one call when the run starts. The video packets
+  are then built a window of frames at a time as the loop reaches them
+  (traffic.VideoWindows), and each window's emissions are merged in time
+  order with those of earlier windows still to come. Each station walks
+  a time-ordered list of arrival times and packet ids with a cursor.
 - At most one runtime event is pending, at `_Sim.wake_us`: while the
   channel is busy, the end of the exchange on the air; while it is
   idle, the earlier of the two stations' backoff expiries (none if
@@ -27,21 +30,25 @@ Event ordering contract (what makes a run replay bit-identically):
   which shortens the span still to admit. An already backlogged
   station's timers are armed (or frozen under a busy channel), so its
   arrivals commute with that resolve.
-- The loop only records what the statistics need: the admitted AP
-  arrivals, the time and size of each AP queue drop at an exchange end,
-  and each exchange's delivered ids and stamp. After the loop the AP
-  queue integral and busy time are summed from those records in event
-  order (arrivals first at equal times), with the same sequential
-  floating-point additions as a running sum, and the delay samples and
-  delivery times are built in one numpy pass per stream.
+- The loop only records what the statistics need: the AP arrivals'
+  times by id and the ids it tail-dropped, the time and size of each AP
+  queue drop at an exchange end, and each exchange's delivered ids and
+  stamp. After the loop the AP queue integral and busy time are summed
+  from those records in event order (arrivals first at equal times),
+  with the same sequential floating-point additions as a running sum,
+  and the delay samples and delivery times are built per stream; these
+  passes take a block of rows at a time (metrics.BLOCK).
 
-Packet state is columnar: a packet is an integer id, video packets first
-in packet_id order and uplink packets after them. Station buffers and
-A-MPDUs hold ids, sizes and retry counts are per-packet lists
-(mac.Packets), and a packet's enqueue time is its arrival time. Frame
+Packet state is columnar: a packet is an integer id into its station's
+columns, video packets in packet_id order at the AP and uplink packets
+in time order at the client. Station buffers and A-MPDUs hold ids; the
+per-packet values a run keeps for its whole length (sizes and retry
+counts in mac.Packets, video arrival times, delivered ids) take 8 bytes
+a packet each, and a packet's enqueue time is its arrival time. Frame
 delays come from the delivery column in one reduction over the frame
-offsets. A run that keeps its packets returns its traffic columns with
-the enqueue and delivery times and retry counts attached.
+offsets of each window. A run that keeps its packets builds its video
+in one window and returns its traffic columns with the enqueue and
+delivery times and retry counts attached.
 
 One PCG64 stream per run keeps every run reproducible and independent of
 any other.
@@ -51,6 +58,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from array import array
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -63,7 +71,7 @@ from vrwifi import phy as phy_mod
 from vrwifi import traffic as traffic_mod
 from vrwifi.config import SimConfig, validate_config
 from vrwifi.mac import AP, CLIENT, MacStation, Packets
-from vrwifi.metrics import DeliveryLog, RunMetrics, TxRecord, vf_delay
+from vrwifi.metrics import BLOCK, DeliveryLog, RunMetrics, TxRecord, vf_delay
 from vrwifi.traffic import VideoTraffic
 
 SWEEP_AXES = {
@@ -73,6 +81,10 @@ SWEEP_AXES = {
     "mcs_index": ("phy", "mcs_index"),
     "per": ("mac", "per"),
 }
+
+# virtual seconds of video a run that does not keep its packets builds
+# at a time, as the event loop reaches them
+WINDOW_S = 1.0
 
 
 @dataclass
@@ -96,16 +108,15 @@ class _Sim:
         self.now = 0.0
         self.wake_us = math.inf   # time of the one pending runtime event
         self.in_flight = None   # (station, ampdu) or "collision" while busy
-        self.packets: Packets | None = None    # set by run()
         self.ap = self.client = None   # MacStations, set by run()
+        self.frames: VideoTraffic | None = None   # a kept run's traffic
         self.metrics = RunMetrics(duration_us=self.duration_us,
                                   warmup_us=self.warmup_us,
                                   buffer_capacity=cfg.mac.ap_buffer)
         # each station's deliveries, and the time and size of each drop
         # of the AP queue at an exchange end (delivered plus dropped)
         self.ap_log, self.client_log = DeliveryLog(), DeliveryLog()
-        self.ap_end_us: list[float] = []
-        self.ap_end_n: list[int] = []
+        self.ap_end_us, self.ap_end_n = array("d"), array("q")
         self.airtime_cache: dict = {}   # (bytes, mpdus, rts_cts) -> us
         # pre-computed timing constants
         m = cfg.mac
@@ -129,7 +140,7 @@ class _Sim:
         if st.slots_left is None:
             if self.cfg.mac.cw_policy == "retry":
                 st.cw = mac_mod.cw_for_retry(
-                    st, self.packets.retx_count[st.buffer[0]])
+                    st, st.packets.retx_count[st.buffer[0]])
             st.slots_left = st.drawn_slots = mac_mod.draw_backoff(st, self.rng)
             st.snapshot_len = len(st.buffer)
         st.expiry_us = st.aifs_end_us + st.slots_left * self.slot
@@ -148,9 +159,10 @@ class _Sim:
         if b > a:
             self.metrics.airtime_busy_us += b - a
 
-    def queue_statistics(self, arrive_us: np.ndarray) -> None:
+    def queue_statistics(self, enqueue_us: np.ndarray) -> None:
         """The AP queue's length integral and busy time over the measured
-        window, from its admitted arrival times (in time order).
+        window, from the enqueue column (by packet id, NaN for a packet
+        never admitted).
 
         The queue grows by one at each admitted arrival and shrinks at
         each AP exchange end by the packets delivered or dropped;
@@ -158,37 +170,55 @@ class _Sim:
         changes (the last one ends at the end of the run), clipped to
         [warm-up, duration], that is not empty and has packets queued
         adds its length to the busy time and its length times the queue
-        length to the integral. The sums run in event order with
-        np.cumsum, a sequential add, so they equal a running sum in the
-        loop bit for bit; the empty-queue intervals it skips would add
-        +0.0.
+        length to the integral; the other intervals add +0.0. The changes
+        go BLOCK at a time, each block's sums np.cumsum'ed (a sequential
+        add) on from the last block's, so they equal a running sum in
+        the loop bit for bit.
         """
-        end_us = np.array(self.ap_end_us)
+        arrive_us = enqueue_us[~np.isnan(enqueue_us)]
+        # equal times are equal values, so any sort gives the time order
+        arrive_us.sort()
+        end_us = np.frombuffer(self.ap_end_us)
+        end_n = np.frombuffer(self.ap_end_n, dtype=np.int64)
         # each exchange end's place among the changes: after the arrivals
         # up to its time and the ends before it
         at = (np.searchsorted(arrive_us, end_us, side="right")
               + np.arange(len(end_us)))
-        is_end = np.zeros(len(arrive_us) + len(end_us), dtype=bool)
-        is_end[at] = True
-        t = np.empty(len(is_end))
-        t[is_end] = end_us
-        t[~is_end] = arrive_us
-        level = np.ones(len(t), dtype=np.int64)
-        level[at] = -np.array(self.ap_end_n, dtype=np.int64)
-        del end_us, at, is_end
-        np.cumsum(level, out=level)   # the queue length after each change
-        length = np.append(t[1:], self.duration_us)
-        np.minimum(length, self.duration_us, out=length)
-        np.maximum(t, self.warmup_us, out=t)
-        length -= t
-        del t
-        counted = (length > 0) & (level > 0)
-        length, level = length[counted], level[counted]
-        m = self.metrics
-        m.buffer_busy_us = float(np.cumsum(length)[-1]) if len(length) else 0.0
-        length *= level
-        m.buffer_level_integral = (float(np.cumsum(length)[-1])
-                                   if len(length) else 0.0)
+        n = len(arrive_us) + len(end_us)
+        busy = integral = level = 0.0   # running sums, queue length
+        for p0 in range(0, n, BLOCK):
+            p1 = min(p0 + BLOCK, n)
+            # exchange ends e0 to e1 - 1 fall in the block, at `ends`
+            e0, e1 = np.searchsorted(at, (p0, p1)).tolist()
+            ends = at[e0:e1] - p0
+            is_end = np.zeros(p1 - p0, dtype=bool)
+            is_end[ends] = True
+            # the block's change times, then the next change's time (the
+            # end of the run after the last change)
+            t = np.empty(p1 - p0 + 1)
+            t[:-1][is_end] = end_us[e0:e1]
+            t[:-1][~is_end] = arrive_us[p0 - e0:p1 - e1]
+            t[-1] = (self.duration_us if p1 == n
+                     else end_us[e1] if e1 < len(at) and at[e1] == p1
+                     else arrive_us[p1 - e1])
+            # the queue length after each change, as floats (exact)
+            queued = np.ones(p1 - p0)
+            queued[ends] = -end_n[e0:e1]
+            queued[0] += level
+            np.cumsum(queued, out=queued)
+            level = queued[-1]
+            # clipped to the window, an interval runs from one change to
+            # the next; one clipped to nothing has length 0 or less
+            np.clip(t, self.warmup_us, self.duration_us, out=t)
+            length = np.diff(t)
+            length[(length <= 0) | (queued <= 0)] = 0.0
+            queued *= length
+            queued[0] += integral
+            integral = np.cumsum(queued, out=queued)[-1]
+            length[0] += busy
+            busy = np.cumsum(length, out=length)[-1]
+        self.metrics.buffer_busy_us = float(busy)
+        self.metrics.buffer_level_integral = float(integral)
 
     # -- event handlers ---------------------------------------------------
 
@@ -263,7 +293,7 @@ class _Sim:
             else:
                 stamp = self.now - self.cfg.mac.sifs_us - self.back_air
             log = self.ap_log if st is self.ap else self.client_log
-            log.ids += delivered
+            log.ids.fromlist(delivered)
             log.stamps.append(stamp)
             log.counts.append(len(delivered))
         policy = self.cfg.mac.cw_policy
@@ -278,49 +308,91 @@ class _Sim:
 
     # -- main loop --------------------------------------------------------
 
-    def arrivals(self, frames: VideoTraffic) -> tuple:
-        """Each station's packet arrivals as a time-ordered list of times,
-        ending in an inf sentinel, and a parallel list of packet ids (AP,
-        then client); every packet's arrival time by id; and the run's
-        Packets columns. Video emitted at or after the end is left out of
-        the AP's lists. The numpy temporaries are freed on return, before
-        the loop runs."""
+    def video_arrivals(self, windows: traffic_mod.VideoWindows,
+                       packets: Packets, arrival_us: array):
+        """The AP's video arrivals before the end of the run, in time
+        order and packet id order at equal times, a window of frames at a
+        time: chunks (times, ids, horizon) of lists, where every arrival
+        before `horizon` is in that chunk or an earlier one and every
+        later one is at or after it (inf for the last chunk).
+
+        Reaching a window adds its packets to `packets` and their
+        emission times, by id, to `arrival_us` (NaN at or after the end),
+        and counts its arrivals as generated. A kept run's one window is
+        kept as self.frames.
+        """
+        cfg = self.cfg.traffic
+        # emissions of earlier windows at or after their chunk's horizon
+        carry_times, carry_ids = np.zeros(0), np.zeros(0, dtype=np.int64)
+        for frames, later_us in windows:
+            if self.keep_packets:
+                self.frames = frames
+            em = traffic_mod.video_packet_emissions(frames, cfg)
+            packets.extend(frames.packet_bytes)
+            by_id = np.empty(len(em))
+            by_id[em.packet_ids - frames.first_packet_id] = em.times_us
+            by_id[by_id >= self.duration_us] = np.nan
+            arrival_us.frombytes(by_id.view(np.uint8))
+            times, ids = em.times_us, em.packet_ids
+            del em, by_id
+            if len(carry_times):
+                # the carried emissions have the lower ids, so a stable
+                # sort on time keeps ties in packet id order
+                times = np.concatenate((carry_times, times))
+                ids = np.concatenate((carry_ids, ids))
+                order = np.argsort(times, kind="stable")
+                times, ids = times[order], ids[order]
+                del order
+            k = int(np.searchsorted(times, min(later_us, self.duration_us)))
+            self.metrics.generated_video += k
+            yield times[:k].tolist(), ids[:k].tolist(), later_us
+            carry_times, carry_ids = times[k:], ids[k:]
+
+    @staticmethod
+    def more_video(chunks, times: list, ids: list, a: int, until: float):
+        """The AP's arrivals from `a` on, followed by further chunks of
+        `chunks` until one's horizon is past `until` with at least one
+        arrival held, or the chunks run out. Returns the new times (with
+        their inf sentinel) and ids and the last chunk's horizon."""
+        times, ids = times[a:-1], ids[a:]
+        while True:
+            chunk_times, chunk_ids, horizon = next(chunks)
+            times += chunk_times
+            ids += chunk_ids
+            if (horizon > until and ids) or horizon == math.inf:
+                times.append(math.inf)
+                return times, ids, horizon
+
+    def run(self) -> RunResult:
         cfg = self.cfg
-        video = traffic_mod.video_packet_emissions(frames, cfg.traffic)
-        sizes = frames.packet_bytes
-        n_video = len(sizes)
+        inf = math.inf
+        windows = traffic_mod.video_windows(
+            cfg.traffic, self.rng, cfg.duration_s,
+            None if self.keep_packets
+            else max(1, math.ceil(WINDOW_S * cfg.traffic.fps)))
         ul_times = np.zeros(0)
         if cfg.traffic.ul_enabled:
             ul_times = traffic_mod.ul_controller_stream(cfg.traffic,
                                                         cfg.duration_s)
-            sizes = sizes + [cfg.traffic.ul_packet_size_bytes] * len(ul_times)
-        arrival_us = np.empty(len(sizes))
-        arrival_us[video.packet_ids] = video.times_us
-        arrival_us[n_video:] = ul_times
-        cut = int(np.searchsorted(video.times_us, self.duration_us))
-        ap_times = video.times_us[:cut].tolist()
-        ap_times.append(math.inf)
-        client_times = ul_times.tolist()
-        client_times.append(math.inf)
-        return ((ap_times, video.packet_ids[:cut].tolist()),
-                (client_times, list(range(n_video, len(sizes)))),
-                arrival_us, Packets.of_sizes(sizes))
-
-    def run(self) -> RunResult:
-        cfg = self.cfg
-        frames = traffic_mod.generate_video_frames(
-            cfg.traffic, self.rng, cfg.duration_s)
-        ((ap_times, ap_ids), (ul_times, ul_ids), arrival_us,
-         self.packets) = self.arrivals(frames)
-        ap = self.ap = mac_mod.make_station(AP, cfg.mac, self.packets)
-        client = self.client = mac_mod.make_station(CLIENT, cfg.mac,
-                                                    self.packets)
+        ap = self.ap = mac_mod.make_station(AP, cfg.mac, Packets.of_sizes(()))
+        client = self.client = mac_mod.make_station(
+            CLIENT, cfg.mac,
+            Packets.of_sizes([cfg.traffic.ul_packet_size_bytes]
+                             * len(ul_times)))
+        # video arrival times by packet id; the chunks fill it
+        arrival_us = array("d")
+        chunks = self.video_arrivals(windows, ap.packets, arrival_us)
+        # the AP's arrivals not yet handled are ap_times[a:], ending in an
+        # inf sentinel; every arrival before `horizon` is among them
+        ap_times, ap_ids, horizon = [inf], [], -inf
+        # the client's arrivals, whose ids are their indices
+        ul_arrive = ul_times.tolist()
+        ul_arrive.append(inf)
+        ul_ids = range(len(ul_times))
+        ap_dropped = array("q")   # ids of AP arrivals tail-dropped
         enqueue = mac_mod.enqueue
         duration_us = self.duration_us
-        inf = math.inf
-        a = u = 0   # arrivals handled so far, AP and client
-        # [first dropped, end of span, ...] for each AP span with drops
-        ap_drops = []
+        a = u = 0   # arrivals handled so far, AP (from ap_times) and client
         now = self.now
         while True:
             wake = self.wake_us
@@ -329,8 +401,12 @@ class _Sim:
                 # an arrival that backlogs an empty station is admitted
                 # alone, earliest first and video first at ties, and
                 # resolved: it may bring the runtime event forward
+                if not ap.buffer and a == len(ap_ids) and horizon != inf:
+                    ap_times, ap_ids, horizon = self.more_video(
+                        chunks, ap_times, ap_ids, a, -inf)
+                    a = 0
                 t_ap = inf if ap.buffer else ap_times[a]
-                t_ul = inf if client.buffer else ul_times[u]
+                t_ul = inf if client.buffer else ul_arrive[u]
                 t = t_ap if t_ap <= t_ul else t_ul
                 if t <= limit:
                     assert t >= now - 1e-6, "virtual clock went backwards"
@@ -349,13 +425,17 @@ class _Sim:
             # the rest of each station's arrivals up to the event, and
             # those at its time: an uplink packet at t == end still
             # enters, and leaving it out moves digests
+            if limit >= horizon:
+                ap_times, ap_ids, horizon = self.more_video(
+                    chunks, ap_times, ap_ids, a, limit)
+                a = 0
             end = bisect_right(ap_times, limit, a)
             if end > a:
                 taken = enqueue(ap, ap_ids[a:end])
                 if a + taken < end:
-                    ap_drops += (a + taken, end)
+                    ap_dropped.fromlist(ap_ids[a + taken:end])
                 a = end
-            end = bisect_right(ul_times, limit, u)
+            end = bisect_right(ul_arrive, limit, u)
             if end > u:
                 enqueue(client, ul_ids[u:end])
                 u = end
@@ -372,49 +452,53 @@ class _Sim:
                 self.on_access()
 
         m = self.metrics
-        m.generated_video, m.generated_ul = a, u
-        n_video = len(frames.packet_bytes)
-        # the AP's admitted arrivals: each span's prefix up to its drops
-        bounds = [0, *ap_drops, a]
-        admitted = np.repeat(np.resize([True, False], len(bounds) - 1),
-                             np.diff(bounds))
-        # each del frees loop state before the next numpy pass: the
-        # after-loop accounting must not raise a run's peak memory
-        del ap_times[a:], ap_ids[a:], ul_times, ul_ids
-        arrive_us = np.array(ap_times)[admitted]
-        del ap_times
-        if self.keep_packets:
-            enqueue_us = np.full(n_video, np.nan)
-            enqueue_us[np.array(ap_ids)[admitted]] = arrive_us
-        del ap_ids, admitted
-        self.queue_statistics(arrive_us)
-        del arrive_us
-        m.delivered_video = len(self.ap_log.ids)
-        m.delivered_ul = len(self.client_log.ids)
-        delivery_us = np.full(len(arrival_us), np.nan)
-        m.record_delivery(self.ap_log, arrival_us, delivery_us, False)
-        m.record_delivery(self.client_log, arrival_us, delivery_us, True)
-        del self.ap_log, self.client_log, arrival_us
-        delivery_us = delivery_us[:n_video]
-        self.finalize_frames(frames, delivery_us)
-        kept = None
-        if self.keep_packets:
-            kept = dataclasses.replace(
-                frames, enqueue_us=enqueue_us, delivery_us=delivery_us,
-                retx_count=self.packets.retx_count[:n_video])
+        m.generated_ul = u
         m.dropped_retx = ap.drops_retx + client.drops_retx
         m.dropped_buffer = ap.drops_buffer + client.drops_buffer
         in_flight_count = (len(self.in_flight[1].mpdus)
                            if isinstance(self.in_flight, tuple) else 0)
         m.residual = len(ap.buffer) + len(client.buffer) + in_flight_count
+        retx_count = ap.packets.retx_count if self.keep_packets else None
+        # the stations with their columns, and the loop state, go before
+        # the numpy passes: the after-loop accounting must not raise a
+        # run's peak memory
+        self.ap = self.client = self.in_flight = None
+        del ap, client, chunks, ap_times, ap_ids, ul_arrive, ul_ids
+        # the enqueue column: the arrival time of each admitted packet
+        enqueue_us = np.frombuffer(arrival_us)
+        del arrival_us
+        enqueue_us[np.frombuffer(ap_dropped, dtype=np.int64)] = np.nan
+        del ap_dropped
+        self.queue_statistics(enqueue_us)
+        m.delivered_video = len(self.ap_log.ids)
+        m.delivered_ul = len(self.client_log.ids)
+        delivery_us = np.full(len(enqueue_us), np.nan)
+        m.record_delivery(self.ap_log, enqueue_us, delivery_us, False)
+        del self.ap_log
+        if not self.keep_packets:
+            del enqueue_us
+        m.record_delivery(self.client_log, ul_times,
+                          np.full(len(ul_times), np.nan), True)
+        del self.client_log, ul_times
+        kept = None
+        if self.keep_packets:
+            self.finalize_frames(self.frames, delivery_us)
+            kept = dataclasses.replace(
+                self.frames, enqueue_us=enqueue_us, delivery_us=delivery_us,
+                retx_count=retx_count)
+        else:
+            for frames, _ in windows:
+                lo = frames.first_packet_id
+                self.finalize_frames(
+                    frames, delivery_us[lo:lo + len(frames.packet_bytes)])
         return RunResult(config_echo=cfg, seed=self.seed, metrics=m,
                          frames=kept)
 
     def finalize_frames(self, frames: VideoTraffic,
                         delivery_us: np.ndarray) -> None:
         """Frame-level delays for every fully delivered post-warm-up
-        frame, in frame order, from each video packet's delivery time
-        (NaN if undelivered)."""
+        frame of `frames`, in frame order, from each of its video
+        packets' delivery time (NaN if undelivered)."""
         has_packets = frames.frame_packets > 0
         n_pk = frames.frame_packets[has_packets]
         starts = np.cumsum(n_pk) - n_pk
@@ -423,14 +507,15 @@ class _Sim:
         measured = frames.frame_gen_us[has_packets] >= self.warmup_us
         done = measured & ~np.isnan(last)
         m = self.metrics
-        m.incomplete_frames = int(np.count_nonzero(measured)
-                                  - np.count_nonzero(done))
-        m.assembly_delays_us.frombytes((last - first)[done].tobytes())
+        m.incomplete_frames += int(np.count_nonzero(measured)
+                                   - np.count_nonzero(done))
+        m.assembly_delays_us.frombytes((last - first)[done].view(np.uint8))
         rows = np.repeat(done, n_pk)
         n_pk = n_pk[done]
         m.vf_delays_us.frombytes(vf_delay(frames.packet_gen_us[rows],
                                           delivery_us[rows],
-                                          np.cumsum(n_pk) - n_pk).tobytes())
+                                          np.cumsum(n_pk) - n_pk)
+                                 .view(np.uint8))
 
 
 def run_simulation(cfg: SimConfig, seed: int,

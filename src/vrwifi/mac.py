@@ -2,7 +2,7 @@
 A-MPDU assembly and the selective-retransmission bookkeeping driven by
 block acknowledgments.
 
-A packet is an integer id into the run's Packets columns; buffers and
+A packet is an integer id into its station's Packets columns; buffers and
 A-MPDUs hold ids. The DES engine owns all timing; this module only
 mutates station state and the retry column. Every call handles a slice
 of ids, so its Python work is per call, not per packet; only a failed
@@ -12,7 +12,9 @@ MPDU's retry bookkeeping is per packet.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, islice
 from operator import not_
@@ -27,20 +29,38 @@ CLIENT = "client"
 
 @dataclass(eq=False)
 class Packets:
-    """Per-packet columns of one run that the MAC reads or writes,
-    indexed by packet id: size and retry count. Lists, not arrays: an
-    A-MPDU gathers its sizes with one map over its ids, and only failed
-    MPDUs touch the retry column. A packet's enqueue time is its arrival
-    time, and delivery times are kept by exchange, so the engine builds
-    both per-packet columns after the run."""
+    """Per-packet columns of one station's packets that the MAC reads or
+    writes, indexed by packet id: size and retry count, 8 bytes a packet
+    each. An A-MPDU gathers its sizes with one map over its ids, so the
+    size column is a list whose largest size is one shared int (every
+    full-size packet's), and a read allocates nothing. Only failed MPDUs
+    touch the retry column, an array of 64-bit ints ("q"). A packet's
+    enqueue time is its arrival time, and delivery times are kept by
+    exchange, so the engine builds both per-packet columns after the
+    run."""
 
     size_bytes: list
-    retx_count: list
+    retx_count: array
 
     @classmethod
-    def of_sizes(cls, size_bytes: list) -> Packets:
-        """Fresh columns for packets of these sizes."""
-        return cls(size_bytes, [0] * len(size_bytes))
+    def of_sizes(cls, size_bytes) -> Packets:
+        """Fresh columns for packets of these sizes (ints)."""
+        packets = cls([], array("q"))
+        packets.extend(size_bytes)
+        return packets
+
+    def extend(self, size_bytes) -> None:
+        """Add packets of these sizes (ints), with no retries yet, under
+        the next ids."""
+        sizes = np.asarray(size_bytes, dtype=np.int64)
+        if len(sizes):
+            largest = int(sizes.max())
+            column = [largest] * len(sizes)
+            other = np.flatnonzero(sizes != largest)
+            for i, size in zip(other.tolist(), sizes[other].tolist()):
+                column[i] = size
+            self.size_bytes += column
+        self.retx_count.frombytes(bytes(8 * len(sizes)))
 
 
 @dataclass
@@ -85,10 +105,10 @@ def make_station(role: str, mac: MacConfig, packets: Packets) -> MacStation:
                       cw_max=mac.cw_max, packets=packets, rts_cts=rts)
 
 
-def enqueue(station: MacStation, ids: list) -> int:
-    """Tail-drop FIFO admission of the packets `ids`, in order: as many
-    as the buffer has room for enter it and the rest are dropped and
-    counted. Returns how many entered."""
+def enqueue(station: MacStation, ids: Sequence[int]) -> int:
+    """Tail-drop FIFO admission of the packets `ids` (a list or a
+    range), in order: as many as the buffer has room for enter it and
+    the rest are dropped and counted. Returns how many entered."""
     # a requeue can leave the buffer above capacity: then nothing enters
     room = max(0, station.capacity - len(station.buffer))
     if room < len(ids):

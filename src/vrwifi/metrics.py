@@ -16,6 +16,10 @@ import numpy as np
 
 from vrwifi.mac import Ampdu
 
+# rows a per-packet pass after a run takes at a time: its temporaries
+# cost a fixed few hundred kB instead of growing with the run
+BLOCK = 1 << 14
+
 
 @dataclass(slots=True)
 class TxRecord:
@@ -37,11 +41,13 @@ class TxRecord:
 @dataclass
 class DeliveryLog:
     """The packets one station delivered, exchange by exchange: exchange
-    k delivered the next counts[k] ids, all stamped stamps[k] (us)."""
+    k delivered the next counts[k] ids, all stamped stamps[k] (us). Typed
+    arrays (64-bit ints "q", doubles "d"), 8 bytes an entry: a delivered
+    packet's id is not held as an int object for the rest of the run."""
 
-    ids: list = field(default_factory=list)
-    stamps: list = field(default_factory=list)
-    counts: list = field(default_factory=list)
+    ids: array = field(default_factory=partial(array, "q"))
+    stamps: array = field(default_factory=partial(array, "d"))
+    counts: array = field(default_factory=partial(array, "q"))
 
 
 @dataclass
@@ -87,18 +93,28 @@ class RunMetrics:
         """Stamp each packet in `log` with its delivery time in
         `delivery_us` (by packet id), and append the buffer delay of each
         that entered its buffer after the warm-up, at its time in
-        `enqueue_us`, to the samples of its stream, in delivery order."""
-        ids = np.array(log.ids, dtype=np.intp)
-        delay = np.repeat(np.array(log.stamps, dtype=float), log.counts)
-        delivery_us[ids] = delay
-        enqueued = enqueue_us[ids]
-        del ids
-        measured = enqueued >= self.warmup_us
-        delay -= enqueued
-        del enqueued
+        `enqueue_us`, to the samples of its stream, in delivery order.
+        Whole exchanges go about BLOCK packets at a time, so the
+        temporaries stay small."""
         samples = (self.ul_packet_delays_us if uplink
                    else self.dl_packet_delays_us)
-        samples.frombytes(delay[measured].tobytes())
+        ids = np.frombuffer(log.ids, dtype=np.int64)
+        stamps = np.frombuffer(log.stamps)
+        counts = np.frombuffer(log.counts, dtype=np.int64)
+        # each exchange's first packet, and the exchanges that start
+        # each block
+        starts = np.concatenate(([0], np.cumsum(counts)))
+        cuts = np.append(np.searchsorted(starts, np.arange(0, len(ids),
+                                                           BLOCK)),
+                         len(counts)).tolist()
+        for k0, k1 in zip(cuts, cuts[1:]):
+            block = ids[starts[k0]:starts[k1]]
+            delay = np.repeat(stamps[k0:k1], counts[k0:k1])
+            delivery_us[block] = delay
+            enqueued = enqueue_us[block]
+            delay -= enqueued
+            samples.frombytes(delay[enqueued >= self.warmup_us]
+                              .view(np.uint8))
 
 
 def vf_delay(gen_us: np.ndarray, delivery_us: np.ndarray,

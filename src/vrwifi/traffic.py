@@ -9,12 +9,15 @@ truncated so every frame's bytes sum exactly to bitrate/fps.
 Traffic is held by column: a VideoTraffic has one array per frame,
 batch and packet field, and a packet is its index in them. The
 VideoFrame, Batch and Packet objects are read-only views, built when a
-VideoTraffic is iterated.
+VideoTraffic is iterated. A run's frames can also be packetized a window
+of frames at a time (VideoWindows), so that only the window the run has
+reached is held.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -86,13 +89,13 @@ class VideoTraffic:
     batch_bytes: np.ndarray
     batch_release_us: np.ndarray
     batch_packets: np.ndarray
-    # per packet: a list, because the event loop indexes it
-    packet_bytes: list
+    # per packet: sizes as 64-bit ints (array "q"), 8 bytes a packet
+    packet_bytes: array
     packet_gen_us: np.ndarray
     # per packet, set by a run
     enqueue_us: np.ndarray | None = None
     delivery_us: np.ndarray | None = None
-    retx_count: list | None = None
+    retx_count: array | None = None
 
     def __len__(self) -> int:
         return len(self.frame_id)
@@ -215,13 +218,58 @@ def _packetize(cfg: TrafficConfig, frame_id: np.ndarray, gen_us: np.ndarray,
         frame_packets=(np.add.reduceat(n_pk, b_start) if len(n_b)
                        else np.zeros(0, dtype=np.int64)),
         batch_index=k, batch_bytes=b_bytes, batch_release_us=release,
-        batch_packets=n_pk, packet_bytes=size.tolist(),
+        batch_packets=n_pk, packet_bytes=array("q", size.tobytes()),
         packet_gen_us=np.repeat(release, n_pk) + j * cfg.intra_batch_gap_us)
 
 
 def generate_video_frames(cfg: TrafficConfig, rng: np.random.Generator,
                           duration_s: float) -> VideoTraffic:
-    """All frames generated in [0, duration), packetized, ids sequential.
+    """All frames generated in [0, duration), packetized, ids sequential:
+    the one window of video_windows(..., None)."""
+    ((frames, _),) = video_windows(cfg, rng, duration_s, None)
+    return frames
+
+
+@dataclass(frozen=True, eq=False)
+class VideoWindows:
+    """A run's video frames, drawn but not packetized.
+
+    Iterating packetizes them window_frames at a time (all at once if
+    None), packet ids running on from one window to the next, and gives
+    each window's VideoTraffic with the time before which no packet of a
+    later window is emitted (inf after the last window). There is always
+    at least one window, and every iteration gives the same windows.
+    """
+
+    cfg: TrafficConfig
+    gen_us: np.ndarray
+    n_batches: np.ndarray
+    window_frames: int | None
+
+    def __iter__(self):
+        cfg, n = self.cfg, len(self.gen_us)
+        frame_bytes, period_us = frame_size_bytes(cfg), 1e6 / cfg.fps
+        # a packet is emitted at or after its frame's generation under
+        # the frame pacer, and less than one batch interval before it
+        # under the global one
+        early_us = (cfg.inter_batch_time_ms * 1e3
+                    if cfg.pacer_anchor == "global" else 0.0)
+        first_packet_id = 0
+        step = self.window_frames or max(n, 1)
+        for lo in range(0, max(n, 1), step):
+            hi = min(lo + step, n)
+            frames = _packetize(cfg, np.arange(lo, hi), self.gen_us[lo:hi],
+                                self.n_batches[lo:hi], frame_bytes,
+                                period_us, first_packet_id)
+            first_packet_id += len(frames.packet_bytes)
+            yield frames, (self.gen_us[hi] - early_us if hi < n else math.inf)
+
+
+def video_windows(cfg: TrafficConfig, rng: np.random.Generator,
+                  duration_s: float,
+                  window_frames: int | None) -> VideoWindows:
+    """The frames generated in [0, duration), to be packetized
+    window_frames at a time (all at once if None).
 
     Draws one batch count per frame period of the run, in one call: the
     last draw may be for a frame at the end, which is then dropped.
@@ -230,8 +278,8 @@ def generate_video_frames(cfg: TrafficConfig, rng: np.random.Generator,
     n_frames = max(0, math.ceil(duration_s * 1e6 / period_us))
     gen_us, n_batches = _draw_frames(cfg, rng, 0, n_frames)
     n_kept = int(np.count_nonzero(gen_us < duration_s * 1e6))
-    return _packetize(cfg, np.arange(n_kept), gen_us[:n_kept],
-                      n_batches[:n_kept], frame_size_bytes(cfg), period_us, 0)
+    return VideoWindows(cfg, gen_us[:n_kept], n_batches[:n_kept],
+                        window_frames)
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import pickle
+import weakref
 from array import array
 from pathlib import Path
 
@@ -288,6 +289,25 @@ def test_sweep_pools_lean_metrics(tiny_config, tmp_path, monkeypatch):
         assert m.tx_log == []
         for _, attr, _ in SAMPLE_SETS:
             assert isinstance(getattr(m, attr), array)
+
+
+def test_sweep_holds_one_values_runs(tiny_config, tmp_path, monkeypatch):
+    # each lean result is watched from the moment it is made; when the
+    # next one is made, at most a value's worth (runs: 2) is still alive
+    made, peak = [], []
+
+    def task(t):
+        peak.append(sum(ref() is not None for ref in made) + 1)
+        result = run_task(t)
+        made.append(weakref.ref(result[0]))
+        return result
+
+    run_task = cli._run_task
+    monkeypatch.setattr(cli, "_run_task", task)
+    assert main(["sweep", "--config", tiny_config, "--axis", "per",
+                 "--values", "0.0,0.1,0.2", "--jobs", "1",
+                 "--output", str(tmp_path / "sweep")]) == 0
+    assert len(peak) == 6 and max(peak) == 2
 
 
 def test_sweep_runs_each_distinct_value_once(tiny_config, tmp_path,

@@ -1,11 +1,13 @@
 import dataclasses
 import hashlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from vrwifi import engine, metrics
 from vrwifi import mac as mac_mod
 from vrwifi import phy, traceio, traffic
 from vrwifi.config import validate_config
@@ -206,7 +208,6 @@ def test_sweep_empty_values():
 
 
 def test_sweep_runs_each_distinct_value_once(monkeypatch):
-    from vrwifi import engine
     runs = []
     sim_run = engine._Sim.run
 
@@ -370,6 +371,27 @@ def test_kept_run_columns_follow_the_per_packet_rules(name):
             m.incomplete_frames) == reference_frame_delays(frames, m.warmup_us)
 
 
+@pytest.mark.parametrize("mcs", [11, 0])
+def test_run_memory_grows_with_its_outputs(mcs):
+    # a 5 s run that does not keep its packets, at the paper point and on
+    # the busy MCS 0 channel: with the video built a window at a time and
+    # 8-byte per-packet columns its traced peak is 2.3-3.1 MB, where
+    # whole-run traffic held as Python objects took 4.8-5.7 MB
+    cfg = make_cfg(duration_s=5.0, phy={"mcs_index": mcs})
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        run_simulation(cfg, 1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak < 4.0e6
+
+
 def test_queue_statistics_without_an_ap_exchange_end():
     # 10 us: two video packets arrive (t = 0 and 5 us) and the AP's
     # first access is still pending at the end
@@ -521,6 +543,19 @@ def test_pinned_run_digest(name):
     over, expected = PINNED_RUNS[name]
     res = run_simulation(fast_cfg(**over), 1)
     assert run_digest(res) == expected
+
+
+@pytest.mark.parametrize("window_s, block", [(1e-9, 7), (0.05, 1000)])
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_pinned_run_digest_in_windows(name, window_s, block, monkeypatch):
+    # video built one frame (or five) at a time, so that emissions carry
+    # from window to window, and the after-loop passes taking 7 (or
+    # 1000) rows at a time replay each pinned run
+    monkeypatch.setattr(engine, "WINDOW_S", window_s)
+    monkeypatch.setattr(engine, "BLOCK", block)
+    monkeypatch.setattr(metrics, "BLOCK", block)
+    over, expected = PINNED_RUNS[name]
+    assert run_digest(run_simulation(fast_cfg(**over), 1)) == expected
 
 
 # every value each MAC switch admits, and the edges of the numeric ones:

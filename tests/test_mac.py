@@ -188,7 +188,7 @@ def test_handle_back_failed_subset_precedes_new_packets():
     delivered, requeued, dropped = mac.handle_back(st, ampdu, flags, 7)
     assert delivered == [0, 2]
     assert requeued == [1, 3]
-    assert st.packets.retx_count[:6] == [0, 1, 0, 1, 0, 0]
+    assert st.packets.retx_count[:6].tolist() == [0, 1, 0, 1, 0, 0]
     nxt = mac.assemble_ampdu(st, 256)
     assert nxt.mpdus == [1, 3, 4, 5]
 

@@ -14,7 +14,7 @@ def record(m, enqueue_us, exchanges, uplink=False):
     column."""
     log = mx.DeliveryLog()
     for stamp, ids in exchanges:
-        log.ids += ids
+        log.ids.extend(ids)
         log.stamps.append(stamp)
         log.counts.append(len(ids))
     delivery_us = np.full(len(enqueue_us), np.nan)

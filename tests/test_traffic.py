@@ -216,6 +216,32 @@ def test_pinned_traffic_digest(name):
     assert traffic_digest(TrafficConfig(**over), duration_s) == expected
 
 
+@pytest.mark.parametrize("name", sorted(PINNED_TRAFFIC))
+def test_video_windows_split_the_run(name):
+    over, duration_s, _ = PINNED_TRAFFIC[name]
+    cfg = TrafficConfig(**over)
+    r = rng(1)
+    whole = tr.generate_video_frames(cfg, r, duration_s)
+    r_windows = rng(1)
+    windows = list(tr.video_windows(cfg, r_windows, duration_s, 7))
+    # the same one draw, and the same columns window by window
+    assert r_windows.bit_generator.state == r.bit_generator.state
+    for column in ("frame_id", "frame_gen_us", "frame_packets",
+                   "batch_release_us", "packet_gen_us"):
+        assert np.concatenate([getattr(w, column) for w, _ in windows]
+                              ).tolist() == getattr(whole, column).tolist()
+    assert [p for w, _ in windows for p in w.packet_bytes] == list(
+        whole.packet_bytes)
+    assert [w.first_packet_id for w, _ in windows] == np.cumsum(
+        [0] + [len(w.packet_bytes) for w, _ in windows[:-1]]).tolist()
+    # no packet of a later window is emitted before a window's bound
+    first = [tr.video_packet_emissions(w, cfg).times_us[0]
+             for w, _ in windows]
+    bounds = [later for _, later in windows]
+    assert bounds[-1] == math.inf
+    assert all(b <= min(first[i + 1:]) for i, b in enumerate(bounds[:-1]))
+
+
 def reference_traffic(cfg: TrafficConfig, r, duration_s: float):
     """The packetisation and pacing rules one frame, batch and packet at
     a time: (frames as nested tuples, (emission time, packet_id) list)."""
