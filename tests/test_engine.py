@@ -520,6 +520,11 @@ PINNED_RUNS = {
          "mac": {"per": 0.2, "cw_policy": "exchange",
                  "rts_cts_enabled": False, "ul_rts_cts_enabled": False}},
         "b73fe4df9f67ff16cb1a5e2bfa861fafb0a3ea6308506a2b469a8110254add3b"),
+    # 1-byte frames in up to 12 batches: a frame's leading batches are
+    # empty, so its first packet comes one or more tau after the frame
+    "tiny_frames_late_first_packet": (
+        {"traffic": {"bitrate_bps": 720.0, "batch_count_interval_ms": 1.0}},
+        "45e5ff70939a537e25fcc7b8cf581c4ab27af22a15d441107879a4dab9b9f8e9"),
 }
 
 
