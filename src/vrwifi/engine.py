@@ -44,11 +44,11 @@ columns, video packets in packet_id order at the AP and uplink packets
 in time order at the client. Station buffers and A-MPDUs hold ids; the
 per-packet values a run keeps for its whole length (sizes and retry
 counts in mac.Packets, video arrival times, delivered ids) take 8 bytes
-a packet each, and a packet's enqueue time is its arrival time. Frame
-delays come from the delivery column in one reduction over the frame
-offsets of each window. A run that keeps its packets builds its video
-in one window and returns its traffic columns with the enqueue and
-delivery times and retry counts attached.
+a packet each, and a packet's enqueue time is its arrival time. The
+frame delays come from the delivery column and each frame's packet
+count and first packet time, recorded as its window is reached. A kept
+run packetizes its drawn frames again, whole, after the loop, and
+returns them with the enqueue and delivery times and retry counts.
 
 One PCG64 stream per run keeps every run reproducible and independent of
 any other.
@@ -82,8 +82,7 @@ SWEEP_AXES = {
     "per": ("mac", "per"),
 }
 
-# virtual seconds of video a run that does not keep its packets builds
-# at a time, as the event loop reaches them
+# virtual seconds of video a run packetizes at a time, as the loop reaches it
 WINDOW_S = 1.0
 
 
@@ -92,8 +91,8 @@ class RunResult:
     config_echo: SimConfig
     seed: int
     metrics: RunMetrics
-    # the run's video traffic with its packets' enqueue and delivery times
-    # and retry counts; only when keep_packets is requested
+    # with keep_packets, the run's video rebuilt after the loop, with its
+    # packets' enqueue and delivery times and retry counts
     frames: VideoTraffic | None = None
 
 
@@ -109,7 +108,8 @@ class _Sim:
         self.wake_us = math.inf   # time of the one pending runtime event
         self.in_flight = None   # (station, ampdu) or "collision" while busy
         self.ap = self.client = None   # MacStations, set by run()
-        self.frames: VideoTraffic | None = None   # a kept run's traffic
+        # per frame, as reached: packet count, first packet's generation time
+        self.frame_packets, self.first_gen_us = array("q"), array("d")
         self.metrics = RunMetrics(duration_us=self.duration_us,
                                   warmup_us=self.warmup_us,
                                   buffer_capacity=cfg.mac.ap_buffer)
@@ -316,17 +316,19 @@ class _Sim:
         before `horizon` is in that chunk or an earlier one and every
         later one is at or after it (inf for the last chunk).
 
-        Reaching a window adds its packets to `packets` and their
-        emission times, by id, to `arrival_us` (NaN at or after the end),
-        and counts its arrivals as generated. A kept run's one window is
-        kept as self.frames.
+        Reaching a window adds its packets to `packets`, their emission
+        times, by id, to `arrival_us` (NaN at or after the end), and its
+        frames' packet counts and first packet times to the per-frame
+        columns, and counts its arrivals as generated.
         """
         cfg = self.cfg.traffic
         # emissions of earlier windows at or after their chunk's horizon
         carry_times, carry_ids = np.zeros(0), np.zeros(0, dtype=np.int64)
         for frames, later_us in windows:
-            if self.keep_packets:
-                self.frames = frames
+            n_pk = frames.frame_packets
+            self.frame_packets.frombytes(n_pk.view(np.uint8))
+            self.first_gen_us.frombytes(
+                frames.packet_gen_us[np.cumsum(n_pk) - n_pk].view(np.uint8))
             em = traffic_mod.video_packet_emissions(frames, cfg)
             packets.extend(frames.packet_bytes)
             by_id = np.empty(len(em))
@@ -368,8 +370,7 @@ class _Sim:
         inf = math.inf
         windows = traffic_mod.video_windows(
             cfg.traffic, self.rng, cfg.duration_s,
-            None if self.keep_packets
-            else max(1, math.ceil(WINDOW_S * cfg.traffic.fps)))
+            max(1, math.ceil(WINDOW_S * cfg.traffic.fps)))
         ul_times = np.zeros(0)
         if cfg.traffic.ul_enabled:
             ul_times = traffic_mod.ul_controller_stream(cfg.traffic,
@@ -480,31 +481,27 @@ class _Sim:
         m.record_delivery(self.client_log, ul_times,
                           np.full(len(ul_times), np.nan), True)
         del self.client_log, ul_times
+        self.finalize_frames(windows.gen_us, delivery_us)
         kept = None
         if self.keep_packets:
-            self.finalize_frames(self.frames, delivery_us)
+            # the whole run's traffic, packetized once from its drawn frames
+            ((frames, _),) = dataclasses.replace(windows, window_frames=None)
             kept = dataclasses.replace(
-                self.frames, enqueue_us=enqueue_us, delivery_us=delivery_us,
+                frames, enqueue_us=enqueue_us, delivery_us=delivery_us,
                 retx_count=retx_count)
-        else:
-            for frames, _ in windows:
-                lo = frames.first_packet_id
-                self.finalize_frames(
-                    frames, delivery_us[lo:lo + len(frames.packet_bytes)])
         return RunResult(config_echo=cfg, seed=self.seed, metrics=m,
                          frames=kept)
 
-    def finalize_frames(self, frames: VideoTraffic,
+    def finalize_frames(self, frame_gen_us: np.ndarray,
                         delivery_us: np.ndarray) -> None:
-        """Frame-level delays for every fully delivered post-warm-up
-        frame of `frames`, in frame order, from each of its video
-        packets' delivery time (NaN if undelivered)."""
-        has_packets = frames.frame_packets > 0
-        n_pk = frames.frame_packets[has_packets]
+        """Frame-level delays of every fully delivered post-warm-up frame,
+        in frame order, from the per-frame columns (every frame has a
+        packet) and each video packet's delivery time (NaN if none)."""
+        n_pk = np.frombuffer(self.frame_packets, dtype=np.int64)
         starts = np.cumsum(n_pk) - n_pk
         last = np.maximum.reduceat(delivery_us, starts)
         first = np.minimum.reduceat(delivery_us, starts)
-        measured = frames.frame_gen_us[has_packets] >= self.warmup_us
+        measured = frame_gen_us >= self.warmup_us
         done = measured & ~np.isnan(last)
         m = self.metrics
         m.incomplete_frames += int(np.count_nonzero(measured)
@@ -512,8 +509,9 @@ class _Sim:
         m.assembly_delays_us.frombytes((last - first)[done].view(np.uint8))
         rows = np.repeat(done, n_pk)
         n_pk = n_pk[done]
-        m.vf_delays_us.frombytes(vf_delay(frames.packet_gen_us[rows],
-                                          delivery_us[rows],
+        # the first packet's time over each frame's packets: the same minimum
+        gen_us = np.repeat(np.frombuffer(self.first_gen_us)[done], n_pk)
+        m.vf_delays_us.frombytes(vf_delay(gen_us, delivery_us[rows],
                                           np.cumsum(n_pk) - n_pk)
                                  .view(np.uint8))
 

@@ -336,8 +336,13 @@ def reference_frame_delays(frames, warmup_us):
     return vf, assembly, incomplete
 
 
+@pytest.mark.parametrize("window_s", [engine.WINDOW_S, 1e-9])
 @pytest.mark.parametrize("name", sorted(KEPT_RUNS))
-def test_kept_run_columns_follow_the_per_packet_rules(name):
+def test_kept_run_columns_follow_the_per_packet_rules(name, window_s,
+                                                      monkeypatch):
+    # also with the video built one frame at a time, so that emissions
+    # carry from window to window
+    monkeypatch.setattr(engine, "WINDOW_S", window_s)
     cfg = fast_cfg(warmup_ms=200.0, **KEPT_RUNS[name])
     res = run_simulation(cfg, 2, keep_packets=True)
     frames, m = res.frames, res.metrics
@@ -371,12 +376,14 @@ def test_kept_run_columns_follow_the_per_packet_rules(name):
             m.incomplete_frames) == reference_frame_delays(frames, m.warmup_us)
 
 
+@pytest.mark.parametrize("keep_packets", [False, True])
 @pytest.mark.parametrize("mcs", [11, 0])
-def test_run_memory_grows_with_its_outputs(mcs):
-    # a 5 s run that does not keep its packets, at the paper point and on
-    # the busy MCS 0 channel: with the video built a window at a time and
-    # 8-byte per-packet columns its traced peak is 2.3-3.1 MB, where
-    # whole-run traffic held as Python objects took 4.8-5.7 MB
+def test_run_memory_grows_with_its_outputs(mcs, keep_packets):
+    # a 5 s run, at the paper point and on the busy MCS 0 channel: with
+    # the video built a window at a time and 8-byte per-packet columns
+    # its traced peak is 2.3-3.1 MB, where whole-run traffic held as
+    # Python objects took 4.8-5.7 MB; a run that keeps its packets
+    # packetizes the whole run once, after the loop
     cfg = make_cfg(duration_s=5.0, phy={"mcs_index": mcs})
     started = not tracemalloc.is_tracing()
     if started:
@@ -384,7 +391,7 @@ def test_run_memory_grows_with_its_outputs(mcs):
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        run_simulation(cfg, 1)
+        run_simulation(cfg, 1, keep_packets)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         if started:

@@ -310,3 +310,10 @@ def test_generation_follows_the_per_packet_rules(
     pairs = list(zip(em.times_us.tolist(), em.packet_ids.tolist()))
     assert pairs == expected_emissions and list(em) == pairs
     assert r.bit_generator.state == r_ref.bit_generator.state
+    # every frame has a packet, and its first row is its earliest
+    # generated one (a frame's leading batches may be empty)
+    n_pk = frames.frame_packets
+    assert (n_pk >= 1).all()
+    starts = np.cumsum(n_pk) - n_pk
+    assert frames.packet_gen_us[starts].tolist() == np.minimum.reduceat(
+        frames.packet_gen_us, starts).tolist()
