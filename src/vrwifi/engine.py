@@ -484,7 +484,7 @@ class _Sim:
         self.finalize_frames(windows.gen_us, delivery_us)
         kept = None
         if self.keep_packets:
-            # the whole run's traffic, packetized once from its drawn frames
+            # the run's traffic, packetized again, whole, from its drawn frames
             ((frames, _),) = dataclasses.replace(windows, window_frames=None)
             kept = dataclasses.replace(
                 frames, enqueue_us=enqueue_us, delivery_us=delivery_us,
@@ -504,8 +504,8 @@ class _Sim:
         measured = frame_gen_us >= self.warmup_us
         done = measured & ~np.isnan(last)
         m = self.metrics
-        m.incomplete_frames += int(np.count_nonzero(measured)
-                                   - np.count_nonzero(done))
+        m.incomplete_frames = int(np.count_nonzero(measured)
+                                  - np.count_nonzero(done))
         m.assembly_delays_us.frombytes((last - first)[done].view(np.uint8))
         rows = np.repeat(done, n_pk)
         n_pk = n_pk[done]

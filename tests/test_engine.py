@@ -336,8 +336,11 @@ def reference_frame_delays(frames, warmup_us):
     return vf, assembly, incomplete
 
 
-@pytest.mark.parametrize("window_s", [engine.WINDOW_S, 1e-9])
-@pytest.mark.parametrize("name", sorted(KEPT_RUNS))
+@pytest.mark.parametrize("name, window_s", [
+    *((name, engine.WINDOW_S) for name in sorted(KEPT_RUNS)),
+    *((name, 1e-9) for name in sorted(KEPT_RUNS))],
+    ids=[*sorted(KEPT_RUNS), *(f"{name}-one_frame_windows"
+                               for name in sorted(KEPT_RUNS))])
 def test_kept_run_columns_follow_the_per_packet_rules(name, window_s,
                                                       monkeypatch):
     # also with the video built one frame at a time, so that emissions
@@ -376,14 +379,16 @@ def test_kept_run_columns_follow_the_per_packet_rules(name, window_s,
             m.incomplete_frames) == reference_frame_delays(frames, m.warmup_us)
 
 
-@pytest.mark.parametrize("keep_packets", [False, True])
-@pytest.mark.parametrize("mcs", [11, 0])
+@pytest.mark.parametrize("mcs, keep_packets",
+                         [(11, False), (0, False), (11, True), (0, True)],
+                         ids=["11", "0", "11-kept", "0-kept"])
 def test_run_memory_grows_with_its_outputs(mcs, keep_packets):
     # a 5 s run, at the paper point and on the busy MCS 0 channel: with
     # the video built a window at a time and 8-byte per-packet columns
     # its traced peak is 2.3-3.1 MB, where whole-run traffic held as
-    # Python objects took 4.8-5.7 MB; a run that keeps its packets
-    # packetizes the whole run once, after the loop
+    # Python objects took 4.8-5.7 MB. A kept run, which packetizes its
+    # whole video once more after the loop, peaks at 2.5-2.7 MB; built
+    # in one window before the loop it took 4.0-4.2 MB
     cfg = make_cfg(duration_s=5.0, phy={"mcs_index": mcs})
     started = not tracemalloc.is_tracing()
     if started:
