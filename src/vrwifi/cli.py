@@ -45,10 +45,10 @@ def _outdir(args) -> Path:
 
 
 def _load_cfg(args) -> SimConfig:
-    cfg = load_config(args.config) if args.config else validate_config(SimConfig())
-    if getattr(args, "seed", None) is not None:
+    cfg = load_config(args.config) if args.config else SimConfig()
+    if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    return cfg
+    return validate_config(cfg)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -243,17 +243,22 @@ def cmd_analyze(args) -> int:
     except (traceio.TraceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    trace = parsed.trace
+    trace = parsed.records
+    for line, reason in parsed.skipped[:MAX_SKIPPED_SHOWN]:
+        print(f"line {line}: {reason}", file=sys.stderr)
+    if len(parsed.skipped) > MAX_SKIPPED_SHOWN:
+        print(f"... and {len(parsed.skipped) - MAX_SKIPPED_SHOWN} more",
+              file=sys.stderr)
     if not len(trace):
         print("error: trace contains no parseable records", file=sys.stderr)
         return 2
-    outdir = _outdir(args)
     va = traceio.analyze_video(trace, args.gap_threshold)
     if args.frames and va.frames is None:
         print("error: --frames requires rtp_timestamp values on the video "
               "stream; this trace has none (batch-level analysis still "
               "available without --frames)", file=sys.stderr)
         return 2
+    outdir = _outdir(args)
     tm = va.metrics
     batch_block = frame_block = None
     if len(va.video):
@@ -312,11 +317,6 @@ def cmd_analyze(args) -> int:
         "qos_verdicts": qos,
     }
     _write_json(outdir / "analysis.json", report)
-    for line, reason in parsed.skipped[:MAX_SKIPPED_SHOWN]:
-        print(f"line {line}: {reason}", file=sys.stderr)
-    if len(parsed.skipped) > MAX_SKIPPED_SHOWN:
-        print(f"... and {len(parsed.skipped) - MAX_SKIPPED_SHOWN} more",
-              file=sys.stderr)
     print(f"analyze: {len(trace)} records "
           f"({len(parsed.skipped)} skipped rows)")
     for s in summaries:

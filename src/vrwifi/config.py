@@ -224,6 +224,8 @@ def config_errors(cfg: SimConfig) -> list[str]:
         errs.append("duration_s must be positive")
     if cfg.runs < 1:
         errs.append("runs must be >= 1")
+    if cfg.seed < 0:
+        errs.append("seed must be >= 0")
     if cfg.warmup_ms < 0:
         errs.append("warmup_ms negative")
     elif cfg.duration_s > 0 and cfg.warmup_ms * 1e3 >= cfg.duration_s * 1e6:
@@ -305,8 +307,3 @@ def config_to_dict(cfg: SimConfig) -> dict:
         "sim": {name: getattr(cfg, name) for name in _TOP_FIELDS},
     }
 
-
-def save_config(cfg: SimConfig, path: str) -> None:
-    """Write cfg as YAML such that load_config(path) == cfg."""
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(config_to_dict(cfg), fh, sort_keys=False)

@@ -6,8 +6,9 @@ stream's batch and frame structure. A documented adapter maps common
 tshark field names onto the canonical header.
 
 A parsed trace is a Trace: one numpy array per column, in time order,
-and the analysis works on those arrays. Each analysis function also
-takes a list of TraceRecord, which it converts to a Trace once on entry.
+and the analysis works on those arrays. reconstruct_frames and
+interarrival_jitter also take a list of TraceRecord, which they convert
+to a Trace once on entry; Trace.from_records converts one for the rest.
 
 Canonical columns (optional ones may be empty):
     timestamp,length,src_port,dst_port,direction,
@@ -217,13 +218,8 @@ def _as_trace(records) -> Trace:
 
 @dataclass
 class ParseResult:
-    trace: Trace
+    records: Trace  # iterating yields TraceRecords, each built when read
     skipped: list  # (line number, reason)
-
-    @property
-    def records(self) -> Trace:
-        """The trace, to read as TraceRecords, each built when read."""
-        return self.trace
 
 
 @dataclass
@@ -341,10 +337,9 @@ def parse_trace(path: str) -> ParseResult:
 _WRITE_BLOCK = 4096   # rows write_trace formats at a time
 
 
-def write_trace(records, path: str) -> None:
-    """Write a Trace (or a list of TraceRecord) using the canonical
-    header, one row per packet in its order; absent values stay empty."""
-    trace = _as_trace(records)
+def write_trace(trace: Trace, path: str) -> None:
+    """Write a Trace using the canonical header, one row per packet in its
+    order; absent values stay empty."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CANONICAL_COLUMNS)
@@ -459,15 +454,14 @@ def _flow_label(trace: Trace, rows: np.ndarray):
                 GENERIC)
 
 
-def classify_streams(records) -> np.ndarray:
-    """Label every record with its stream; unclassifiable rows become
+def classify_streams(trace: Trace) -> np.ndarray:
+    """Label every packet with its stream; unclassifiable rows become
     generic-UDP (classification never fails). Returns an array of labels.
 
     Flows (src, dst, direction) carrying RTP columns split into video and
     audio per SSRC by packet size; flows with a protocol column map
     directly; everything else goes through size/periodicity heuristics.
     """
-    trace = _as_trace(records)
     labels = np.full(len(trace), GENERIC, dtype=object)
     if len(trace):
         for rows in _flows(trace):
@@ -475,16 +469,11 @@ def classify_streams(records) -> np.ndarray:
     return labels
 
 
-def group_streams(records, labels) -> dict[str, Trace]:
-    """The Trace of each stream label in time order, labels sorted."""
-    trace = _as_trace(records)
-    labels = np.asarray(labels)
-    groups = {}
-    for label in sorted(set(labels.tolist())):
-        rows = np.flatnonzero(labels == label)
-        groups[label] = trace.take(
-            rows[np.argsort(trace.timestamp_s[rows], kind="stable")])
-    return groups
+def group_streams(trace: Trace, labels: np.ndarray) -> dict[str, Trace]:
+    """The rows of a time-sorted Trace under each of its labels (an array,
+    one per row), in the trace's order; labels sorted."""
+    return {label: trace.take(labels == label)
+            for label in sorted(set(labels.tolist()))}
 
 
 def inter_packet_ms(rows: Trace) -> np.ndarray:
@@ -515,10 +504,10 @@ def stream_summaries(groups: dict[str, Trace]) -> list[StreamSummary]:
 
 # -- batch / frame structure ----------------------------------------------
 
-def detect_batches(records, gap_threshold_ms: float = 1.0) -> np.ndarray:
-    """Start time (s) of each batch of time-sorted records: a new batch
+def detect_batches(trace: Trace, gap_threshold_ms: float = 1.0) -> np.ndarray:
+    """Start time (s) of each batch of a time-sorted Trace: a new batch
     starts whenever the inter-packet gap exceeds the threshold."""
-    times = _as_trace(records).timestamp_s
+    times = trace.timestamp_s
     if not len(times):
         return times
     new = np.flatnonzero(np.diff(times) > gap_threshold_ms * 1e-3) + 1
@@ -643,11 +632,11 @@ class VideoAnalysis:
         return {k: v for k, v in asdict(tm).items() if v is not None}
 
 
-def analyze_video(records, gap_threshold_ms: float = 1.0) -> VideoAnalysis:
-    """Classify time-sorted records, then find the video stream's batches,
-    its frames when every video record has an RTP timestamp, and its
+def analyze_video(trace: Trace,
+                  gap_threshold_ms: float = 1.0) -> VideoAnalysis:
+    """Classify a time-sorted Trace, then find the video stream's batches,
+    its frames when every video packet has an RTP timestamp, and its
     interarrival jitter."""
-    trace = _as_trace(records)
     labels = classify_streams(trace)
     is_video = labels == SRTP_VIDEO
     # no copy when every packet is video, as in simulate's export
@@ -737,8 +726,6 @@ def generated_video_trace(frames: VideoTraffic) -> Trace:
 
 def delivered_trace(frames: VideoTraffic) -> Trace:
     """Client-side view of a finished run: delivered packets at their
-    delivery instants (undelivered packets are absent, as in a capture)."""
-    delivery = frames.delivery_us
-    if delivery is None:    # traffic of no run: nothing delivered
-        delivery = np.full(len(frames.packet_bytes), np.nan)
-    return _video_trace(frames, np.asarray(delivery, dtype=float))
+    delivery instants (undelivered packets, NaN there, are absent, as in a
+    capture)."""
+    return _video_trace(frames, frames.delivery_us)

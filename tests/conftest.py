@@ -3,7 +3,8 @@ import dataclasses
 import pytest
 import yaml
 
-from vrwifi.config import MacConfig, PhyConfig, SimConfig, TrafficConfig
+from vrwifi.config import (MacConfig, PhyConfig, SimConfig, TrafficConfig,
+                           config_to_dict)
 
 
 # config sections with one wrongly typed or non-finite value each, and
@@ -26,6 +27,13 @@ def write_wrongly_typed(path, name: str) -> str:
     sections["sim"] = {"duration_s": 0.2, "warmup_ms": 0.0,
                        **sections.get("sim", {})}
     path.write_text(yaml.safe_dump(sections))
+    return str(path)
+
+
+def write_config(cfg: SimConfig, path) -> str:
+    """Write cfg as a YAML config that load_config reads back as cfg;
+    returns the path."""
+    path.write_text(yaml.safe_dump(config_to_dict(cfg), sort_keys=False))
     return str(path)
 
 

@@ -11,19 +11,17 @@ import pytest
 
 from vrwifi import cli, traceio
 from vrwifi.cli import main
-from vrwifi.config import SimConfig, save_config
 from vrwifi.engine import run_simulation
 from vrwifi.metrics import SAMPLE_SETS, metrics_summary, pooled_summary
-from tests.conftest import WRONGLY_TYPED, make_cfg, write_wrongly_typed
+from tests.conftest import (WRONGLY_TYPED, make_cfg, write_config,
+                            write_wrongly_typed)
 
 
 @pytest.fixture
 def tiny_config(tmp_path):
     """0.5 s, 2 runs, warm-up off: fast enough for CLI round trips."""
     cfg = make_cfg(duration_s=0.5, runs=2, seed=7)
-    path = tmp_path / "tiny.yaml"
-    save_config(cfg, str(path))
-    return str(path)
+    return write_config(cfg, tmp_path / "tiny.yaml")
 
 
 def read(path: Path):
@@ -80,7 +78,7 @@ def test_simulate_output_env_var(tiny_config, tmp_path, monkeypatch):
 def test_simulate_serial_and_parallel_agree(tmp_path):
     # 3 runs: the pool gets two tasks while this process runs the first
     cfg = make_cfg(duration_s=0.5, runs=3, seed=7)
-    save_config(cfg, str(tmp_path / "cfg.yaml"))
+    write_config(cfg, tmp_path / "cfg.yaml")
     outs = {}
     for jobs in ("1", "2"):
         outs[jobs] = tmp_path / f"jobs{jobs}"
@@ -96,7 +94,7 @@ def test_simulate_serial_and_parallel_agree(tmp_path):
 
 def test_simulate_pool_runs_every_seed(tmp_path, pool_sizes):
     cfg = make_cfg(duration_s=0.2, runs=3)
-    save_config(cfg, str(tmp_path / "cfg.yaml"))
+    write_config(cfg, tmp_path / "cfg.yaml")
     assert main(["simulate", "--config", str(tmp_path / "cfg.yaml"),
                  "--jobs", "500", "--output", str(tmp_path / "out")]) == 0
     assert pool_sizes == [3]
@@ -106,7 +104,7 @@ def test_simulate_main_process_only_writes(tmp_path, monkeypatch):
     # with a pool, the workers simulate and export; a call made in a
     # worker lands in the worker's copy of `calls`, not in this one
     cfg = make_cfg(duration_s=0.2, runs=2)
-    save_config(cfg, str(tmp_path / "cfg.yaml"))
+    write_config(cfg, tmp_path / "cfg.yaml")
     calls = []
 
     def spy(name, original):
@@ -130,7 +128,7 @@ def test_simulate_main_process_only_writes(tmp_path, monkeypatch):
 
 def test_simulate_one_run_on_two_jobs_matches_one_job(tmp_path):
     cfg = make_cfg(duration_s=0.5, runs=1, seed=4)
-    save_config(cfg, str(tmp_path / "cfg.yaml"))
+    write_config(cfg, tmp_path / "cfg.yaml")
     outs = [tmp_path / f"jobs{jobs}" for jobs in ("1", "2")]
     for jobs, out in zip(("1", "2"), outs):
         assert main(["simulate", "--config", str(tmp_path / "cfg.yaml"),
@@ -214,7 +212,7 @@ def test_simulate_analyzes_the_records_it_writes(traffic, tmp_path,
     # those records must be exactly what parse_trace reads from it
     cfg = make_cfg(duration_s=10.0, warmup_ms=500.0, runs=1,
                    traffic=traffic)
-    save_config(cfg, str(tmp_path / "cfg.yaml"))
+    write_config(cfg, tmp_path / "cfg.yaml")
     analysed = []
     analyze_video = traceio.analyze_video
 
@@ -241,6 +239,23 @@ def test_wrongly_typed_config_exits_2(tmp_path, command, name, capsys):
         argv += ["--axis", "fps", "--values", "60"]
     assert main(argv) == 2
     assert WRONGLY_TYPED[name][1] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("where", ["yaml", "flag"])
+def test_negative_seed_exits_2(tmp_path, command, where, capsys):
+    # numpy's generators refuse a negative seed with a traceback
+    cfg = make_cfg(duration_s=0.2, runs=1, seed=-1 if where == "yaml" else 1)
+    out = tmp_path / "out"
+    argv = [command, "--config", write_config(cfg, tmp_path / "cfg.yaml"),
+            "--output", str(out)]
+    if where == "flag":
+        argv += ["--seed", "-5"]
+    if command == "sweep":
+        argv += ["--axis", "fps", "--values", "60"]
+    assert main(argv) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_table_and_summary(tiny_config, tmp_path):
@@ -374,6 +389,7 @@ def test_analyze_frames_flag_requires_rtp(tmp_path):
     out = tmp_path / "o"
     assert main(["analyze", str(trace), "--frames",
                  "--output", str(out)]) != 0
+    assert not out.exists()
     # without --frames the batch-level analysis succeeds
     assert main(["analyze", str(trace), "--output", str(out)]) == 0
 
@@ -692,22 +708,40 @@ def test_analyze_names_only_the_first_20_skipped_rows(tmp_path, capsys):
     assert len(err) == 21 and err[-1] == "... and 5 more"
 
 
+def test_analyze_names_the_skipped_rows_when_none_is_left(tmp_path, capsys):
+    rows = ["timestamp,length", "abc,100"] + [f"1.0,{-i}"
+                                              for i in range(1, 22)]
+    (tmp_path / "trace.csv").write_text("\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    assert main(["analyze", str(tmp_path / "trace.csv"),
+                 "--output", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[:2] == ["line 2: could not convert string to float: 'abc'",
+                       "line 3: non-positive length -1"]
+    assert err[19] == "line 21: non-positive length -19"
+    assert err[20:] == ["... and 2 more",
+                        "error: trace contains no parseable records"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("capture,threshold", [(write_capture, 1.0),
                                                (write_tshark_capture, 6.0)],
                          ids=["canonical", "tshark"])
 def test_record_lists_agree_with_the_columns(tmp_path, capture, threshold):
-    # the entry points that take lists of TraceRecord convert them to
-    # columns; they must give what analyze_video finds on parsed columns
+    # reconstruct_frames and interarrival_jitter take lists of TraceRecord,
+    # and Trace.from_records converts one for the rest; each must give
+    # what analyze_video finds on parsed columns
     capture(tmp_path / "capture.csv")
     parsed = traceio.parse_trace(str(tmp_path / "capture.csv"))
-    va = traceio.analyze_video(parsed.trace, threshold)
+    va = traceio.analyze_video(parsed.records, threshold)
     records = list(parsed.records)
-    labels = traceio.classify_streams(records)
+    labels = traceio.classify_streams(traceio.Trace.from_records(records))
     assert labels.tolist() == va.labels.tolist()
     video = [r for r, label in zip(records, labels)
              if label == traceio.SRTP_VIDEO]
     assert video == list(va.video)
-    assert (traceio.detect_batches(video, threshold).tolist()
+    assert (traceio.detect_batches(traceio.Trace.from_records(video),
+                                   threshold).tolist()
             == va.batches.tolist())
     assert traceio.interarrival_jitter(video) == va.metrics.video_jitter_ms
     if va.frames is None:
@@ -717,7 +751,8 @@ def test_record_lists_agree_with_the_columns(tmp_path, capture, threshold):
         frames = traceio.reconstruct_frames(video, threshold)
         assert frames == va.frames
         assert traceio.assembly_delays(frames) == va.assembly_delays_ms
-    assert (traceio.analyze_video(records, threshold).trace_metrics()
+    assert (traceio.analyze_video(traceio.Trace.from_records(records),
+                                  threshold).trace_metrics()
             == va.trace_metrics())
 
 
@@ -727,7 +762,7 @@ def test_each_flow_alone_keeps_its_labels(tmp_path, capture):
     # a trace of one flow skips classify_streams' np.unique passes; it
     # must label each flow of a pinned capture as the full capture does
     capture(tmp_path / "capture.csv")
-    trace = traceio.parse_trace(str(tmp_path / "capture.csv")).trace
+    trace = traceio.parse_trace(str(tmp_path / "capture.csv")).records
     labels = traceio.classify_streams(trace)
     keys = list(zip(trace.src_port.tolist(), trace.dst_port.tolist(),
                     trace.uplink.tolist()))
@@ -743,8 +778,8 @@ def test_simulate_export_labels_alone_and_among_other_flows():
     export = traceio.delivered_trace(
         run_simulation(cfg, 1, keep_packets=True).frames)
     records = list(export)
-    other = traceio.classify_streams(
-        records + [dataclasses.replace(records[0], src_port=1)])
+    other = traceio.classify_streams(traceio.Trace.from_records(
+        records + [dataclasses.replace(records[0], src_port=1)]))
     alone = traceio.classify_streams(export)
     assert alone.tolist() == other[:-1].tolist()
     assert set(alone.tolist()) == {traceio.SRTP_VIDEO}

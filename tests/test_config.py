@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vrwifi.config import (ConfigError, MacConfig, SimConfig, TrafficConfig,
-                           config_errors, load_config, save_config,
-                           validate_config)
-from tests.conftest import WRONGLY_TYPED, make_cfg, write_wrongly_typed
+                           config_errors, load_config, validate_config)
+from tests.conftest import (WRONGLY_TYPED, make_cfg, write_config,
+                            write_wrongly_typed)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -112,9 +112,8 @@ def test_save_load_round_trip(tmp_path_factory, fps, mcs, per, tau, seed):
                    mac={"per": per},
                    traffic={"fps": fps, "inter_batch_time_ms": tau},
                    seed=seed)
-    path = tmp_path_factory.mktemp("cfg") / "rt.yaml"
-    save_config(cfg, str(path))
-    assert load_config(str(path)) == cfg
+    path = write_config(cfg, tmp_path_factory.mktemp("cfg") / "rt.yaml")
+    assert load_config(path) == cfg
 
 
 def test_traffic_defaults_match_observed_streams():

@@ -111,7 +111,7 @@ def test_parse_skips_a_direction_other_than_dl_or_ul(tmp_path):
 
 def test_records_with_another_direction_are_refused():
     with pytest.raises(tio.TraceError, match="neither DL nor UL"):
-        tio.classify_streams([rec(0.0), rec(0.1, direction="SIDEWAYS")])
+        tio.Trace.from_records([rec(0.0), rec(0.1, direction="SIDEWAYS")])
 
 
 def test_parse_accepts_tshark_field_names(tmp_path):
@@ -195,7 +195,7 @@ def test_write_parse_round_trip(tmp_path):
                    rtp_ssrc=7, rtp_timestamp=1000) + flow(
                        175, 4.16, 10, 50001, 5006, t0=0.001)
     path = tmp_path / "rt.csv"
-    tio.write_trace(records, str(path))
+    tio.write_trace(tio.Trace.from_records(records), str(path))
     parsed = tio.parse_trace(str(path))
     assert len(parsed.records) == len(records)
     by_time = sorted(records, key=lambda r: r.timestamp_s)
@@ -214,7 +214,7 @@ def test_classify_table_style_flows():
                + flow(122, 1287.0, 5, 5, 6)       # STUN: sparse keepalive
                + flow(175, 4.9, 50, 7, 8)         # DTLS controller
                + flow(435, 67.0, 20, 9, 10))      # SRTCP reports
-    labels = tio.classify_streams(records).tolist()
+    labels = tio.classify_streams(tio.Trace.from_records(records)).tolist()
     assert labels[:100] == [tio.SRTP_VIDEO] * 100
     assert labels[100:150] == [tio.SRTP_AUDIO] * 50
     assert labels[150:155] == [tio.STUN] * 5
@@ -224,7 +224,7 @@ def test_classify_table_style_flows():
 
 def test_classify_partition_covers_every_record():
     records = flow(1243, 0.19, 30, 1, 2) + flow(999, 300.0, 4, 3, 4)
-    labels = tio.classify_streams(records)
+    labels = tio.classify_streams(tio.Trace.from_records(records))
     assert len(labels) == len(records)
     counts = {}
     for label in labels:
@@ -234,28 +234,32 @@ def test_classify_partition_covers_every_record():
 
 def test_classify_unknown_flow_is_generic_never_error():
     odd = flow(555, 123.0, 7, 1, 2)
-    assert set(tio.classify_streams(odd)) == {tio.GENERIC}
-    single = [rec(0.0, 400)]
+    assert set(tio.classify_streams(tio.Trace.from_records(odd))) == {
+        tio.GENERIC}
+    single = tio.Trace.from_records([rec(0.0, 400)])
     assert tio.classify_streams(single).tolist() == [tio.GENERIC]
 
 
 def test_classify_by_rtp_ssrc_splits_video_and_audio():
     video = flow(1243, 0.19, 40, 1, 2, rtp_ssrc=111, rtp_payload_type=96)
     audio = flow(83, 20.0, 10, 1, 2, rtp_ssrc=222, rtp_payload_type=111)
-    labels = tio.classify_streams(video + audio).tolist()
+    labels = tio.classify_streams(
+        tio.Trace.from_records(video + audio)).tolist()
     assert labels[:40] == [tio.SRTP_VIDEO] * 40
     assert labels[40:] == [tio.SRTP_AUDIO] * 10
 
 
 def test_classify_by_protocol_column():
-    records = flow(107, 8.9, 20, 1, 2, protocol="DTLS")
+    records = tio.Trace.from_records(flow(107, 8.9, 20, 1, 2,
+                                          protocol="DTLS"))
     assert set(tio.classify_streams(records)) == {tio.DTLS}
 
 
 def test_stream_summaries_consistent_load():
     records = flow(1000, 1.0, 101, 1, 2)     # 101 pkts, 1 ms apart
-    labels = tio.classify_streams(records)
-    (summary,) = tio.stream_summaries(tio.group_streams(records, labels))
+    trace = tio.Trace.from_records(records)
+    labels = tio.classify_streams(trace)
+    (summary,) = tio.stream_summaries(tio.group_streams(trace, labels))
     span = records[-1].timestamp_s - records[0].timestamp_s
     assert summary.load_mbps == pytest.approx(101 * 1000 * 8 / span / 1e6)
     assert summary.packet_count == 101
@@ -267,19 +271,21 @@ def test_stream_summaries_consistent_load():
 
 def test_detect_batches_threshold_definition():
     times_ms = [0.0, 0.02, 0.05, 5.56, 5.58]
-    records = [rec(t / 1e3) for t in times_ms]
+    records = tio.Trace.from_records([rec(t / 1e3) for t in times_ms])
     starts = tio.detect_batches(records, gap_threshold_ms=1.0)
     assert starts.tolist() == [0.0, 5.56e-3]
 
 
 def test_detect_batches_extreme_thresholds():
-    records = [rec(t) for t in np.arange(0, 0.1, 0.01)]
+    records = tio.Trace.from_records([rec(t)
+                                      for t in np.arange(0, 0.1, 0.01)])
     assert len(tio.detect_batches(records, gap_threshold_ms=1e9)) == 1
     assert len(tio.detect_batches(records, gap_threshold_ms=1e-9)) == len(records)
 
 
 def test_detect_batches_single_packet():
-    assert tio.detect_batches([rec(0.0)]).tolist() == [0.0]
+    single = tio.Trace.from_records([rec(0.0)])
+    assert tio.detect_batches(single).tolist() == [0.0]
 
 
 def test_modal_spacing():
@@ -354,8 +360,9 @@ def test_jitter_needs_two_records():
 
 
 def test_analyze_video_without_rtp_reports_batches_only():
-    records = [rec(k * 5.56e-3 + j * 1e-4, 1243, src_port=1, dst_port=2)
-               for k in range(20) for j in range(6)]
+    records = tio.Trace.from_records([
+        rec(k * 5.56e-3 + j * 1e-4, 1243, src_port=1, dst_port=2)
+        for k in range(20) for j in range(6)])
     va = tio.analyze_video(records)
     assert va.labels.tolist() == [tio.SRTP_VIDEO] * len(records)
     assert len(va.batches) == 20 and va.frames is None
@@ -396,11 +403,11 @@ def test_generated_trace_round_trip(tmp_path):
 def test_delivered_trace_drops_undelivered():
     cfg = TrafficConfig(fps=90.0)
     frames = tr.generate_video_frames(cfg, np.random.default_rng(1), 0.1)
-    frames.delivery_us = [g + 500.0 if i % 2 == 0 else None
-                          for i, g in enumerate(frames.packet_gen_us.tolist())]
+    # the engine's form: float64, NaN for an undelivered packet
+    frames.delivery_us = frames.packet_gen_us + 500.0
+    frames.delivery_us[1::2] = np.nan
     records = tio.delivered_trace(frames)
-    assert len(records) == sum(1 for t in frames.delivery_us
-                               if t is not None)
+    assert len(records) == np.count_nonzero(~np.isnan(frames.delivery_us))
     times = [r.timestamp_s for r in records]
     assert times == sorted(times)
 
