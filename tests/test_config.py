@@ -93,6 +93,34 @@ def test_load_unknown_key_rejected(tmp_path):
         load_config(str(path))
 
 
+# one YAML document per rejection, and the one message it gives; of two
+# faulty sections, the first in the order phy, mac, traffic, sim is
+# named, whatever order the file writes them in
+LOADER_REJECTIONS = {
+    "list_top_level": ("- phy\n- mac\n",
+                       "{path}: top level must be a mapping"),
+    "unknown_section": ("phyy:\n  mcs_index: 3\n", "unknown section 'phyy'"),
+    "phy_not_mapping": ("phy: [1]\n", "section 'phy' must be a mapping"),
+    "sim_not_mapping": ("sim: 5\n", "section 'sim' must be a mapping"),
+    "unknown_sim_key": ("sim: {durations: 3}\n",
+                        "unknown key 'sim.durations'"),
+    "mac_and_sim_keys": ("mac: {cw: 3}\nsim: {durations: 3}\n",
+                         "unknown key 'mac.cw'"),
+    "sim_written_first": ("sim: {durations: 3}\nphy: {mcs: 3}\n",
+                          "unknown key 'phy.mcs'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOADER_REJECTIONS))
+def test_load_rejection_message(tmp_path, name):
+    document, message = LOADER_REJECTIONS[name]
+    path = tmp_path / "rejected.yaml"
+    path.write_text(document)
+    with pytest.raises(ConfigError) as info:
+        load_config(str(path))
+    assert info.value.errors == [message.format(path=path)]
+
+
 def test_load_invalid_value_rejected(tmp_path):
     path = tmp_path / "badval.yaml"
     path.write_text("mac:\n  per: 3.0\n")
