@@ -10,7 +10,6 @@ import dataclasses
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Any
 
 import yaml
 
@@ -141,16 +140,27 @@ _ADMITS = {
 }
 
 
+# the YAML's sections, in the order load_config checks them: SimConfig's
+# nested configs, then "sim" for SimConfig's own fields
+_SECTIONS = ("phy", "mac", "traffic", "sim")
+
+
+def _sections(cfg: SimConfig):
+    """Each section's name, the object in cfg holding it, and its fields."""
+    for name in _SECTIONS:
+        obj = cfg if name == "sim" else getattr(cfg, name)
+        yield name, obj, [f for f in dataclasses.fields(obj)
+                          if f.name not in _SECTIONS]
+
+
 def _type_errors(cfg: SimConfig) -> list[str]:
     """One message per field whose value its annotation does not admit."""
     errs = []
-    for section, obj in (("phy", cfg.phy), ("mac", cfg.mac),
-                         ("traffic", cfg.traffic), ("sim", cfg)):
-        for f in dataclasses.fields(obj):
-            types = f.type.split(" | ")   # sections are not in _ADMITS
+    for section, obj, fields in _sections(cfg):
+        for f in fields:
+            types = f.type.split(" | ")
             value = getattr(obj, f.name)
-            if all(t in _ADMITS for t in types) and not any(
-                    _ADMITS[t](value) for t in types):
+            if not any(_ADMITS[t](value) for t in types):
                 errs.append(f"{section}.{f.name} must be "
                             f"{' or '.join(types)}, not {value!r}")
     return errs
@@ -243,20 +253,6 @@ def validate_config(cfg: SimConfig) -> SimConfig:
     return cfg
 
 
-_SECTIONS = {"phy": PhyConfig, "mac": MacConfig, "traffic": TrafficConfig}
-_TOP_FIELDS = ("duration_s", "runs", "seed", "warmup_ms")
-
-
-def _build_section(cls, values: dict, section: str):
-    known = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(values) - set(known)
-    if unknown:
-        raise ConfigError(
-            [f"unknown key '{section}.{k}'" for k in sorted(unknown)]
-        )
-    return cls(**values)
-
-
 def load_config(path: str) -> SimConfig:
     """Load a YAML config; unspecified fields take the defaults above.
 
@@ -277,33 +273,24 @@ def load_config(path: str) -> SimConfig:
     if not isinstance(raw, dict):
         raise ConfigError([f"{path}: top level must be a mapping"])
 
-    unknown = set(raw) - set(_SECTIONS) - {"sim"}
+    unknown = set(raw) - set(_SECTIONS)
     if unknown:
         raise ConfigError([f"unknown section '{k}'" for k in sorted(unknown)])
 
-    kwargs: dict[str, Any] = {}
-    for section, cls in _SECTIONS.items():
+    kwargs = {}
+    for section, default, fields in _sections(SimConfig()):
         values = raw.get(section, {}) or {}
         if not isinstance(values, dict):
             raise ConfigError([f"section '{section}' must be a mapping"])
-        kwargs[section] = _build_section(cls, values, section)
-
-    top = raw.get("sim", {}) or {}
-    if not isinstance(top, dict):
-        raise ConfigError(["section 'sim' must be a mapping"])
-    unknown = set(top) - set(_TOP_FIELDS)
-    if unknown:
-        raise ConfigError([f"unknown key 'sim.{k}'" for k in sorted(unknown)])
-    kwargs.update(top)
-
-    return validate_config(SimConfig(**kwargs))
+        unknown = set(values) - {f.name for f in fields}
+        if unknown:
+            raise ConfigError(
+                [f"unknown key '{section}.{k}'" for k in sorted(unknown)])
+        kwargs[section] = dataclasses.replace(default, **values)
+    return validate_config(dataclasses.replace(kwargs.pop("sim"), **kwargs))
 
 
 def config_to_dict(cfg: SimConfig) -> dict:
-    return {
-        "phy": dataclasses.asdict(cfg.phy),
-        "mac": dataclasses.asdict(cfg.mac),
-        "traffic": dataclasses.asdict(cfg.traffic),
-        "sim": {name: getattr(cfg, name) for name in _TOP_FIELDS},
-    }
+    return {section: {f.name: getattr(obj, f.name) for f in fields}
+            for section, obj, fields in _sections(cfg)}
 

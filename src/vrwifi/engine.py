@@ -401,7 +401,10 @@ class _Sim:
             if self.in_flight is None:
                 # an arrival that backlogs an empty station is admitted
                 # alone, earliest first and video first at ties, and
-                # resolved: it may bring the runtime event forward
+                # resolved: it may bring the runtime event forward. The
+                # AP's video is pulled here only until one arrival is held:
+                # with nothing pending, `limit` is the run's end, and
+                # pulling up to it would take the whole run's video at once
                 if not ap.buffer and a == len(ap_ids) and horizon != inf:
                     ap_times, ap_ids, horizon = self.more_video(
                         chunks, ap_times, ap_ids, a, -inf)
@@ -504,16 +507,13 @@ class _Sim:
         measured = frame_gen_us >= self.warmup_us
         done = measured & ~np.isnan(last)
         m = self.metrics
-        m.incomplete_frames = int(np.count_nonzero(measured)
-                                  - np.count_nonzero(done))
+        n_done = int(np.count_nonzero(done))
+        m.incomplete_frames = int(np.count_nonzero(measured)) - n_done
         m.assembly_delays_us.frombytes((last - first)[done].view(np.uint8))
-        rows = np.repeat(done, n_pk)
-        n_pk = n_pk[done]
-        # the first packet's time over each frame's packets: the same minimum
-        gen_us = np.repeat(np.frombuffer(self.first_gen_us)[done], n_pk)
-        m.vf_delays_us.frombytes(vf_delay(gen_us, delivery_us[rows],
-                                          np.cumsum(n_pk) - n_pk)
-                                 .view(np.uint8))
+        # one row per frame: its first packet's time and its last delivery
+        m.vf_delays_us.frombytes(vf_delay(
+            np.frombuffer(self.first_gen_us)[done], last[done],
+            np.arange(n_done)).view(np.uint8))
 
 
 def run_simulation(cfg: SimConfig, seed: int,
