@@ -479,6 +479,84 @@ def test_retry_policy_widens_the_window_after_a_collision():
     assert max(windows) > cfg.mac.cw_min
 
 
+def exact_saturated_pair(cw_min: int, cw_max: int) -> tuple[float, float]:
+    """The AP's collision probability per attempt, and its share of the
+    successes, in a saturated two-station DCF without errors: the exact
+    Markov chain on the pair's state at each access, each station's
+    backoff stage and counter (Bianchi, IEEE JSAC 2000, with the freeze
+    rule of the engine). The smaller counter transmits and the other
+    keeps its counter less the winner's; equal counters collide and
+    both windows double, capped at cw_max; a success resets the
+    winner's window; a fresh counter is uniform on [0, cw]."""
+    windows = [cw_min]
+    while windows[-1] < cw_max:
+        windows.append(min(2 * windows[-1] + 1, cw_max))
+    # one station's states (stage, counter), and each stage's fresh draw
+    own = [(s, c) for s, w in enumerate(windows) for c in range(w + 1)]
+    index = {state: i for i, state in enumerate(own)}
+    fresh = []
+    for s, w in enumerate(windows):
+        draw = np.zeros(len(own))
+        draw[[index[s, c] for c in range(w + 1)]] = 1 / (w + 1)
+        fresh.append(draw)
+    top = len(windows) - 1
+    n = len(own)
+    # rows: the pair's state now, AP major; columns: at the next access
+    step = np.zeros((n * n, n, n))
+    for (sa, ca), i in index.items():
+        for (sb, cb), j in index.items():
+            row = step[i * n + j]
+            if ca == cb:
+                row += np.outer(fresh[min(sa + 1, top)],
+                                fresh[min(sb + 1, top)])
+            elif ca < cb:
+                row[:, index[sb, cb - ca]] += fresh[0]
+            else:
+                row[index[sa, ca - cb]] += fresh[0]
+    # the stationary law: pi (step - I) = 0 with the weights summing to 1
+    a = step.reshape(n * n, n * n).T - np.eye(n * n)
+    a[-1] = 1.0
+    pi = np.linalg.solve(a, np.eye(n * n)[-1]).reshape(n, n)
+    counter = np.array([c for _, c in own])
+    tie = counter[:, None] == counter[None, :]
+    collide = pi[tie].sum()
+    ap_wins = pi[counter[:, None] < counter[None, :]].sum()
+    client_wins = 1.0 - collide - ap_wins
+    return (collide / (collide + ap_wins),
+            ap_wins / (ap_wins + client_wins))
+
+
+@pytest.mark.parametrize("cw_policy", [
+    "exchange",
+    pytest.param("retry", marks=pytest.mark.xfail(strict=True, reason=(
+        "CHANGES.md FOUND (a): under cw_policy 'retry' the window "
+        "doubling after a collision is lost, so the collision "
+        "probability is the no-doubling 2 / (cw_min + 2)"))),
+])
+def test_contention_matches_the_exact_two_station_chain(cw_policy):
+    # both buffers stay full: one MPDU an exchange at MCS 0, and an
+    # uplink packet every 10 us
+    p_collide, ap_share = exact_saturated_pair(3, 15)
+    assert (p_collide, ap_share) == (pytest.approx(0.2840556, abs=1e-7),
+                                     pytest.approx(0.5))
+    cfg = make_cfg(duration_s=3.0, warmup_ms=100.0,
+                   phy={"mcs_index": 0},
+                   mac={"per": 0.0, "max_ampdu": 1, "cw_min": 3,
+                        "cw_max": 15, "cw_policy": cw_policy},
+                   traffic={"ul_period_ms": 0.01})
+    roles = []
+    for seed in (1, 2, 3):
+        m = run_simulation(cfg, seed).metrics
+        roles += [t.role for t in m.tx_log if t.tx_start_us >= 100e3]
+    collisions, ap = roles.count("collision"), roles.count(AP)
+    successes = len(roles) - collisions
+    attempts = ap + collisions
+    se = np.sqrt(p_collide * (1 - p_collide) / attempts)
+    assert abs(collisions / attempts - p_collide) <= 4 * se
+    se = np.sqrt(ap_share * (1 - ap_share) / successes)
+    assert abs(ap / successes - ap_share) <= 4 * se
+
+
 # sha256 of every sample list, counter and tx_log entry of a seed-1 run,
 # 1 s unless given. The event loop may be reworked for speed, but these
 # must not move.
