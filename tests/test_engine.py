@@ -483,11 +483,12 @@ def exact_saturated_pair(cw_min: int, cw_max: int) -> tuple[float, float]:
     """The AP's collision probability per attempt, and its share of the
     successes, in a saturated two-station DCF without errors: the exact
     Markov chain on the pair's state at each access, each station's
-    backoff stage and counter (Bianchi, IEEE JSAC 2000, with the freeze
-    rule of the engine). The smaller counter transmits and the other
-    keeps its counter less the winner's; equal counters collide and
-    both windows double, capped at cw_max; a success resets the
-    winner's window; a fresh counter is uniform on [0, cw]."""
+    backoff stage and counter. It follows the engine's rules, where
+    Bianchi's chain (IEEE JSAC 2000) counts down through busy slots: the
+    smaller counter transmits and the other keeps its counter less the
+    winner's; equal counters collide and both windows double, capped at
+    cw_max; a success resets the winner's window; a fresh counter is
+    uniform on [0, cw]."""
     windows = [cw_min]
     while windows[-1] < cw_max:
         windows.append(min(2 * windows[-1] + 1, cw_max))
@@ -547,7 +548,8 @@ def test_contention_matches_the_exact_two_station_chain(cw_policy):
     roles = []
     for seed in (1, 2, 3):
         m = run_simulation(cfg, seed).metrics
-        roles += [t.role for t in m.tx_log if t.tx_start_us >= 100e3]
+        roles += [t.role for t in m.tx_log
+                  if t.tx_start_us >= cfg.warmup_ms * 1e3]
     collisions, ap = roles.count("collision"), roles.count(AP)
     successes = len(roles) - collisions
     attempts = ap + collisions
