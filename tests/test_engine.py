@@ -522,9 +522,7 @@ def exact_saturated_pair(cw_min: int, cw_max: int) -> tuple[float, float]:
     tie = counter[:, None] == counter[None, :]
     collide = pi[tie].sum()
     ap_wins = pi[counter[:, None] < counter[None, :]].sum()
-    client_wins = 1.0 - collide - ap_wins
-    return (collide / (collide + ap_wins),
-            ap_wins / (ap_wins + client_wins))
+    return collide / (collide + ap_wins), ap_wins / (1.0 - collide)
 
 
 @pytest.mark.parametrize("cw_policy", [
@@ -538,8 +536,7 @@ def test_contention_matches_the_exact_two_station_chain(cw_policy):
     # both buffers stay full: one MPDU an exchange at MCS 0, and an
     # uplink packet every 10 us
     p_collide, ap_share = exact_saturated_pair(3, 15)
-    assert (p_collide, ap_share) == (pytest.approx(0.2840556, abs=1e-7),
-                                     pytest.approx(0.5))
+    assert (p_collide, ap_share) == pytest.approx((0.2840556, 0.5), abs=1e-7)
     cfg = make_cfg(duration_s=3.0, warmup_ms=100.0,
                    phy={"mcs_index": 0},
                    mac={"per": 0.0, "max_ampdu": 1, "cw_min": 3,
