@@ -290,20 +290,26 @@ def cmd_analyze(args) -> int:
     qos["loss_rate"] = {"value": None, "threshold": QOS_LOSS_RATE,
                         "pass": None}
 
-    groups = traceio.group_streams(trace, va.labels)
+    groups = traceio.group_streams(trace, va.labels, va.video)
     summaries = traceio.stream_summaries(groups)
     for label, rows in groups.items():
         gaps = traceio.inter_packet_ms(rows)
         if len(gaps):
             safe = label.lower().replace("-", "_")
             xs, ps = ecdf(gaps)
+            # no gap is -0.0 (times sorted), which would share 0.0's text
+            new = np.r_[True, xs[1:] != xs[:-1]]
+            texts = list(map(repr, xs[new].tolist()))   # each distinct gap
+            text_of = np.cumsum(new) - 1
             with open(outdir / f"ecdf_inter_packet_{safe}.csv", "w",
                       newline="", encoding="utf-8") as fh:
                 # csv.writer's bytes (repr of a float, CRLF), without its
-                # per-row cost
+                # per-row cost, a block of rows at a time
                 fh.write("inter_packet_ms,probability\r\n")
-                fh.writelines(f"{x!r},{p!r}\r\n"
-                              for x, p in zip(xs.tolist(), ps.tolist()))
+                for start in range(0, len(xs), traceio.BLOCK_ROWS):
+                    block = slice(start, start + traceio.BLOCK_ROWS)
+                    fh.writelines(f"{texts[i]},{p!r}\r\n" for i, p in zip(
+                        text_of[block].tolist(), ps[block].tolist()))
 
     report = {
         "command": "analyze",

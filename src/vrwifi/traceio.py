@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from operator import attrgetter, itemgetter
@@ -249,7 +250,7 @@ def parse_trace(path: str) -> ParseResult:
     Unparseable rows, rows with a non-finite timestamp or length, rows
     with a non-positive length and rows whose direction is neither DL
     nor UL are skipped and reported with the file line they start on.
-    Blank lines are ignored.
+    Blank lines are ignored. Rows are sorted (stably) only if out of order.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -279,6 +280,7 @@ def parse_trace(path: str) -> ParseResult:
         # distinct text; an empty or absent integer is 0 for a port and
         # None for the rest
         floats = _Memo(float)
+        lengths = _Memo(int)    # keyed by the parsed float
         ports = _Memo(_truncate, {"": 0, None: 0})
         ints = _Memo(_truncate, {"": None, None: None})
         uplinks = _Memo(_uplink)
@@ -287,6 +289,7 @@ def parse_trace(path: str) -> ParseResult:
         protocols = _Memo(str, {"": None, None: None})
         # one list per TraceRecord field; "direction" holds uplink flags
         columns = {f.name: [] for f in fields(TraceRecord)}
+        columns["timestamp_s"] = array("d")   # no float object per row
         (add_time, add_length, add_src, add_dst, add_uplink, add_pt,
          add_ssrc, add_rtp_ts, add_marker, add_protocol) = (
              c.append for c in columns.values())
@@ -308,7 +311,7 @@ def parse_trace(path: str) -> ParseResult:
                 if not (math.isfinite(timestamp) and math.isfinite(length)):
                     raise ValueError(
                         f"non-finite timestamp {timestamp} or length {length}")
-                length = int(length)
+                length = lengths[length]
                 if length <= 0:
                     raise ValueError(f"non-positive length {length}")
                 src, dst = ports[src], ports[dst]
@@ -330,11 +333,15 @@ def parse_trace(path: str) -> ParseResult:
             add_protocol(protocols[protocol])
     # pop: each list is freed once converted
     trace = Trace.from_columns(columns.pop)
-    return ParseResult(trace.take(np.argsort(trace.timestamp_s,
-                                             kind="stable")), skipped)
+    t = trace.timestamp_s
+    if not (t[1:] >= t[:-1]).all():   # finite: no NaN hides a row
+        order = np.argsort(t, kind="stable")
+        for f in fields(trace):   # a column at a time: never two copies
+            setattr(trace, f.name, getattr(trace, f.name)[order])
+    return ParseResult(trace, skipped)
 
 
-_WRITE_BLOCK = 4096   # rows write_trace formats at a time
+BLOCK_ROWS = 4096   # rows a loop turns into Python objects at a time
 
 
 def write_trace(trace: Trace, path: str) -> None:
@@ -343,10 +350,8 @@ def write_trace(trace: Trace, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CANONICAL_COLUMNS)
-        # a block of rows at a time, so the cells of a long trace are
-        # never all held at once
-        for start in range(0, len(trace), _WRITE_BLOCK):
-            t = trace.take(slice(start, start + _WRITE_BLOCK))
+        for start in range(0, len(trace), BLOCK_ROWS):
+            t = trace.take(slice(start, start + BLOCK_ROWS))
             # csv.writer writes None as an empty cell
             writer.writerows(zip(
                 map("{:.6f}".format, t.timestamp_s.tolist()),
@@ -403,7 +408,7 @@ def _flows(trace: Trace) -> list[np.ndarray]:
     key = np.zeros(len(trace), dtype=np.int64)
     for column in (trace.src_port, trace.dst_port, trace.uplink):
         if (column != column[0]).any():   # a constant one keeps the key
-            _, code = np.unique(column, return_inverse=True)
+            code = np.searchsorted(np.unique(column), column)
             key = key * (code.max() + 1) + code
     order = np.argsort(key, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
@@ -416,7 +421,7 @@ def _rtp_flow_labels(lengths: np.ndarray, ssrc: np.ndarray,
     size; RTP rows without an SSRC form one more group. A row without RTP
     columns takes that group's label if there is one, else the label of
     most RTP rows (on a tie, the label of the first)."""
-    _, group = np.unique(ssrc, return_inverse=True)
+    group = np.searchsorted(np.unique(ssrc), ssrc)
     group = np.where(has_ssrc, group + 1, 0)    # 0: no SSRC
     label_of = np.full(group.max() + 1, None, dtype=object)
     for g in np.unique(group[rtp]).tolist():
@@ -469,10 +474,13 @@ def classify_streams(trace: Trace) -> np.ndarray:
     return labels
 
 
-def group_streams(trace: Trace, labels: np.ndarray) -> dict[str, Trace]:
+def group_streams(trace: Trace, labels: np.ndarray,
+                  video: Trace | None = None) -> dict[str, Trace]:
     """The rows of a time-sorted Trace under each of its labels (an array,
-    one per row), in the trace's order; labels sorted."""
-    return {label: trace.take(labels == label)
+    one per row), in the trace's order; labels sorted. `video`, when
+    given, is the SRTP-video rows already taken, used without a copy."""
+    return {label: (video if label == SRTP_VIDEO and video is not None
+                    else trace.take(labels == label))
             for label in sorted(set(labels.tolist()))}
 
 
@@ -582,8 +590,9 @@ def interarrival_jitter(records) -> float:
     else:
         d = np.diff(gaps)
     jitter = 0.0
-    for abs_d in np.abs(d).tolist():
-        jitter += (abs_d - jitter) / 16.0
+    for start in range(0, len(d), BLOCK_ROWS):
+        for abs_d in np.abs(d[start:start + BLOCK_ROWS]).tolist():
+            jitter += (abs_d - jitter) / 16.0
     return jitter
 
 

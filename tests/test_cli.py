@@ -12,7 +12,8 @@ import pytest
 from vrwifi import cli, traceio
 from vrwifi.cli import main
 from vrwifi.engine import run_simulation
-from vrwifi.metrics import SAMPLE_SETS, metrics_summary, pooled_summary
+from vrwifi.metrics import (SAMPLE_SETS, ecdf, metrics_summary,
+                            pooled_summary)
 from tests.conftest import (WRONGLY_TYPED, make_cfg, write_config,
                             write_wrongly_typed)
 
@@ -677,6 +678,34 @@ def test_pinned_analyze_digest_tshark(tmp_path, monkeypatch, threshold):
     pinned = PINNED_ANALYZE_TSHARK[threshold]
     assert sorted(p.name for p in out.iterdir()) == sorted(pinned)
     assert {name: digest(out / name) for name in pinned} == pinned
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_analyze_writes_each_ecdf_in_blocks(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(traceio, "BLOCK_ROWS", block)
+    # binary fractions of a second, so that equal gaps tie exactly: a
+    # video flow longer than a block with tied and zero gaps, and a
+    # generic one of a single gap
+    video = np.cumsum([0, 1, 1, 0, 2, 1, 1, 3, 1, 0, 1]) / 1024
+    rows = sorted([(t, 1243, 1, 2) for t in video.tolist()]
+                  + [(0.0, 555, 3, 4), (0.123, 555, 3, 4)])
+    path = tmp_path / "capture.csv"
+    path.write_text("timestamp,length,src_port,dst_port\n" + "".join(
+        f"{t!r},{n},{s},{d}\n" for t, n, s, d in rows))
+    out = tmp_path / "out"
+    assert main(["analyze", str(path), "--output", str(out)]) == 0
+    trace = traceio.parse_trace(str(path)).records
+    labels = traceio.classify_streams(trace)
+    assert set(labels.tolist()) == {traceio.SRTP_VIDEO, traceio.GENERIC}
+    for label, name, n_gaps, n_distinct in (
+            (traceio.SRTP_VIDEO, "srtp_video", 10, 4),
+            (traceio.GENERIC, "generic_udp", 1, 1)):
+        xs, ps = ecdf(np.diff(trace.timestamp_s[labels == label]) * 1e3)
+        assert (len(xs), len(set(xs.tolist()))) == (n_gaps, n_distinct)
+        expected = "inter_packet_ms,probability\r\n" + "".join(
+            f"{x!r},{p!r}\r\n" for x, p in zip(xs.tolist(), ps.tolist()))
+        assert (out / f"ecdf_inter_packet_{name}.csv").read_bytes() == (
+            expected.encode())
 
 
 def test_analyze_names_each_skipped_row_on_stderr(tmp_path, capsys):

@@ -404,6 +404,32 @@ def test_run_memory_grows_with_its_outputs(mcs, keep_packets):
     assert peak < 4.0e6
 
 
+def test_parse_memory_grows_with_its_trace(tmp_path):
+    # a 4 s capture, 20,160 rows: with a double per timestamp, a shared
+    # int per length and no sort of rows already in time order, the
+    # traced peak of parse_trace is 2.2 times the bytes of the columns
+    # it returns, where a float and an int object per row and a sorted
+    # copy of every column took 4.0 times
+    path = str(tmp_path / "capture.csv")
+    run = run_simulation(fast_cfg(duration_s=4.0), 1, keep_packets=True)
+    traceio.write_trace(traceio.delivered_trace(run.frames), path)
+    del run
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        trace = traceio.parse_trace(path).records
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert len(trace) > 20_000
+    assert peak < 3 * sum(getattr(trace, f.name).nbytes
+                          for f in dataclasses.fields(trace))
+
+
 def test_queue_statistics_without_an_ap_exchange_end():
     # 10 us: two video packets arrive (t = 0 and 5 us) and the AP's
     # first access is still pending at the end

@@ -183,6 +183,32 @@ def test_pinned_parse_output(tmp_path):
     assert hashlib.sha256(repr(out).encode()).hexdigest() == PINNED_PARSE
 
 
+def test_parse_sorts_rows_out_of_time_order_stably(tmp_path):
+    # rows out of time order, three sharing a time, a skipped row and an
+    # SSRC beyond 2**32 (an object column): the Trace is the stable sort
+    # of the rows, the same as parsing them written in that order
+    header = "timestamp,length,src_port,dst_port,direction,rtp_ssrc\n"
+    rows = ["2.0,100,1,2,DL,7", "1.0,200,1,2,UL,",
+            "2.0,300,3,4,DL,8589934592", "bad,100,1,2,DL,",
+            "0.5,400,1,2,DL,9", "1.0,500,3,4,UL,7", "2.0,600,1,2,DL,"]
+    parsed = tio.parse_trace(write(tmp_path, header + "\n".join(rows)))
+    in_order = sorted((row for row in rows if not row.startswith("bad")),
+                      key=lambda row: float(row.split(",")[0]))
+    reference = tio.parse_trace(
+        write(tmp_path, header + "\n".join(in_order), "sorted.csv"))
+    assert parsed.skipped == [(5, "could not convert string to float: "
+                                  "'bad'")]
+    assert [r.length for r in parsed.records] == [400, 200, 500, 100, 300,
+                                                  600]
+    assert ([dataclasses.astuple(r) for r in parsed.records]
+            == [dataclasses.astuple(r) for r in reference.records])
+    dtypes = [getattr(parsed.records, f.name).dtype
+              for f in dataclasses.fields(tio.Trace)]
+    assert dtypes == [getattr(reference.records, f.name).dtype
+                      for f in dataclasses.fields(tio.Trace)]
+    assert parsed.records.rtp_ssrc.dtype == object
+
+
 def test_parse_optional_columns_empty(tmp_path):
     path = write(tmp_path,
                  "timestamp,length,rtp_ssrc,rtp_marker\n1.0,99,,\n")
@@ -253,6 +279,29 @@ def test_classify_by_protocol_column():
     records = tio.Trace.from_records(flow(107, 8.9, 20, 1, 2,
                                           protocol="DTLS"))
     assert set(tio.classify_streams(records)) == {tio.DTLS}
+
+
+def test_classify_object_columns_as_int64_ones():
+    # a port and SSRCs beyond 2**32 are held as Python ints (dtype
+    # object); they split flows and SSRC groups as small values in the
+    # same order do
+    def trace(big):
+        return tio.Trace.from_records(
+            flow(1243, 0.19, 40, 1 + big, 2, rtp_ssrc=111 + big,
+                 rtp_payload_type=96)
+            + flow(83, 20.0, 10, 1 + big, 2, rtp_ssrc=222 + big,
+                   rtp_payload_type=111)
+            + flow(1000, 5.0, 5, 1 + big, 2, rtp_payload_type=96)
+            + flow(175, 4.9, 20, 7 + big, 8)
+            + flow(83, 20.0, 10, 1 + big, 9, rtp_ssrc=111 + big))
+    small, large = trace(0), trace(2**40)
+    assert large.src_port.dtype == object and large.rtp_ssrc.dtype == object
+    assert small.src_port.dtype == np.int64
+    labels = tio.classify_streams(large).tolist()
+    assert labels == tio.classify_streams(small).tolist()
+    assert labels == ([tio.SRTP_VIDEO] * 40 + [tio.SRTP_AUDIO] * 10
+                      + [tio.SRTP_VIDEO] * 5 + [tio.DTLS] * 20
+                      + [tio.SRTP_AUDIO] * 10)
 
 
 def test_stream_summaries_consistent_load():
@@ -352,6 +401,30 @@ def test_jitter_with_rtp_timestamps_uses_transit_difference():
                    rtp_timestamp=int(0.010 * i * 90_000)) for i in range(50)]
     j = tio.interarrival_jitter(records)
     assert j == pytest.approx(1.0, rel=0.05)
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_jitter_in_blocks_is_the_one_pass_recurrence(monkeypatch, block):
+    monkeypatch.setattr(tio, "BLOCK_ROWS", block)
+    # binary fractions of a second, so that equal gaps tie exactly
+    times = (np.cumsum([0, 1, 1, 0, 2, 1, 1, 3, 1, 1, 2, 1]) / 1024).tolist()
+    cases = [
+        [rec(t) for t in times],
+        [rec(t, rtp_timestamp=90 * i) for i, t in enumerate(times)],
+        [rec(0.0), rec(1e-3)],                      # one gap: no D
+        [rec(0.0, rtp_timestamp=0), rec(1e-3, rtp_timestamp=77)],
+    ]
+    for records in cases:
+        trace = tio.Trace.from_records(records)
+        gaps = np.diff(trace.timestamp_s) * 1e3
+        if trace.has_rtp_timestamp.all():
+            d = gaps - np.diff(trace.rtp_timestamp) / tio.RTP_CLOCK_HZ * 1e3
+        else:
+            d = np.diff(gaps)
+        expected = 0.0
+        for abs_d in np.abs(d).tolist():
+            expected += (abs_d - expected) / 16.0
+        assert tio.interarrival_jitter(records) == expected
 
 
 def test_jitter_needs_two_records():
