@@ -297,10 +297,6 @@ def cmd_analyze(args) -> int:
         if len(gaps):
             safe = label.lower().replace("-", "_")
             xs, ps = ecdf(gaps)
-            # no gap is -0.0 (times sorted), which would share 0.0's text
-            new = np.r_[True, xs[1:] != xs[:-1]]
-            texts = list(map(repr, xs[new].tolist()))   # each distinct gap
-            text_of = np.cumsum(new) - 1
             with open(outdir / f"ecdf_inter_packet_{safe}.csv", "w",
                       newline="", encoding="utf-8") as fh:
                 # csv.writer's bytes (repr of a float, CRLF), without its
@@ -308,8 +304,8 @@ def cmd_analyze(args) -> int:
                 fh.write("inter_packet_ms,probability\r\n")
                 for start in range(0, len(xs), traceio.BLOCK_ROWS):
                     block = slice(start, start + traceio.BLOCK_ROWS)
-                    fh.writelines(f"{texts[i]},{p!r}\r\n" for i, p in zip(
-                        text_of[block].tolist(), ps[block].tolist()))
+                    fh.writelines(f"{x!r},{p!r}\r\n" for x, p in zip(
+                        xs[block].tolist(), ps[block].tolist()))
 
     report = {
         "command": "analyze",

@@ -475,11 +475,11 @@ def classify_streams(trace: Trace) -> np.ndarray:
 
 
 def group_streams(trace: Trace, labels: np.ndarray,
-                  video: Trace | None = None) -> dict[str, Trace]:
+                  video: Trace) -> dict[str, Trace]:
     """The rows of a time-sorted Trace under each of its labels (an array,
-    one per row), in the trace's order; labels sorted. `video`, when
-    given, is the SRTP-video rows already taken, used without a copy."""
-    return {label: (video if label == SRTP_VIDEO and video is not None
+    one per row), in the trace's order; labels sorted. `video` is
+    `trace.take(labels == SRTP_VIDEO)`, already taken: used, not copied."""
+    return {label: (video if label == SRTP_VIDEO
                     else trace.take(labels == label))
             for label in sorted(set(labels.tolist()))}
 

@@ -308,7 +308,9 @@ def test_stream_summaries_consistent_load():
     records = flow(1000, 1.0, 101, 1, 2)     # 101 pkts, 1 ms apart
     trace = tio.Trace.from_records(records)
     labels = tio.classify_streams(trace)
-    (summary,) = tio.stream_summaries(tio.group_streams(trace, labels))
+    video = trace.take(labels == tio.SRTP_VIDEO)
+    (summary,) = tio.stream_summaries(tio.group_streams(trace, labels,
+                                                        video))
     span = records[-1].timestamp_s - records[0].timestamp_s
     assert summary.load_mbps == pytest.approx(101 * 1000 * 8 / span / 1e6)
     assert summary.packet_count == 101
