@@ -82,7 +82,8 @@ def _run_task(task) -> tuple[RunMetrics, dict | None]:
     m, trace_metrics = run.metrics, None
     if trace_path is not None:
         # delivered_trace rounds like the file, so analyze reads back this
-        # very trace from sim_trace.csv; the packets are freed before both
+        # very trace from sim_trace.csv; the packets are freed before both,
+        # and analyze_video moves the rows out of the trace
         trace = traceio.delivered_trace(run.frames)
         del run
         traceio.write_trace(trace, trace_path)
@@ -113,12 +114,12 @@ def cmd_simulate(args) -> int:
             dumps.append((attr, fh))
         for seed, (m, tm) in zip(seeds, results):
             # the bytes csv.writer writes (repr of a Python number, CRLF),
-            # without its per-row cost
+            # without its per-row cost, a block of samples at a time
             for attr, fh in dumps:
-                values = getattr(m, attr).tolist()
-                if values:
-                    fh.write(f"{seed}," + f"\r\n{seed},".join(
-                        map(repr, values)) + "\r\n")
+                values = getattr(m, attr)
+                for start in range(0, len(values), traceio.BLOCK_ROWS):
+                    fh.writelines(f"{seed},{v!r}\r\n" for v in values[
+                        start:start + traceio.BLOCK_ROWS].tolist())
             per_run.append(metrics_summary(m))
             runs.append(m)
             if tm is not None:
@@ -244,12 +245,13 @@ def cmd_analyze(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     trace = parsed.records
+    n_records = len(trace)   # analyze_video moves the rows out of trace
     for line, reason in parsed.skipped[:MAX_SKIPPED_SHOWN]:
         print(f"line {line}: {reason}", file=sys.stderr)
     if len(parsed.skipped) > MAX_SKIPPED_SHOWN:
         print(f"... and {len(parsed.skipped) - MAX_SKIPPED_SHOWN} more",
               file=sys.stderr)
-    if not len(trace):
+    if not n_records:
         print("error: trace contains no parseable records", file=sys.stderr)
         return 2
     va = traceio.analyze_video(trace, args.gap_threshold)
@@ -290,9 +292,8 @@ def cmd_analyze(args) -> int:
     qos["loss_rate"] = {"value": None, "threshold": QOS_LOSS_RATE,
                         "pass": None}
 
-    groups = traceio.group_streams(trace, va.labels, va.video)
-    summaries = traceio.stream_summaries(groups)
-    for label, rows in groups.items():
+    summaries = traceio.stream_summaries(va.groups)
+    for label, rows in va.groups.items():
         gaps = traceio.inter_packet_ms(rows)
         if len(gaps):
             safe = label.lower().replace("-", "_")
@@ -310,7 +311,7 @@ def cmd_analyze(args) -> int:
     report = {
         "command": "analyze",
         "trace": str(args.trace),
-        "records": len(trace),
+        "records": n_records,
         "skipped_rows": len(parsed.skipped),
         "streams": {s.label: dataclasses.asdict(s) for s in summaries},
         "batches": batch_block,
@@ -319,7 +320,7 @@ def cmd_analyze(args) -> int:
         "qos_verdicts": qos,
     }
     _write_json(outdir / "analysis.json", report)
-    print(f"analyze: {len(trace)} records "
+    print(f"analyze: {n_records} records "
           f"({len(parsed.skipped)} skipped rows)")
     for s in summaries:
         print(f"  {s.label:12s} n={s.packet_count:<7d} "

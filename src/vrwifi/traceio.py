@@ -467,21 +467,13 @@ def classify_streams(trace: Trace) -> np.ndarray:
     audio per SSRC by packet size; flows with a protocol column map
     directly; everything else goes through size/periodicity heuristics.
     """
-    labels = np.full(len(trace), GENERIC, dtype=object)
+    # one shared str: np.full would make a new one per row
+    labels = np.empty(len(trace), dtype=object)
+    labels.fill(GENERIC)
     if len(trace):
         for rows in _flows(trace):
             labels[rows] = _flow_label(trace, rows)
     return labels
-
-
-def group_streams(trace: Trace, labels: np.ndarray,
-                  video: Trace) -> dict[str, Trace]:
-    """The rows of a time-sorted Trace under each of its labels (an array,
-    one per row), in the trace's order; labels sorted. `video` is
-    `trace.take(labels == SRTP_VIDEO)`, already taken: used, not copied."""
-    return {label: (video if label == SRTP_VIDEO
-                    else trace.take(labels == label))
-            for label in sorted(set(labels.tolist()))}
 
 
 def inter_packet_ms(rows: Trace) -> np.ndarray:
@@ -490,7 +482,7 @@ def inter_packet_ms(rows: Trace) -> np.ndarray:
 
 
 def stream_summaries(groups: dict[str, Trace]) -> list[StreamSummary]:
-    """Table-style per-stream statistics from group_streams' output: mean
+    """Table-style per-stream statistics from analyze_video's groups: mean
     packet size, mean inter-packet time, and load over the stream's own
     span."""
     out = []
@@ -615,12 +607,13 @@ class TraceMetrics:
 
 @dataclass
 class VideoAnalysis:
-    """Stream labels of a trace, the batch and frame structure of its
-    video stream at one gap threshold, and the trace metrics computed
-    from them."""
+    """Stream labels of a trace and its rows under each label, the batch
+    and frame structure of its video stream at one gap threshold, and
+    the trace metrics computed from them."""
 
     labels: np.ndarray                       # one per packet of the trace
-    video: Trace
+    groups: dict[str, Trace]                 # its rows under each label
+    video: Trace                             # groups' SRTP-video rows
     metrics: TraceMetrics = field(default_factory=TraceMetrics)
     # start time of each batch (s), and the time between starts (ms)
     batches: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -643,14 +636,27 @@ class VideoAnalysis:
 
 def analyze_video(trace: Trace,
                   gap_threshold_ms: float = 1.0) -> VideoAnalysis:
-    """Classify a time-sorted Trace, then find the video stream's batches,
-    its frames when every video packet has an RTP timestamp, and its
-    interarrival jitter."""
+    """Classify a time-sorted Trace and move its rows into one Trace per
+    label (labels sorted, rows in trace order), then find the video
+    stream's batches, its frames when every video packet has an RTP
+    timestamp, and its interarrival jitter.
+
+    The trace is left with no rows: each column is split, then dropped
+    before the next, so that no row is held twice."""
     labels = classify_streams(trace)
-    is_video = labels == SRTP_VIDEO
-    # no copy when every packet is video, as in simulate's export
-    video = trace if is_video.all() else trace.take(is_video)
-    va = VideoAnalysis(labels, video)
+    rows = {label: np.flatnonzero(labels == label)
+            for label in sorted(set(labels.tolist()))}
+    parts = {label: [] for label in rows}
+    for f in fields(trace):
+        column = getattr(trace, f.name)
+        setattr(trace, f.name, column[:0].copy())   # no view of the rows
+        for label, at in rows.items():
+            parts[label].append(column[at])
+        del column
+    groups = {label: Trace(*columns) for label, columns in parts.items()}
+    video = (groups[SRTP_VIDEO] if SRTP_VIDEO in groups
+             else trace.take(slice(0, 0)))
+    va = VideoAnalysis(labels, groups, video)
     if not len(video):
         return va
     tm = va.metrics

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -306,11 +307,9 @@ def test_classify_object_columns_as_int64_ones():
 
 def test_stream_summaries_consistent_load():
     records = flow(1000, 1.0, 101, 1, 2)     # 101 pkts, 1 ms apart
-    trace = tio.Trace.from_records(records)
-    labels = tio.classify_streams(trace)
-    video = trace.take(labels == tio.SRTP_VIDEO)
-    (summary,) = tio.stream_summaries(tio.group_streams(trace, labels,
-                                                        video))
+    groups = tio.analyze_video(tio.Trace.from_records(records)).groups
+    assert list(groups) == [tio.SRTP_VIDEO]
+    (summary,) = tio.stream_summaries(groups)
     span = records[-1].timestamp_s - records[0].timestamp_s
     assert summary.load_mbps == pytest.approx(101 * 1000 * 8 / span / 1e6)
     assert summary.packet_count == 101
@@ -438,14 +437,102 @@ def test_analyze_video_without_rtp_reports_batches_only():
     records = tio.Trace.from_records([
         rec(k * 5.56e-3 + j * 1e-4, 1243, src_port=1, dst_port=2)
         for k in range(20) for j in range(6)])
+    n = len(records)    # analyze_video moves the rows out of records
     va = tio.analyze_video(records)
-    assert va.labels.tolist() == [tio.SRTP_VIDEO] * len(records)
+    assert va.labels.tolist() == [tio.SRTP_VIDEO] * n
     assert len(va.batches) == 20 and va.frames is None
     tm = va.trace_metrics()
     assert tm["batch_spacing_modal_ms"] == pytest.approx(5.56)
     assert set(tm) == {"video_mean_packet_size_bytes",
                        "video_mean_inter_packet_ms",
                        "batch_spacing_modal_ms", "video_jitter_ms"}
+
+
+def test_analyze_video_without_video_keeps_every_group():
+    va = tio.analyze_video(tio.Trace.from_records(flow(175, 4.9, 20, 7, 8)))
+    assert list(va.groups) == [tio.DTLS] and len(va.groups[tio.DTLS]) == 20
+    assert len(va.video) == 0 and va.trace_metrics() == {}
+
+
+def write_mixed_capture(path) -> None:
+    """18,716 rows of four streams: RTP video (90 fps, 12 packets a
+    frame) and audio SSRCs on one flow, a DTLS uplink known by its
+    protocol column, and a flow that no signature fits."""
+    rows = [(f / 90 + i * 4e-5, 1243, 50000, 5004, "DL", 96, 1, 1000 * f,
+             "true" if i == 11 else "false", "")
+            for f in range(1200) for i in range(12)]
+    rows += [(i * 0.02 + 0.003, 110 + i % 4, 50000, 5004, "DL", 111, 2,
+              960 * i, "true", "") for i in range(667)]
+    rows += [(i * 4.16e-3 + 0.001, 175, 50001, 5006, "UL", "", "", "", "",
+              "DTLS") for i in range(3205)]
+    rows += [(i * 0.03 + 0.002, 420, 40000, 40001, "DL", "", "", "", "", "")
+             for i in range(444)]
+    path.write_text(",".join(tio.CANONICAL_COLUMNS) + "\n" + "".join(
+        f"{t:.6f}," + ",".join(map(str, rest)) + "\n"
+        for t, *rest in sorted(rows)))
+
+
+@pytest.fixture
+def tracing():
+    """tracemalloc on, from before the test builds its trace: the rows a
+    function frees count against its peak."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    yield
+    if started:
+        tracemalloc.stop()
+
+
+def traced_peak(fn, *args):
+    """fn(*args), and the traced peak of the call above what was held."""
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    out = fn(*args)
+    return out, tracemalloc.get_traced_memory()[1] - base
+
+
+def column_bytes(trace) -> int:
+    return sum(getattr(trace, f.name).nbytes
+               for f in dataclasses.fields(trace))
+
+
+def test_classify_memory_grows_with_its_trace(tmp_path, tracing):
+    # every row's label starts as one shared str: on this capture the
+    # traced peak of classify_streams is 0.67 times the bytes of the
+    # columns, where a new str per row took 1.44 times
+    write_mixed_capture(tmp_path / "capture.csv")
+    trace = tio.parse_trace(str(tmp_path / "capture.csv")).records
+    tio.classify_streams(trace)     # numpy's first-call allocations
+    labels, peak = traced_peak(tio.classify_streams, trace)
+    assert set(labels.tolist()) == {tio.SRTP_VIDEO, tio.SRTP_AUDIO,
+                                    tio.DTLS, tio.GENERIC}
+    assert peak < 1.05 * column_bytes(trace)
+
+
+def test_analyze_video_moves_each_row_once(tmp_path, tracing):
+    # the rows move into their groups a column at a time, each column
+    # dropped from the trace before the next is split. With the trace
+    # held by its caller, the traced peak of analyze_video on this
+    # capture is 0.86 times the bytes of the columns, where a copy of
+    # the video rows, with a str per label, took 1.54 times
+    write_mixed_capture(tmp_path / "capture.csv")
+    trace = tio.parse_trace(str(tmp_path / "capture.csv")).records
+    copy = tio.Trace(*(getattr(trace, f.name).copy()
+                       for f in dataclasses.fields(trace)))
+    n, nbytes = len(trace), column_bytes(trace)
+    tio.classify_streams(trace)     # numpy's first-call allocations
+    va, peak = traced_peak(tio.analyze_video, trace)
+    assert peak < 1.2 * nbytes
+    assert len(trace) == 0 and column_bytes(trace) == 0
+    assert list(va.groups) == sorted(set(va.labels.tolist()))
+    assert sum(map(len, va.groups.values())) == n
+    assert va.video is va.groups[tio.SRTP_VIDEO]
+    for label, group in va.groups.items():
+        expected = copy.take(va.labels == label)
+        for f in dataclasses.fields(copy):
+            got, want = getattr(group, f.name), getattr(expected, f.name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 # -- simulator export round trip ---------------------------------------------
