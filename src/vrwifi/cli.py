@@ -92,11 +92,7 @@ def _run_task(task) -> tuple[RunMetrics, dict | None]:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        cfg = _load_cfg(args)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = _load_cfg(args)
     outdir = _outdir(args)
     seeds = [cfg.seed + i for i in range(cfg.runs)]
     runs, per_run, trace_metrics = [], [], None
@@ -172,21 +168,18 @@ def _parse_value(axis: str, item: str):
 def _parse_values(axis: str, text: str) -> list:
     if not text.strip():
         return []
-    return [_parse_value(axis, item) for item in text.split(",")]
+    try:
+        return [_parse_value(axis, item) for item in text.split(",")]
+    except ValueError as exc:   # float()'s, whose text names the item
+        raise ConfigError([str(exc)]) from None
 
 
 def cmd_sweep(args) -> int:
-    try:
-        cfg = _load_cfg(args)
-        if args.axis not in SWEEP_AXES:
-            raise ConfigError([f"unknown sweep axis '{args.axis}'"])
-        values = _parse_values(args.axis, args.values)
-        # every value's config is valid before any run; an equal value
-        # listed again runs once, under the key listed first
-        cfgs = {value: set_axis(cfg, args.axis, value) for value in values}
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = _load_cfg(args)
+    values = _parse_values(args.axis, args.values)
+    # every value's config is valid before any run; an equal value listed
+    # again runs once, under the key listed first
+    cfgs = {value: set_axis(cfg, args.axis, value) for value in values}
     outdir = _outdir(args)
     seeds = [cfg.seed + i for i in range(cfg.runs)]
     keys = [(value, seed) for value in cfgs for seed in seeds]
@@ -239,11 +232,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        parsed = traceio.parse_trace(args.trace)
-    except (traceio.TraceError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    parsed = traceio.parse_trace(args.trace)
     trace = parsed.records
     n_records = len(trace)   # analyze_video moves the rows out of trace
     for line, reason in parsed.skipped[:MAX_SKIPPED_SHOWN]:
@@ -252,18 +241,17 @@ def cmd_analyze(args) -> int:
         print(f"... and {len(parsed.skipped) - MAX_SKIPPED_SHOWN} more",
               file=sys.stderr)
     if not n_records:
-        print("error: trace contains no parseable records", file=sys.stderr)
-        return 2
+        raise traceio.TraceError("trace contains no parseable records")
     va = traceio.analyze_video(trace, args.gap_threshold)
     if args.frames and va.frames is None:
-        print("error: --frames requires rtp_timestamp values on the video "
-              "stream; this trace has none (batch-level analysis still "
-              "available without --frames)", file=sys.stderr)
-        return 2
+        raise traceio.TraceError(
+            "--frames requires rtp_timestamp values on the video stream; "
+            "this trace has none (batch-level analysis still available "
+            "without --frames)")
     outdir = _outdir(args)
     tm = va.metrics
     batch_block = frame_block = None
-    if len(va.video):
+    if len(va.batches):
         spacings = va.spacings_ms
         batch_block = {
             "n_batches": len(va.batches),
@@ -346,6 +334,10 @@ def cmd_analyze(args) -> int:
 COMPARE_KEYS = [f.name for f in dataclasses.fields(traceio.TraceMetrics)]
 
 
+class ReportError(ValueError):
+    """A file given to compare that is not a report it can read."""
+
+
 def _load_report(path: Path, fallback: str) -> tuple[Path, dict]:
     """The file read (path, or path/fallback for a directory) and the
     JSON object in it."""
@@ -353,10 +345,10 @@ def _load_report(path: Path, fallback: str) -> tuple[Path, dict]:
     with open(p, "r", encoding="utf-8") as fh:
         try:
             report = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{p}: {exc}") from None
+        except ValueError as exc:   # not UTF-8, not JSON, too many digits
+            raise ReportError(f"{p}: {exc}") from None
     if not isinstance(report, dict):
-        raise ValueError(f"{p}: not a JSON object")
+        raise ReportError(f"{p}: not a JSON object")
     return p, report
 
 
@@ -368,37 +360,33 @@ def _report_number(path: Path, report: dict, *keys: str) -> float | None:
         if value is None:
             return None
         if not isinstance(value, dict):
-            raise ValueError(
+            raise ReportError(
                 f"{path}: {'.'.join(keys[:depth])} is not a JSON object")
         value = value.get(key)
     if value is not None and (isinstance(value, bool)
                               or not isinstance(value, (int, float))
                               or not math.isfinite(value)):
-        raise ValueError(
+        raise ReportError(
             f"{path}: {'.'.join(keys)} must be a finite number, "
             f"not {value!r}")
     return value
 
 
 def cmd_compare(args) -> int:
-    try:
-        sim_path, sim = _load_report(Path(args.sim), "summary.json")
-        trace_path, trace = _load_report(Path(args.analysis), "analysis.json")
-        pairs = [(key, _report_number(sim_path, sim, "trace_metrics", key),
-                  _report_number(trace_path, trace, "trace_metrics", key))
-                 for key in COMPARE_KEYS]
-        pairs = [(key, a, b) for key, a, b in pairs
-                 if a is not None or b is not None]
-        # model-level vs trace-level frame completion delay
-        a = _report_number(sim_path, sim, "pooled", "vf_delay_ms", "mean")
-        b = _report_number(trace_path, trace, "trace_metrics",
-                           "assembly_delay_mean_ms")
-        if a is not None and b is not None:
-            pairs.append(("vf_delay_mean_ms (sim) vs "
-                          "assembly_delay_mean_ms (trace)", a, b))
-    except (OSError, ValueError) as exc:   # JSONDecodeError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    sim_path, sim = _load_report(Path(args.sim), "summary.json")
+    trace_path, trace = _load_report(Path(args.analysis), "analysis.json")
+    pairs = [(key, _report_number(sim_path, sim, "trace_metrics", key),
+              _report_number(trace_path, trace, "trace_metrics", key))
+             for key in COMPARE_KEYS]
+    pairs = [(key, a, b) for key, a, b in pairs
+             if a is not None or b is not None]
+    # model-level vs trace-level frame completion delay
+    a = _report_number(sim_path, sim, "pooled", "vf_delay_ms", "mean")
+    b = _report_number(trace_path, trace, "trace_metrics",
+                       "assembly_delay_mean_ms")
+    if a is not None and b is not None:
+        pairs.append(("vf_delay_mean_ms (sim) vs "
+                      "assembly_delay_mean_ms (trace)", a, b))
     rows = [{"metric": key, "sim": a, "trace": b,
              "rel_diff": (abs(a - b) / abs(b)
                           if a is not None and b not in (None, 0) else None)}
@@ -486,7 +474,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, traceio.TraceError, ReportError, OSError) as exc:
+        # a problem with the inputs or paths; a fault of the program raises
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

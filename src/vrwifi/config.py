@@ -262,7 +262,8 @@ def load_config(path: str) -> SimConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, ValueError) as exc:
+            # ValueError: a byte not UTF-8, or a date such as 2001-13-01
             where = ""
             mark = getattr(exc, "problem_mark", None)
             if mark is not None:

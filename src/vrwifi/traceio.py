@@ -132,6 +132,7 @@ def _truncate(text: str) -> int:
 
 
 def _marker(text: str) -> bool:
+    text.encode()   # a byte that was not UTF-8 raises UnicodeEncodeError
     return text.strip().lower() in ("1", "true", "t", "yes")
 
 
@@ -245,16 +246,22 @@ class FrameStats:
 def parse_trace(path: str) -> ParseResult:
     """Parse a canonical or tshark-named CSV into a time-sorted Trace.
 
-    Missing mandatory columns, and two header columns that give the same
-    field (`frame.len` and `udp.length`, say), raise TraceError.
-    Unparseable rows, rows with a non-finite timestamp or length, rows
-    with a non-positive length and rows whose direction is neither DL
-    nor UL are skipped and reported with the file line they start on.
-    Blank lines are ignored. Rows are sorted (stably) only if out of order.
+    A header row csv.reader refuses, missing mandatory columns, and two
+    header columns that give the same field (`frame.len` and
+    `udp.length`, say) raise TraceError. Rows that do not parse (a byte
+    not UTF-8, a field over csv.field_size_limit()), rows with a
+    non-finite timestamp or length, rows with a non-positive length and
+    rows whose direction is neither DL nor UL are skipped and reported
+    with the file line they start on. A UTF-8 BOM and blank lines are
+    ignored. Rows are sorted (stably) only if out of order.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape",
+              newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:   # a field over csv.field_size_limit()
+            raise TraceError(f"{path}: header row: {exc}") from None
         if header is None:
             raise TraceError(f"{path}: empty file, no header row")
         index = {}   # canonical name -> header column
@@ -285,8 +292,9 @@ def parse_trace(path: str) -> ParseResult:
         ints = _Memo(_truncate, {"": None, None: None})
         uplinks = _Memo(_uplink)
         markers = _Memo(_marker, {"": None, None: None})
-        # equal protocol texts share one str
-        protocols = _Memo(str, {"": None, None: None})
+        # equal protocol texts share one str; encode() refuses non-UTF-8
+        protocols = _Memo(lambda text: text.encode().decode(),
+                          {"": None, None: None})
         # one list per TraceRecord field; "direction" holds uplink flags
         columns = {f.name: [] for f in fields(TraceRecord)}
         columns["timestamp_s"] = array("d")   # no float object per row
@@ -295,42 +303,50 @@ def parse_trace(path: str) -> ParseResult:
              c.append for c in columns.values())
         skipped = []
         end = reader.line_num
-        for row in reader:
-            start, end = end, reader.line_num
-            if len(row) != width:
-                if not row:     # a blank line
-                    continue
-                # the cells a short row lacks read as None
-                row = (row + [None] * width)[:width]
-            row.append("")
-            (timestamp, length, src, dst, direction, pt, ssrc, rtp_ts,
-             marker, protocol) = cells(row)
+        while True:   # after an error, csv.reader goes on at the next line
             try:
-                timestamp = float(timestamp)
-                length = floats[length]
-                if not (math.isfinite(timestamp) and math.isfinite(length)):
-                    raise ValueError(
-                        f"non-finite timestamp {timestamp} or length {length}")
-                length = lengths[length]
-                if length <= 0:
-                    raise ValueError(f"non-positive length {length}")
-                src, dst = ports[src], ports[dst]
-                uplink = uplinks[direction]
-                pt, ssrc, rtp_ts = ints[pt], ints[ssrc], ints[rtp_ts]
-            except (TypeError, ValueError, OverflowError) as exc:
-                # OverflowError: an infinite value in an integer column
-                skipped.append((start + 1, str(exc)))
-                continue
-            add_time(timestamp)
-            add_length(length)
-            add_src(src)
-            add_dst(dst)
-            add_uplink(uplink)
-            add_pt(pt)
-            add_ssrc(ssrc)
-            add_rtp_ts(rtp_ts)
-            add_marker(markers[marker])
-            add_protocol(protocols[protocol])
+                for row in reader:
+                    start, end = end, reader.line_num
+                    if len(row) != width:
+                        if not row:     # a blank line
+                            continue
+                        # the cells a short row lacks read as None
+                        row = (row + [None] * width)[:width]
+                    row.append("")
+                    (timestamp, length, src, dst, direction, pt, ssrc, rtp_ts,
+                     marker, protocol) = cells(row)
+                    try:
+                        timestamp = float(timestamp)
+                        length = floats[length]
+                        if not (math.isfinite(timestamp)
+                                and math.isfinite(length)):
+                            raise ValueError(f"non-finite timestamp "
+                                             f"{timestamp} or length {length}")
+                        length = lengths[length]
+                        if length <= 0:
+                            raise ValueError(f"non-positive length {length}")
+                        src, dst = ports[src], ports[dst]
+                        uplink = uplinks[direction]
+                        pt, ssrc, rtp_ts = ints[pt], ints[ssrc], ints[rtp_ts]
+                        marker, protocol = markers[marker], protocols[protocol]
+                    except (TypeError, ValueError, OverflowError) as exc:
+                        # OverflowError: an infinite value in an int cell
+                        skipped.append((start + 1, str(exc)))
+                        continue
+                    add_time(timestamp)
+                    add_length(length)
+                    add_src(src)
+                    add_dst(dst)
+                    add_uplink(uplink)
+                    add_pt(pt)
+                    add_ssrc(ssrc)
+                    add_rtp_ts(rtp_ts)
+                    add_marker(marker)
+                    add_protocol(protocol)
+                break
+            except csv.Error as exc:   # a field over csv.field_size_limit()
+                skipped.append((end + 1, str(exc)))
+                end = reader.line_num
     # pop: each list is freed once converted
     trace = Trace.from_columns(columns.pop)
     t = trace.timestamp_s
@@ -607,13 +623,11 @@ class TraceMetrics:
 
 @dataclass
 class VideoAnalysis:
-    """Stream labels of a trace and its rows under each label, the batch
-    and frame structure of its video stream at one gap threshold, and
-    the trace metrics computed from them."""
+    """A trace's rows under each stream label, the batch and frame
+    structure of its video stream at one gap threshold, and the trace
+    metrics computed from them."""
 
-    labels: np.ndarray                       # one per packet of the trace
-    groups: dict[str, Trace]                 # its rows under each label
-    video: Trace                             # groups' SRTP-video rows
+    groups: dict[str, Trace]                 # the rows under each label
     metrics: TraceMetrics = field(default_factory=TraceMetrics)
     # start time of each batch (s), and the time between starts (ms)
     batches: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -653,11 +667,10 @@ def analyze_video(trace: Trace,
         for label, at in rows.items():
             parts[label].append(column[at])
         del column
-    groups = {label: Trace(*columns) for label, columns in parts.items()}
-    video = (groups[SRTP_VIDEO] if SRTP_VIDEO in groups
-             else trace.take(slice(0, 0)))
-    va = VideoAnalysis(labels, groups, video)
-    if not len(video):
+    va = VideoAnalysis({label: Trace(*columns)
+                        for label, columns in parts.items()})
+    video = va.groups.get(SRTP_VIDEO)
+    if video is None:
         return va
     tm = va.metrics
     tm.video_mean_packet_size_bytes = float(np.mean(video.length))

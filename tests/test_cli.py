@@ -1,13 +1,16 @@
+import csv
 import dataclasses
 import hashlib
 import json
 import pickle
 import weakref
 from array import array
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from vrwifi import cli, traceio
 from vrwifi.cli import main
@@ -785,12 +788,15 @@ def test_record_lists_agree_with_the_columns(tmp_path, capture, threshold):
     capture(tmp_path / "capture.csv")
     parsed = traceio.parse_trace(str(tmp_path / "capture.csv"))
     records = list(parsed.records)  # analyze_video moves the rows out
+    columns_labels = traceio.classify_streams(parsed.records).tolist()
     va = traceio.analyze_video(parsed.records, threshold)
     labels = traceio.classify_streams(traceio.Trace.from_records(records))
-    assert labels.tolist() == va.labels.tolist()
+    assert labels.tolist() == columns_labels
+    assert ({label: len(rows) for label, rows in va.groups.items()}
+            == Counter(columns_labels))
     video = [r for r, label in zip(records, labels)
              if label == traceio.SRTP_VIDEO]
-    assert video == list(va.video)
+    assert video == list(va.groups[traceio.SRTP_VIDEO])
     assert (traceio.detect_batches(traceio.Trace.from_records(video),
                                    threshold).tolist()
             == va.batches.tolist())
@@ -881,3 +887,129 @@ def test_analyze_trace_metrics_follow_gap_threshold(tmp_path):
             == tm["batch_spacing_modal_ms"])
     assert (analysis["frames"]["batches_per_frame_mean"]
             == tm["batches_per_frame_mean"])
+
+
+# -- one error line for a problem with a command's inputs or paths ----------
+
+
+def error_line(capsys) -> str:
+    """The one line a command printed on stderr, which must be an error."""
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ")
+    return line
+
+
+def good_argv(tmp_path) -> dict:
+    """Each command's arguments, with inputs it reads without complaint."""
+    cfg = write_config(make_cfg(duration_s=0.2, runs=2),
+                       tmp_path / "cfg.yaml")
+    trace = tmp_path / "trace.csv"
+    trace.write_text("timestamp,length\n0.0,1243\n0.001,1243\n")
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"trace_metrics": {"fps_estimate": 90.0}}))
+    return {"simulate": ["simulate", "--config", cfg],
+            "sweep": ["sweep", "--config", cfg, "--axis", "fps",
+                      "--values", "60"],
+            "analyze": ["analyze", str(trace)],
+            "compare": ["compare", str(report), str(report)]}
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("text", [b"sim:\n  seed: 1  # caf\xe9\n",
+                                  b"sim:\n  seed: 2001-13-01\n"],
+                         ids=["not_utf8", "no_such_date"])
+def test_unreadable_config_exits_2(tmp_path, capsys, command, text):
+    # simulate once ended both in a traceback, where sweep reported them
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(text)
+    out = tmp_path / "out"
+    argv = good_argv(tmp_path)[command] + ["--output", str(out)]
+    argv[argv.index("--config") + 1] = str(path)
+    assert main(argv) == 2
+    assert error_line(capsys).startswith(f"error: cannot parse {path}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "analyze",
+                                     "compare"])
+def test_output_under_a_regular_file_exits_2(tmp_path, capsys, command):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "out"
+    assert main(good_argv(tmp_path)[command] + ["--output", str(out)]) == 2
+    assert str(out) in error_line(capsys)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_simulate_into_a_directory_named_like_its_trace_exits_2(
+        tmp_path, capsys, jobs):
+    # the run that exports the trace fails in a worker under --jobs 2
+    out = tmp_path / "out"
+    (out / "sim_trace.csv").mkdir(parents=True)
+    argv = good_argv(tmp_path)["simulate"]
+    assert main(argv + ["--jobs", jobs, "--output", str(out)]) == 2
+    assert str(out / "sim_trace.csv") in error_line(capsys)
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_a_fault_inside_a_run_still_raises(tmp_path, monkeypatch, command):
+    from vrwifi import engine
+
+    def run(sim):
+        raise ValueError("a fault of the program")
+
+    monkeypatch.setattr(engine._Sim, "run", run)
+    argv = good_argv(tmp_path)[command] + ["--jobs", "1",
+                                          "--output", str(tmp_path / "out")]
+    with pytest.raises(ValueError, match="a fault of the program"):
+        main(argv)
+
+
+@pytest.mark.parametrize("data, named", [
+    (b'{"trace_metrics": {"fps_estimate": 9\xff}}', "can't decode byte"),
+    (b'{"trace_metrics": {"fps_estimate": ' + b"9" * 5000 + b"}}",
+     "integer string conversion"),
+], ids=["not_utf8", "too_many_digits"])
+def test_compare_unreadable_report_exits_2(tmp_path, capsys, data, named):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    argv = good_argv(tmp_path)["compare"]
+    assert main(argv[:2] + [str(bad), "--output", str(tmp_path / "o")]) == 2
+    line = error_line(capsys)
+    assert str(bad) in line and named in line
+
+
+CANONICAL_HEADER = ",".join(traceio.CANONICAL_COLUMNS).encode()
+TSHARK_HEADER = (b"frame.time_epoch,frame.len,udp.srcport,udp.dstport,"
+                 b"direction,rtp.p_type,rtp.ssrc,rtp.timestamp,rtp.marker,"
+                 b"_ws.col.protocol")
+# pieces of a capture that a reader finds hard, and some it reads well
+HARD_PIECES = (
+    b"\xef\xbb\xbf", b"\xff", b"caf\xe9", b"\x00", b'"', b'""', b",",
+    b",,,,", b"\n", b"\r\n", b"\r", b" ", b"1.0", b"0.002", b"-1", b"0",
+    b"1243", b"nan", b"DL", b"ul", b"96", b"true", b"RTP", b"DTLS",
+    b"9" * (csv.field_size_limit() + 1), CANONICAL_HEADER, TSHARK_HEADER,
+    b"1.0,1243,50000,5004,DL,96,7,3000,false,\n",
+    b"1.0002,1243,50000,5004,DL,96,7,3000,true,RTP\n",
+    b"1.011,1243,50000,5004,DL,96,7,4000,true,\n",
+)
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(bom=st.booleans(),
+       header=st.sampled_from([CANONICAL_HEADER + b"\n",
+                               TSHARK_HEADER + b"\n",
+                               b"timestamp,length\n", b""]),
+       pieces=st.lists(st.sampled_from(HARD_PIECES), max_size=30),
+       frames=st.booleans())
+def test_analyze_any_file_exits_0_or_2(tmp_path, capsys, bom, header,
+                                       pieces, frames):
+    # with no header given, the pieces make the header row too
+    trace = tmp_path / "trace.csv"
+    trace.write_bytes(b"\xef\xbb\xbf" * bom + header + b"".join(pieces))
+    argv = ["analyze", str(trace), "--output", str(tmp_path / "out")]
+    rc = main(argv + ["--frames"] * frames)
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 0 or (rc == 2 and err[-1].startswith("error: "))

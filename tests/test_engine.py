@@ -582,6 +582,34 @@ def test_contention_matches_the_exact_two_station_chain(cw_policy):
     assert abs(ap / successes - ap_share) <= 4 * se
 
 
+def test_retries_follow_the_per_law():
+    # every MPDU attempt fails alone with probability per, and a collision
+    # raises no retry count: a packet is dropped after max_retx + 1 failed
+    # attempts with probability per**(max_retx + 1), and a delivered
+    # packet's retry count k has the truncated geometric law
+    # (1 - per) * per**k / (1 - per**(max_retx + 1)), k = 0..max_retx
+    per, max_retx = 0.3, 2
+    cfg = make_cfg(duration_s=3.0, mac={"per": per, "max_retx": max_retx})
+    dropped = finished = collisions = 0
+    retries = []
+    for seed in (1, 2, 3):
+        res = run_simulation(cfg, seed, keep_packets=True)
+        m, frames = res.metrics, res.frames
+        dropped += m.dropped_retx
+        finished += m.delivered_video + m.delivered_ul + m.dropped_retx
+        collisions += m.collisions
+        delivered = ~np.isnan(frames.delivery_us)
+        retries += np.asarray(frames.retx_count)[delivered].tolist()
+    assert collisions > 0
+    q = per ** (max_retx + 1)
+    assert abs(dropped / finished - q) <= 4 * np.sqrt(q * (1 - q) / finished)
+    law = np.array([(1 - per) * per**k for k in range(max_retx + 1)]) / (1 - q)
+    seen = np.bincount(retries) / len(retries)
+    assert len(seen) == max_retx + 1
+    assert (np.abs(seen - law)
+            <= 4 * np.sqrt(law * (1 - law) / len(retries))).all()
+
+
 # sha256 of every sample list, counter and tx_log entry of a seed-1 run,
 # 1 s unless given. The event loop may be reworked for speed, but these
 # must not move.

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import tracemalloc
@@ -215,6 +216,83 @@ def test_parse_optional_columns_empty(tmp_path):
                  "timestamp,length,rtp_ssrc,rtp_marker\n1.0,99,,\n")
     (r,) = tio.parse_trace(path).records
     assert r.rtp_ssrc is None and r.rtp_marker is None
+
+
+TSHARK_HEADER = ("frame.time_epoch,frame.len,udp.srcport,udp.dstport,"
+                 "direction,rtp.p_type,rtp.ssrc,rtp.timestamp,rtp.marker,"
+                 "_ws.col.protocol")
+# one row of every canonical column, each cell readable
+GOOD_ROW = ["2.0", "1243", "50000", "5004", "DL", "96", "7", "3000", "true",
+            "RTP"]
+
+
+def write_bytes(tmp_path, data: bytes, name="t.csv"):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
+def parsed_rows(parsed):
+    return [dataclasses.astuple(r) for r in parsed.records]
+
+
+@pytest.mark.parametrize("header", [",".join(tio.CANONICAL_COLUMNS),
+                                    TSHARK_HEADER],
+                         ids=["canonical", "tshark"])
+def test_parse_reads_a_capture_saved_with_a_bom(tmp_path, header):
+    # Windows tools save UTF-8 with a byte order mark, which once hid the
+    # first column's name
+    text = f"{header}\n{','.join(GOOD_ROW)}\n1.0,175,50001,5006,UL,,,,,DTLS\n"
+    plain = tio.parse_trace(write(tmp_path, text))
+    bom = tio.parse_trace(write_bytes(tmp_path, b"\xef\xbb\xbf"
+                                      + text.encode(), "bom.csv"))
+    assert len(plain.records) == 2 and not plain.skipped
+    assert parsed_rows(bom) == parsed_rows(plain) and not bom.skipped
+
+
+@pytest.mark.parametrize("column", ["timestamp", "length", "src_port",
+                                    "direction", "rtp_ssrc", "rtp_marker",
+                                    "protocol"])
+def test_parse_skips_only_the_row_with_a_byte_not_utf8(tmp_path, column):
+    # a bad byte in a cell parse_trace reads skips that row, at its line,
+    # with a reason that prints on any terminal; rtp_marker and protocol
+    # read any text, and once took the byte in silently
+    cells = [cell.encode() for cell in GOOD_ROW]
+    cells[tio.CANONICAL_COLUMNS.index(column)] += b"\xff"
+    data = (",".join(tio.CANONICAL_COLUMNS).encode() + b"\n"
+            + ",".join(GOOD_ROW).replace("2.0", "1.0", 1).encode() + b"\n"
+            + b",".join(cells) + b"\n"
+            + ",".join(GOOD_ROW).replace("2.0", "3.0", 1).encode() + b"\n")
+    parsed = tio.parse_trace(write_bytes(tmp_path, data))
+    assert [r.timestamp_s for r in parsed.records] == [1.0, 3.0]
+    ((line, reason),) = parsed.skipped
+    assert line == 3 and "\\udcff" in reason and reason.isascii()
+
+
+def test_parse_reads_a_byte_not_utf8_in_a_column_it_does_not_read(tmp_path):
+    header = ",".join(tio.CANONICAL_COLUMNS) + ",note"
+    data = f"{header}\n{','.join(GOOD_ROW)},".encode() + b"caf\xe9\n"
+    parsed = tio.parse_trace(write_bytes(tmp_path, data))
+    assert len(parsed.records) == 1 and not parsed.skipped
+
+
+def test_parse_skips_an_over_long_field_and_reads_on(tmp_path):
+    # csv.reader refuses a field over its limit and goes on at the next
+    # line; the rows after it keep their line numbers
+    limit = csv.field_size_limit()
+    text = ("timestamp,length\n1.0,100\n"
+            f"2.0,{'9' * (limit + 1)}\n3.0,300\n\nx,1\n4.0,400\n")
+    parsed = tio.parse_trace(write(tmp_path, text))
+    assert [r.timestamp_s for r in parsed.records] == [1.0, 3.0, 4.0]
+    assert parsed.skipped == [
+        (3, f"field larger than field limit ({limit})"),
+        (6, "could not convert string to float: 'x'")]
+
+
+def test_parse_refuses_an_over_long_header(tmp_path):
+    text = f"timestamp,length,{'n' * (csv.field_size_limit() + 1)}\n1.0,1\n"
+    with pytest.raises(tio.TraceError, match="header row: field larger"):
+        tio.parse_trace(write(tmp_path, text))
 
 
 def test_write_parse_round_trip(tmp_path):
@@ -438,8 +516,10 @@ def test_analyze_video_without_rtp_reports_batches_only():
         rec(k * 5.56e-3 + j * 1e-4, 1243, src_port=1, dst_port=2)
         for k in range(20) for j in range(6)])
     n = len(records)    # analyze_video moves the rows out of records
+    assert tio.classify_streams(records).tolist() == [tio.SRTP_VIDEO] * n
     va = tio.analyze_video(records)
-    assert va.labels.tolist() == [tio.SRTP_VIDEO] * n
+    assert list(va.groups) == [tio.SRTP_VIDEO]
+    assert len(va.groups[tio.SRTP_VIDEO]) == n
     assert len(va.batches) == 20 and va.frames is None
     tm = va.trace_metrics()
     assert tm["batch_spacing_modal_ms"] == pytest.approx(5.56)
@@ -451,7 +531,7 @@ def test_analyze_video_without_rtp_reports_batches_only():
 def test_analyze_video_without_video_keeps_every_group():
     va = tio.analyze_video(tio.Trace.from_records(flow(175, 4.9, 20, 7, 8)))
     assert list(va.groups) == [tio.DTLS] and len(va.groups[tio.DTLS]) == 20
-    assert len(va.video) == 0 and va.trace_metrics() == {}
+    assert tio.SRTP_VIDEO not in va.groups and va.trace_metrics() == {}
 
 
 def write_mixed_capture(path) -> None:
@@ -521,15 +601,14 @@ def test_analyze_video_moves_each_row_once(tmp_path, tracing):
     copy = tio.Trace(*(getattr(trace, f.name).copy()
                        for f in dataclasses.fields(trace)))
     n, nbytes = len(trace), column_bytes(trace)
-    tio.classify_streams(trace)     # numpy's first-call allocations
+    labels = tio.classify_streams(copy)     # also numpy's first-call ones
     va, peak = traced_peak(tio.analyze_video, trace)
     assert peak < 1.2 * nbytes
     assert len(trace) == 0 and column_bytes(trace) == 0
-    assert list(va.groups) == sorted(set(va.labels.tolist()))
+    assert list(va.groups) == sorted(set(labels.tolist()))
     assert sum(map(len, va.groups.values())) == n
-    assert va.video is va.groups[tio.SRTP_VIDEO]
     for label, group in va.groups.items():
-        expected = copy.take(va.labels == label)
+        expected = copy.take(labels == label)
         for f in dataclasses.fields(copy):
             got, want = getattr(group, f.name), getattr(expected, f.name)
             assert got.dtype == want.dtype and np.array_equal(got, want)
