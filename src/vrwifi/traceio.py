@@ -250,8 +250,9 @@ def parse_trace(path: str) -> ParseResult:
     header columns that give the same field (`frame.len` and
     `udp.length`, say) raise TraceError. Rows that do not parse (a byte
     not UTF-8, a field over csv.field_size_limit()), rows with a
-    non-finite timestamp or length, rows with a non-positive length and
-    rows whose direction is neither DL nor UL are skipped and reported
+    non-finite timestamp or length, a timestamp of 2**53 us or more
+    either side of 0, or a non-positive length, and rows whose
+    direction is neither DL nor UL are skipped and reported
     with the file line they start on. A UTF-8 BOM and blank lines are
     ignored. Rows are sorted (stably) only if out of order.
     """
@@ -322,6 +323,9 @@ def parse_trace(path: str) -> ParseResult:
                                 and math.isfinite(length)):
                             raise ValueError(f"non-finite timestamp "
                                              f"{timestamp} or length {length}")
+                        if not abs(timestamp) < 2**53 / 1e6:   # see _round_us
+                            raise ValueError(f"timestamp {timestamp} s is "
+                                             f"beyond 2**53 us")
                         length = lengths[length]
                         if length <= 0:
                             raise ValueError(f"non-positive length {length}")
@@ -736,7 +740,7 @@ def _video_trace(frames: VideoTraffic, times_us: np.ndarray) -> Trace:
     # keep their time order, as they do in the written file
     return Trace(
         _round_us(times_s[order]),
-        np.array(frames.packet_bytes, dtype=np.int64)[rows],
+        frames.packet_bytes[rows],
         np.full(n, VIDEO_PORT[0], dtype=np.int64),
         np.full(n, VIDEO_PORT[1], dtype=np.int64),
         np.zeros(n, dtype=bool),

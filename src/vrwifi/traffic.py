@@ -17,7 +17,6 @@ reached is held.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -48,10 +47,6 @@ class Batch:
     release_time_us: float
     packets: list[Packet] = field(default_factory=list)
 
-    @property
-    def n_packets(self) -> int:
-        return len(self.packets)
-
 
 @dataclass
 class VideoFrame:
@@ -71,7 +66,7 @@ class VideoTraffic:
 
     A run that keeps its packets fills the per-packet enqueue and
     delivery times (NaN where a packet has none; its Packet view reads
-    None) and retry counts.
+    None) and retry counts (int64). Every column is a numpy array.
     len() counts the frames; iterating gives VideoFrame views, with
     their Batch and Packet views, built when read.
     """
@@ -89,13 +84,13 @@ class VideoTraffic:
     batch_bytes: np.ndarray
     batch_release_us: np.ndarray
     batch_packets: np.ndarray
-    # per packet: sizes as 64-bit ints (array "q"), 8 bytes a packet
-    packet_bytes: array
+    # per packet: bytes (int64) and generation time
+    packet_bytes: np.ndarray
     packet_gen_us: np.ndarray
     # per packet, set by a run
     enqueue_us: np.ndarray | None = None
     delivery_us: np.ndarray | None = None
-    retx_count: array | None = None
+    retx_count: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.frame_id)
@@ -106,11 +101,12 @@ class VideoTraffic:
         frame_of = np.repeat(self.frame_id, self.frame_packets).tolist()
         return list(map(
             Packet, range(self.first_packet_id, self.first_packet_id + n),
-            repeat(VIDEO_STREAM), self.packet_bytes,
+            repeat(VIDEO_STREAM), self.packet_bytes.tolist(),
             self.packet_gen_us.tolist(), frame_of,
             np.repeat(self.batch_index, self.batch_packets).tolist(),
             _times(self.enqueue_us), _times(self.delivery_us),
-            self.retx_count or repeat(0)))
+            repeat(0) if self.retx_count is None
+            else self.retx_count.tolist()))
 
     def __iter__(self):
         packets = self.packets()
@@ -171,14 +167,13 @@ def next_video_frame(cfg: TrafficConfig, rng: np.random.Generator,
                       n_batches.item(), 1e6 / cfg.fps)
 
 
-def packetize_frame(frame: VideoFrame, cfg: TrafficConfig,
-                    first_packet_id: int = 0) -> list[Batch]:
+def packetize_frame(frame: VideoFrame, cfg: TrafficConfig) -> list[Batch]:
     """Split one frame into its batches and packets (see _packetize),
     set them as the frame's batches and return them."""
     (view,) = _packetize(cfg, np.array([frame.frame_id]),
                          np.array([frame.gen_time_us], dtype=float),
                          np.array([frame.n_batches]), frame.size_bytes,
-                         frame.period_us, first_packet_id)
+                         frame.period_us, 0)
     frame.batches = view.batches
     return frame.batches
 
@@ -218,7 +213,7 @@ def _packetize(cfg: TrafficConfig, frame_id: np.ndarray, gen_us: np.ndarray,
         frame_packets=(np.add.reduceat(n_pk, b_start) if len(n_b)
                        else np.zeros(0, dtype=np.int64)),
         batch_index=k, batch_bytes=b_bytes, batch_release_us=release,
-        batch_packets=n_pk, packet_bytes=array("q", size.tobytes()),
+        batch_packets=n_pk, packet_bytes=size,
         packet_gen_us=np.repeat(release, n_pk) + j * cfg.intra_batch_gap_us)
 
 

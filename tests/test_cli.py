@@ -457,6 +457,9 @@ MALFORMED_REPORTS = {
                   "trace_metrics.video_jitter_ms must be a finite number"),
     "pooled_mean": ({"pooled": {"vf_delay_ms": {"mean": [2]}}},
                     "pooled.vf_delay_ms.mean must be a finite number"),
+    # an int json reads exactly, too large for a float
+    "huge_int": ({"trace_metrics": {"fps_estimate": 10**400}},
+                 "trace_metrics.fps_estimate must be a finite number"),
 }
 
 
@@ -474,8 +477,8 @@ def test_compare_malformed_report_exits_2(tmp_path, capsys, side, name):
     pair = [bad, good] if side == "sim" else [good, bad]
     out = tmp_path / "cmp"
     assert main(["compare", *map(str, pair), "--output", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert str(bad) in err and named in err
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith("error: ") and str(bad) in err and named in err
     assert not out.exists()
 
 
@@ -993,6 +996,8 @@ HARD_PIECES = (
     b"1.0,1243,50000,5004,DL,96,7,3000,false,\n",
     b"1.0002,1243,50000,5004,DL,96,7,3000,true,RTP\n",
     b"1.011,1243,50000,5004,DL,96,7,4000,true,\n",
+    b"-1e308,1243,50000,5004,DL,96,7,3000,true,\n",
+    b"1e308,1243,50000,5004,DL,96,7,4000,true,\n",
 )
 
 

@@ -349,6 +349,11 @@ def test_kept_run_columns_follow_the_per_packet_rules(name, window_s,
     cfg = fast_cfg(warmup_ms=200.0, **KEPT_RUNS[name])
     res = run_simulation(cfg, 2, keep_packets=True)
     frames, m = res.frames, res.metrics
+    # every traffic column is a numpy array, the run's columns included
+    scalars = {"period_us", "frame_bytes", "first_packet_id"}
+    assert all(isinstance(getattr(frames, f.name), np.ndarray)
+               for f in dataclasses.fields(frames) if f.name not in scalars)
+    assert frames.packet_bytes.dtype == frames.retx_count.dtype == np.int64
     packets = [p for f in frames for b in f.batches for p in b.packets]
     # a time column's NaN is a view's None
     enqueue, delivery = ([None if np.isnan(t) else t for t in column.tolist()]

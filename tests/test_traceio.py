@@ -52,14 +52,25 @@ def test_parse_skips_bad_rows_with_line_numbers(tmp_path):
     assert [line for line, _ in parsed.skipped] == [3]
 
 
-@pytest.mark.parametrize("bad", ["nan,100", "inf,100", "-inf,100",
-                                 "1.5,nan", "1.5,inf"])
-def test_parse_rejects_non_finite_rows_with_line_numbers(tmp_path, bad):
+# each far row's time is finite, but no double holds it to the
+# microsecond, and the spacing of the two far pairs overflows
+FAR_APART = "-1e308,1243\n-1e308,1243\n1e308,1243\n1e308,1243"
+
+
+@pytest.mark.parametrize("bad,reason", [
+    ("nan,100", "non-finite"), ("inf,100", "non-finite"),
+    ("-inf,100", "non-finite"), ("1.5,nan", "non-finite"),
+    ("1.5,inf", "non-finite"), (FAR_APART, "beyond 2**53 us")],
+    ids=["nan,100", "inf,100", "-inf,100", "1.5,nan", "1.5,inf",
+         "far_apart"])
+def test_parse_rejects_non_finite_rows_with_line_numbers(tmp_path, bad,
+                                                         reason):
     path = write(tmp_path, f"timestamp,length\n1.0,100\n{bad}\n2.0,50\n")
     parsed = tio.parse_trace(path)
     assert [r.timestamp_s for r in parsed.records] == [1.0, 2.0]
-    assert [line for line, _ in parsed.skipped] == [3]
-    assert "non-finite" in parsed.skipped[0][1]
+    assert [line for line, _ in parsed.skipped] == list(
+        range(3, 4 + bad.count("\n")))
+    assert all(reason in why for _, why in parsed.skipped)
 
 
 @pytest.mark.parametrize("column", ["src_port", "dst_port",
