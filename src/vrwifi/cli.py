@@ -57,13 +57,6 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: Path, header: list, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 # sample dumps: RunMetrics attribute, file name, value column
 SAMPLE_CSVS = (
     ("dl_packet_delays_us", "dl_delays.csv", "delay_us"),
@@ -201,10 +194,13 @@ def cmd_sweep(args) -> int:
                 pooled[value] = pooled_summary(runs)
                 runs = []
     per_value = {str(value): pooled[value] for value in values}
-    _write_csv(outdir / "sweep_table.csv",
-               [args.axis, "seed", "dl_delay_mean_ms", "dl_delay_p99_99_ms",
-                "vf_delay_mean_ms", "ampdu_mean", "airtime_fraction",
-                "buffer_occupancy"], rows)
+    with open(outdir / "sweep_table.csv", "w", newline="",
+              encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([args.axis, "seed", "dl_delay_mean_ms",
+                         "dl_delay_p99_99_ms", "vf_delay_mean_ms",
+                         "ampdu_mean", "airtime_fraction", "buffer_occupancy"])
+        writer.writerows(rows)
     report = {
         "command": "sweep",
         "axis": args.axis,

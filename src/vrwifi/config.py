@@ -241,6 +241,11 @@ def config_errors(cfg: SimConfig) -> list[str]:
     elif cfg.duration_s > 0 and cfg.warmup_ms * 1e3 >= cfg.duration_s * 1e6:
         # the measured window (duration minus warm-up) would be empty
         errs.append("warmup_ms must be shorter than duration_s")
+    # a run holds these in int64 or as floats; numpy takes any seed
+    for section, obj, fields in _sections(cfg):
+        errs += [f"{section}.{f.name} must be below 2**63" for f in fields
+                 if "int" in f.type.split(" | ") and f.name != "seed"
+                 and (getattr(obj, f.name) or 0) >= 2**63]
     return errs
 
 

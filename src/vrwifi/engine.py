@@ -57,6 +57,7 @@ any other.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from array import array
 from bisect import bisect_right
@@ -117,7 +118,10 @@ class _Sim:
         # of the AP queue at an exchange end (delivered plus dropped)
         self.ap_log, self.client_log = DeliveryLog(), DeliveryLog()
         self.ap_end_us, self.ap_end_n = array("d"), array("q")
-        self.airtime_cache: dict = {}   # (bytes, mpdus, rts_cts) -> us
+        # exchange airtime (us) by (bytes, mpdus, rts_cts), computed once
+        self.airtime = functools.cache(
+            lambda total_bytes, n_mpdus, rts_cts: phy_mod.exchange_airtime(
+                total_bytes, n_mpdus, cfg.phy, cfg.mac, rts_cts))
         # pre-computed timing constants
         m = cfg.mac
         self.slot = m.slot_us
@@ -259,14 +263,8 @@ class _Sim:
         # uplink aggregates stay out of ampdu_sizes
         if st is self.ap and self.now >= self.warmup_us:
             self.metrics.record_attempt(ampdu)
-        key = (ampdu.total_bytes, len(ampdu), st.rts_cts)
-        dur = self.airtime_cache.get(key)
-        if dur is None:
-            dur = phy_mod.exchange_airtime(ampdu.total_bytes, len(ampdu),
-                                           self.cfg.phy, self.cfg.mac,
-                                           st.rts_cts)
-            self.airtime_cache[key] = dur
-        end = self.now + dur
+        end = self.now + self.airtime(ampdu.total_bytes, len(ampdu),
+                                      st.rts_cts)
         st.slots_left = None
         st.aifs_end_us = None
         self.add_airtime(self.now, end)
@@ -298,9 +296,8 @@ class _Sim:
             log.counts.append(len(delivered))
         policy = self.cfg.mac.cw_policy
         if policy != "retry":
-            if not delivered:
-                mac_mod.note_exchange_failure(st)
-            elif policy == "exchange_any" and (requeued or dropped):
+            if not delivered or (policy == "exchange_any"
+                                 and (requeued or dropped)):
                 mac_mod.note_exchange_failure(st)
             else:
                 mac_mod.note_exchange_success(st)

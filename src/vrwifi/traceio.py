@@ -199,16 +199,19 @@ class Trace:
     def __len__(self) -> int:
         return len(self.timestamp_s)
 
+    def _field_lists(self) -> list[list]:
+        """The values of each TraceRecord field in turn, as Python
+        objects: "DL" or "UL" for the direction, None where absent."""
+        return [self.timestamp_s.tolist(), self.length.tolist(),
+                self.src_port.tolist(), self.dst_port.tolist(),
+                ["UL" if u else "DL" for u in self.uplink.tolist()],
+                _optional(self.rtp_payload_type, self.has_rtp_payload_type),
+                _optional(self.rtp_ssrc, self.has_rtp_ssrc),
+                _optional(self.rtp_timestamp, self.has_rtp_timestamp),
+                self.rtp_marker.tolist(), self.protocol.tolist()]
+
     def __iter__(self):
-        return map(TraceRecord, self.timestamp_s.tolist(),
-                   self.length.tolist(), self.src_port.tolist(),
-                   self.dst_port.tolist(),
-                   ["UL" if u else "DL" for u in self.uplink.tolist()],
-                   _optional(self.rtp_payload_type,
-                             self.has_rtp_payload_type),
-                   _optional(self.rtp_ssrc, self.has_rtp_ssrc),
-                   _optional(self.rtp_timestamp, self.has_rtp_timestamp),
-                   self.rtp_marker.tolist(), self.protocol.tolist())
+        return map(TraceRecord, *self._field_lists())
 
 
 def _as_trace(records) -> Trace:
@@ -371,18 +374,13 @@ def write_trace(trace: Trace, path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(CANONICAL_COLUMNS)
         for start in range(0, len(trace), BLOCK_ROWS):
-            t = trace.take(slice(start, start + BLOCK_ROWS))
+            times, *middle, markers, protocols = trace.take(
+                slice(start, start + BLOCK_ROWS))._field_lists()
             # csv.writer writes None as an empty cell
             writer.writerows(zip(
-                map("{:.6f}".format, t.timestamp_s.tolist()),
-                t.length.tolist(), t.src_port.tolist(), t.dst_port.tolist(),
-                ["UL" if u else "DL" for u in t.uplink.tolist()],
-                _optional(t.rtp_payload_type, t.has_rtp_payload_type),
-                _optional(t.rtp_ssrc, t.has_rtp_ssrc),
-                _optional(t.rtp_timestamp, t.has_rtp_timestamp),
-                [None if m is None else str(m).lower()
-                 for m in t.rtp_marker.tolist()],
-                t.protocol.tolist()))
+                map("{:.6f}".format, times), *middle,
+                [None if m is None else str(m).lower() for m in markers],
+                protocols))
 
 
 # -- classification ------------------------------------------------------
@@ -677,7 +675,7 @@ def analyze_video(trace: Trace,
     if video is None:
         return va
     tm = va.metrics
-    tm.video_mean_packet_size_bytes = float(np.mean(video.length))
+    tm.video_mean_packet_size_bytes = _mean_size(video.length)
     gaps = inter_packet_ms(video)
     if len(gaps):
         tm.video_mean_inter_packet_ms = float(np.mean(gaps))

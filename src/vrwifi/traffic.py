@@ -95,11 +95,10 @@ class VideoTraffic:
     def __len__(self) -> int:
         return len(self.frame_id)
 
-    def packets(self) -> list[Packet]:
-        """Every packet as a Packet view, in packet id order."""
+    def __iter__(self):
         n = len(self.packet_bytes)
         frame_of = np.repeat(self.frame_id, self.frame_packets).tolist()
-        return list(map(
+        packets = list(map(
             Packet, range(self.first_packet_id, self.first_packet_id + n),
             repeat(VIDEO_STREAM), self.packet_bytes.tolist(),
             self.packet_gen_us.tolist(), frame_of,
@@ -107,9 +106,6 @@ class VideoTraffic:
             _times(self.enqueue_us), _times(self.delivery_us),
             repeat(0) if self.retx_count is None
             else self.retx_count.tolist()))
-
-    def __iter__(self):
-        packets = self.packets()
         pk_end = np.cumsum(self.batch_packets).tolist()
         batches = list(map(
             Batch, self.batch_index.tolist(), self.batch_bytes.tolist(),

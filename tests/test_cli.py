@@ -374,6 +374,8 @@ def test_analyze_sim_trace(tiny_config, tmp_path):
                  "--output", str(anaout)]) == 0
     analysis = read(anaout / "analysis.json")
     assert "SRTP-video" in analysis["streams"]
+    assert (analysis["trace_metrics"]["video_mean_packet_size_bytes"]
+            == analysis["streams"]["SRTP-video"]["mean_packet_size"])
     assert analysis["frames"]["fps_estimate"] == pytest.approx(90.0, rel=0.05)
     assert analysis["qos_verdicts"]["jitter_ms"]["pass"] is True
     ecdfs = list(Path(anaout).glob("ecdf_inter_packet_*.csv"))
@@ -915,6 +917,18 @@ def good_argv(tmp_path) -> dict:
                       "--values", "60"],
             "analyze": ["analyze", str(trace)],
             "compare": ["compare", str(report), str(report)]}
+
+
+def test_packet_size_int64_cannot_hold_exits_2(tmp_path, capsys):
+    # 2**63 bytes once ended the run in OverflowError, in _packetize
+    cfg = make_cfg(duration_s=0.2, runs=1,
+                   traffic={"packet_size_bytes": 2**63})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config",
+                 write_config(cfg, tmp_path / "cfg.yaml"),
+                 "--output", str(out)]) == 2
+    assert "traffic.packet_size_bytes" in error_line(capsys)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])

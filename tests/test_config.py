@@ -170,6 +170,29 @@ def test_null_byte_bound_accepted_bool_int_rejected():
                                                "traffic.fps"]
 
 
+@pytest.mark.parametrize("overrides, expected", [
+    ({"traffic": {"packet_size_bytes": 2**63}},
+     ["traffic.packet_size_bytes must be below 2**63"]),
+    ({"traffic": {"ul_packet_size_bytes": 2**63}},
+     ["traffic.ul_packet_size_bytes must be below 2**63"]),
+    ({"mac": {"cw_min": 2**63, "cw_max": 2**63}},
+     ["mac.cw_min must be below 2**63", "mac.cw_max must be below 2**63"]),
+    ({"mac": {"ap_buffer": 10**400}}, ["mac.ap_buffer must be below 2**63"]),
+    ({"phy": {"rts_bytes": 10**400}}, ["phy.rts_bytes must be below 2**63"]),
+    ({"phy": {"mcs_index": 2**63}},
+     ["mcs_index out of range (0-11)", "phy.mcs_index must be below 2**63"]),
+    ({"traffic": {"packet_size_bytes": 2**63 - 1,
+                  "ul_packet_size_bytes": 2**63 - 1}}, []),
+    ({"seed": 2**64}, []),
+], ids=["packet_size", "ul_packet_size", "cw", "ap_buffer", "rts_bytes",
+        "mcs_index_after_its_range", "packet_sizes_2_63_less_1",
+        "seed_2_64"])
+def test_integers_must_be_below_2_63_but_the_seed(overrides, expected):
+    # each rejected value once ended a run in a traceback: int64 holds
+    # none of them, and a 400-digit int does not convert to float
+    assert config_errors(make_cfg(**overrides)) == expected
+
+
 def test_sample_config_and_readme_block_are_the_defaults(tmp_path):
     assert load_config(str(ROOT / "config.sample.yaml")) == SimConfig()
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
