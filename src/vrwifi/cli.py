@@ -65,12 +65,11 @@ SAMPLE_CSVS = (
 )
 
 
-def _run_task(task) -> tuple[RunMetrics, dict | None]:
+def _run_task(cfg, seed, trace_path) -> tuple[RunMetrics, dict | None]:
     """One run of simulate or sweep, in a pool worker or in this process.
     Given a trace path, the run also writes its delivered trace there and
     returns the trace's metrics. Its metrics come back without the
     channel log."""
-    cfg, seed, trace_path = task
     run = run_simulation(cfg, seed, keep_packets=trace_path is not None)
     m, trace_metrics = run.metrics, None
     if trace_path is not None:
@@ -127,8 +126,8 @@ def cmd_simulate(args) -> int:
             "loss_rate": {"value": pooled["loss_rate"],
                           "threshold": QOS_LOSS_RATE, "pass": loss_ok},
         },
-        "outputs": ["summary.json", "sim_trace.csv", "dl_delays.csv",
-                    "vf_delays.csv", "ampdu_sizes.csv"],
+        "outputs": ["summary.json", "sim_trace.csv",
+                    *(fname for _, fname, _ in SAMPLE_CSVS)],
     }
     _write_json(outdir / "summary.json", report)
     dl = pooled["dl_packet_delay_ms"]
@@ -432,38 +431,37 @@ def build_parser() -> argparse.ArgumentParser:
         prog="vrwifi",
         description="802.11ax VR-traffic link simulator and trace analyzer")
     sub = parser.add_subparsers(dest="cmd", required=True)
+    # every command's --output, and the run options of simulate and sweep
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--output", help=f"output dir (or ${OUTPUT_ENV})")
+    run = argparse.ArgumentParser(add_help=False, parents=[out])
+    run.add_argument("--config", help="YAML config path (defaults built in)")
+    run.add_argument("--seed", type=int, help="override base seed")
+    run.add_argument("--jobs", type=_jobs, default=1)
 
-    sim = sub.add_parser("simulate", help="run one config across seeds")
-    sim.add_argument("--config", help="YAML config path (defaults built in)")
-    sim.add_argument("--seed", type=int, help="override base seed")
-    sim.add_argument("--jobs", type=_jobs, default=1)
-    sim.add_argument("--output", help=f"output dir (or ${OUTPUT_ENV})")
+    sim = sub.add_parser("simulate", parents=[run],
+                         help="run one config across seeds")
     sim.set_defaults(func=cmd_simulate)
 
-    swp = sub.add_parser("sweep", help="sweep one parameter axis")
-    swp.add_argument("--config", help="YAML config path")
-    swp.add_argument("--seed", type=int)
+    swp = sub.add_parser("sweep", parents=[run],
+                         help="sweep one parameter axis")
     swp.add_argument("--axis", required=True, choices=sorted(SWEEP_AXES))
     swp.add_argument("--values", required=True,
                      help="comma-separated values, e.g. 30,60,90")
-    swp.add_argument("--jobs", type=_jobs, default=1)
-    swp.add_argument("--output")
     swp.set_defaults(func=cmd_sweep)
 
-    ana = sub.add_parser("analyze", help="analyze a trace CSV")
+    ana = sub.add_parser("analyze", parents=[out], help="analyze a trace CSV")
     ana.add_argument("trace")
     ana.add_argument("--gap-threshold", type=_gap_threshold, default=1.0,
                      help="batch gap threshold in ms (default 1.0)")
     ana.add_argument("--frames", action="store_true",
                      help="require RTP frame reconstruction")
-    ana.add_argument("--output")
     ana.set_defaults(func=cmd_analyze)
 
-    cmp_ = sub.add_parser("compare",
+    cmp_ = sub.add_parser("compare", parents=[out],
                           help="compare simulate output vs analyze output")
     cmp_.add_argument("sim", help="simulate output dir or summary.json")
     cmp_.add_argument("analysis", help="analyze output dir or analysis.json")
-    cmp_.add_argument("--output")
     cmp_.set_defaults(func=cmd_compare)
     return parser
 

@@ -64,6 +64,7 @@ from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import starmap
 
 import numpy as np
 
@@ -522,7 +523,8 @@ def run_simulation(cfg: SimConfig, seed: int,
 
 def run_seeds(cfg: SimConfig, jobs: int = 1) -> list[RunResult]:
     """cfg.runs independent runs; run i uses seed cfg.seed + i."""
-    with run_tasks(_worker, [(cfg, cfg.seed + i) for i in range(cfg.runs)],
+    with run_tasks(run_simulation,
+                   [(cfg, cfg.seed + i) for i in range(cfg.runs)],
                    jobs) as results:
         return list(results)
 
@@ -545,20 +547,15 @@ def run_sweep(base: SimConfig, axis: str, values: list, seeds: list[int],
     """
     cfgs = {value: set_axis(base, axis, value) for value in values}
     keys = [(value, seed) for value in cfgs for seed in seeds]
-    with run_tasks(_worker, [(cfgs[v], seed) for v, seed in keys],
+    with run_tasks(run_simulation, [(cfgs[v], seed) for v, seed in keys],
                    jobs) as results:
         return dict(zip(keys, results))
 
 
-def _worker(task) -> RunResult:
-    cfg, seed = task
-    return run_simulation(cfg, seed)
-
-
 @contextmanager
 def run_tasks(fn, tasks: list, jobs: int):
-    """Yield an iterator over fn(task) for each task, in task order; fn
-    is a module-level function, such as _worker for (cfg, seed) tasks.
+    """Yield an iterator over fn(*task) for each task, in task order; fn
+    is a module-level function, such as run_simulation.
 
     With jobs > 1 and more than one task, min(jobs, len(tasks)) worker
     processes start on entry and work through every task while the
@@ -567,10 +564,10 @@ def run_tasks(fn, tasks: list, jobs: int):
     the iterator reaches it.
     """
     if jobs <= 1 or len(tasks) <= 1:
-        yield map(fn, tasks)
+        yield starmap(fn, tasks)
         return
     pool = ProcessPoolExecutor(max_workers=min(jobs, len(tasks)))
     try:
-        yield pool.map(fn, tasks)
+        yield pool.map(fn, *zip(*tasks))
     finally:
         pool.shutdown(cancel_futures=True)

@@ -426,7 +426,7 @@ def _flows(trace: Trace) -> list[np.ndarray]:
     key = np.zeros(len(trace), dtype=np.int64)
     for column in (trace.src_port, trace.dst_port, trace.uplink):
         if (column != column[0]).any():   # a constant one keeps the key
-            code = np.searchsorted(np.unique(column), column)
+            code = np.unique(column, return_inverse=True)[1]
             key = key * (code.max() + 1) + code
     order = np.argsort(key, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
@@ -439,10 +439,10 @@ def _rtp_flow_labels(lengths: np.ndarray, ssrc: np.ndarray,
     size; RTP rows without an SSRC form one more group. A row without RTP
     columns takes that group's label if there is one, else the label of
     most RTP rows (on a tie, the label of the first)."""
-    group = np.searchsorted(np.unique(ssrc), ssrc)
+    group = np.unique(ssrc, return_inverse=True)[1]
     group = np.where(has_ssrc, group + 1, 0)    # 0: no SSRC
     label_of = np.full(group.max() + 1, None, dtype=object)
-    for g in np.unique(group[rtp]).tolist():
+    for g in np.flatnonzero(np.bincount(group[rtp])).tolist():
         members = rtp & (group == g)
         label_of[g] = (SRTP_VIDEO
                        if _mean_size(lengths[members]) >= RTP_VIDEO_MIN_BYTES
@@ -508,13 +508,14 @@ def stream_summaries(groups: dict[str, Trace]) -> list[StreamSummary]:
         n = len(rows)
         total_bytes = int(rows.length.sum())
         span = float(rows.timestamp_s[-1] - rows.timestamp_s[0])
-        # summed in order, one gap after the other
-        gaps = inter_packet_ms(rows).tolist()
+        # left to right on every interpreter: sum() compensates from 3.12
+        gaps = inter_packet_ms(rows)
         out.append(StreamSummary(
             label=label,
             packet_count=n,
             mean_packet_size=total_bytes / n,
-            mean_inter_packet_ms=sum(gaps) / len(gaps) if gaps else 0.0,
+            mean_inter_packet_ms=(float(np.cumsum(gaps)[-1]) / len(gaps)
+                                  if len(gaps) else 0.0),
             load_mbps=(total_bytes * 8 / span / 1e6) if span > 0 else 0.0,
         ))
     return out
@@ -594,7 +595,7 @@ def interarrival_jitter(records) -> float:
     trace = _as_trace(records)
     if len(trace) < 2:
         raise TraceError("jitter needs at least 2 records")
-    gaps = np.diff(trace.timestamp_s) * 1e3
+    gaps = inter_packet_ms(trace)
     if trace.has_rtp_timestamp.all():
         d = gaps - np.diff(trace.rtp_timestamp) / RTP_CLOCK_HZ * 1e3
     else:
@@ -733,19 +734,19 @@ def _video_trace(frames: VideoTraffic, times_us: np.ndarray) -> Trace:
     n = len(rows)
     rtp_ts = np.rint(frames.frame_gen_us * RTP_CLOCK_HZ / 1e6).astype(
         np.int64)
-    present = np.ones(n, dtype=bool)
+    # a constant column is a read-only view of its one value
+    present, none = np.broadcast_to(True, n), np.broadcast_to(None, n)
     # round after the sort: rows whose times differ by less than 1 us
     # keep their time order, as they do in the written file
     return Trace(
         _round_us(times_s[order]),
         frames.packet_bytes[rows],
-        np.full(n, VIDEO_PORT[0], dtype=np.int64),
-        np.full(n, VIDEO_PORT[1], dtype=np.int64),
-        np.zeros(n, dtype=bool),
-        np.full(n, VIDEO_PT, dtype=np.int64), present,
-        np.full(n, VIDEO_SSRC, dtype=np.int64), present,
-        np.repeat(rtp_ts, frames.frame_packets)[rows], present,
-        np.full(n, None, dtype=object), np.full(n, None, dtype=object))
+        np.broadcast_to(np.int64(VIDEO_PORT[0]), n),
+        np.broadcast_to(np.int64(VIDEO_PORT[1]), n),
+        np.broadcast_to(False, n),
+        np.broadcast_to(np.int64(VIDEO_PT), n), present,
+        np.broadcast_to(np.int64(VIDEO_SSRC), n), present,
+        np.repeat(rtp_ts, frames.frame_packets)[rows], present, none, none)
 
 
 def generated_video_trace(frames: VideoTraffic) -> Trace:

@@ -297,16 +297,15 @@ def video_packet_emissions(frames: VideoTraffic,
     packet's generation time. With the global-grid pacer each batch waits
     for the next multiple of tau at or after its release time.
     """
-    tau_us = cfg.inter_batch_time_ms * 1e3
-    n_pk = frames.batch_packets
-    start = frames.batch_release_us
+    times = frames.packet_gen_us
     if cfg.pacer_anchor == "global":
-        start = np.ceil(start / tau_us - 1e-9) * tau_us
-    n = len(frames.packet_bytes)
-    j = np.arange(n) - np.repeat(np.cumsum(n_pk) - n_pk, n_pk)
-    times = np.repeat(start, n_pk) + j * cfg.intra_batch_gap_us
+        tau_us = cfg.inter_batch_time_ms * 1e3
+        n_pk = frames.batch_packets
+        start = np.ceil(frames.batch_release_us / tau_us - 1e-9) * tau_us
+        j = np.arange(len(times)) - np.repeat(np.cumsum(n_pk) - n_pk, n_pk)
+        times = np.repeat(start, n_pk) + j * cfg.intra_batch_gap_us
     # packets are in packet_id order, so a stable sort on time alone
-    # gives (time, packet_id) order
+    # gives (time, packet_id) order, in a copy of the times
     order = np.argsort(times, kind="stable")
     return Emissions(times[order], order + frames.first_packet_id)
 

@@ -63,8 +63,8 @@ def pool_sizes(monkeypatch) -> list:
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
         def shutdown(self, wait=True, cancel_futures=False):
             pass

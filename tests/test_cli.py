@@ -147,7 +147,7 @@ def test_simulate_task_returns_lean_metrics(tmp_path):
     cfg = make_cfg(duration_s=0.5)
     full = run_simulation(cfg, 3).metrics
     for trace_path in (None, tmp_path / "trace.csv"):
-        m, trace_metrics = cli._run_task((cfg, 3, trace_path))
+        m, trace_metrics = cli._run_task(cfg, 3, trace_path)
         assert m.tx_log == [] and full.tx_log
         assert (trace_metrics is None) == (trace_path is None)
         # the task's metrics are the library's, less the channel log
@@ -157,7 +157,7 @@ def test_simulate_task_returns_lean_metrics(tmp_path):
 def test_sample_sets_are_typed_arrays():
     cfg = make_cfg(duration_s=0.5)
     for m in (run_simulation(cfg, 3).metrics,
-              cli._run_task((cfg, 3, None))[0]):
+              cli._run_task(cfg, 3, None)[0]):
         assert [(type(getattr(m, attr)), getattr(m, attr).typecode)
                 for _, attr, _ in SAMPLE_SETS] == [(array, "d")] * 4 + [
                     (array, "q")]
@@ -165,7 +165,7 @@ def test_sample_sets_are_typed_arrays():
 
 
 def test_summaries_leave_a_runs_samples_in_delivery_order():
-    m, _ = cli._run_task((make_cfg(duration_s=0.5), 1, None))
+    m, _ = cli._run_task(make_cfg(duration_s=0.5), 1, None)
     attrs = [attr for _, attr, _ in SAMPLE_SETS]
     before = [getattr(m, attr).tolist() for attr in attrs]
     assert all(v != sorted(v) for v in before if v)
@@ -179,7 +179,7 @@ def test_summaries_leave_a_runs_samples_in_delivery_order():
 def test_task_metrics_summarize_as_run_metrics(ul_enabled):
     cfg = make_cfg(duration_s=0.5, traffic={"ul_enabled": ul_enabled})
     runs = [run_simulation(cfg, seed).metrics for seed in (1, 2, 3)]
-    tasks = [cli._run_task((cfg, seed, None))[0] for seed in (1, 2, 3)]
+    tasks = [cli._run_task(cfg, seed, None)[0] for seed in (1, 2, 3)]
     assert (len(tasks[0].ul_packet_delays_us) > 0) == ul_enabled
     # each run summarized first, then pooled, as simulate does
     assert ([metrics_summary(m) for m in tasks]
@@ -315,9 +315,9 @@ def test_sweep_holds_one_values_runs(tiny_config, tmp_path, monkeypatch):
     # next one is made, at most a value's worth (runs: 2) is still alive
     made, peak = [], []
 
-    def task(t):
+    def task(*t):
         peak.append(sum(ref() is not None for ref in made) + 1)
-        result = run_task(t)
+        result = run_task(*t)
         made.append(weakref.ref(result[0]))
         return result
 
@@ -929,6 +929,40 @@ def test_packet_size_int64_cannot_hold_exits_2(tmp_path, capsys):
                  "--output", str(out)]) == 2
     assert "traffic.packet_size_bytes" in error_line(capsys)
     assert not out.exists()
+
+
+# Known tracebacks, each raised before a run's event loop: valid configs
+# that overflow a count or a time derived from them, and a capture whose
+# lengths overflow a float when summed.
+@pytest.mark.xfail(strict=True, raises=OverflowError,
+                   reason="stream_summaries sums lengths of 1e308 bytes")
+def test_analyze_lengths_a_float_cannot_sum_exits_2(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("timestamp,length\n0.0,1e308\n0.001,1e308\n"
+                     "0.002,1e308\n")
+    assert main(["analyze", str(trace),
+                 "--output", str(tmp_path / "out")]) == 2
+    error_line(capsys)
+
+
+@pytest.mark.parametrize("field, overrides, raises", [
+    pytest.param("traffic.fps", {"traffic": {"fps": 1.0e-300}}, ValueError,
+                 id="fps"),
+    pytest.param("sim.duration_s", {"duration_s": 1.0e+308}, OverflowError,
+                 id="duration_s"),
+    pytest.param("phy.control_rate_mbps",
+                 {"phy": {"control_rate_mbps": 1.0e-308}}, OverflowError,
+                 id="control_rate_mbps")])
+def test_valid_config_beyond_what_a_run_can_count_exits_2(
+        tmp_path, capsys, request, field, overrides, raises):
+    request.applymarker(pytest.mark.xfail(
+        strict=True, raises=raises,
+        reason="no cost bound rejects the config before it runs"))
+    cfg = make_cfg(**{"duration_s": 0.2, "runs": 1, **overrides})
+    assert main(["simulate", "--config",
+                 write_config(cfg, tmp_path / "cfg.yaml"),
+                 "--output", str(tmp_path / "out")]) == 2
+    assert field in error_line(capsys)
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -410,6 +411,22 @@ def test_stream_summaries_consistent_load():
     assert summary.load_mbps == pytest.approx(101 * 1000 * 8 / span / 1e6)
     assert summary.packet_count == 101
     assert summary.mean_inter_packet_ms == pytest.approx(1.0)
+
+
+def test_stream_mean_gap_is_summed_left_to_right():
+    # gaps from 1 ns to 1 s, whose left-to-right sum is not their
+    # correctly rounded sum, so that a compensated sum (Python 3.12's
+    # sum(), say) would give another mean
+    rng = np.random.default_rng(7)
+    times = np.cumsum(rng.random(500) / 10.0 ** rng.integers(0, 9, 500))
+    trace = tio.Trace.from_records([rec(t) for t in times.tolist()])
+    gaps = tio.inter_packet_ms(trace).tolist()
+    total = 0.0
+    for gap in gaps:
+        total += gap
+    assert total / len(gaps) != math.fsum(gaps) / len(gaps)
+    (summary,) = tio.stream_summaries({tio.SRTP_VIDEO: trace})
+    assert summary.mean_inter_packet_ms == total / len(gaps)
 
 
 # -- batches -----------------------------------------------------------------
