@@ -176,6 +176,13 @@ def config_errors(cfg: SimConfig) -> list[str]:
         return errs
     phy, mac, tr = cfg.phy, cfg.mac, cfg.traffic
 
+    def positive(obj, *names):
+        errs.extend(f"{n} must be positive" for n in names
+                    if getattr(obj, n) <= 0)
+
+    def at_least_one(obj, *names):
+        errs.extend(f"{n} must be >= 1" for n in names if getattr(obj, n) < 1)
+
     if not 0 <= phy.mcs_index <= MAX_MCS_INDEX:
         errs.append("mcs_index out of range (0-11)")
     if phy.channel_width_mhz not in VALID_CHANNEL_WIDTHS_MHZ:
@@ -184,8 +191,7 @@ def config_errors(cfg: SimConfig) -> list[str]:
         errs.append("spatial_streams out of range (1-8)")
     if phy.guard_interval_ns not in VALID_GUARD_INTERVALS_NS:
         errs.append("guard_interval_ns not one of 800/1600/3200")
-    if phy.control_rate_mbps <= 0:
-        errs.append("control_rate_mbps must be positive")
+    positive(phy, "control_rate_mbps")
 
     if not 0.0 <= mac.per <= 1.0:
         errs.append("per out of range")
@@ -193,47 +199,28 @@ def config_errors(cfg: SimConfig) -> list[str]:
         errs.append("cw_min exceeds cw_max")
     if mac.cw_min < 0:
         errs.append("cw_min negative")
-    if mac.max_ampdu < 1:
-        errs.append("max_ampdu must be >= 1")
+    at_least_one(mac, "max_ampdu")
     if mac.max_ampdu_bytes is not None and mac.max_ampdu_bytes < 1:
         errs.append("max_ampdu_bytes must be >= 1 or null")
     if mac.max_retx < 0:
         errs.append("max_retx negative")
-    if mac.ap_buffer < 1:
-        errs.append("ap_buffer must be >= 1")
-    if mac.client_buffer < 1:
-        errs.append("client_buffer must be >= 1")
-    for name in ("aifs_us", "sifs_us", "slot_us"):
-        if getattr(mac, name) <= 0:
-            errs.append(f"{name} must be positive")
+    at_least_one(mac, "ap_buffer", "client_buffer")
+    positive(mac, "aifs_us", "sifs_us", "slot_us")
     if mac.delivery_stamp not in ("back_end", "data_end"):
         errs.append("delivery_stamp must be back_end or data_end")
     if mac.cw_policy not in ("retry", "exchange", "exchange_any"):
         errs.append("cw_policy must be retry, exchange, or exchange_any")
 
-    if tr.fps <= 0:
-        errs.append("fps must be positive")
-    if tr.bitrate_bps <= 0:
-        errs.append("bitrate_bps must be positive")
-    if tr.packet_size_bytes <= 0:
-        errs.append("packet_size_bytes must be positive")
-    if tr.inter_batch_time_ms <= 0:
-        errs.append("inter_batch_time_ms must be positive")
-    if tr.batch_count_interval_ms <= 0:
-        errs.append("batch_count_interval_ms must be positive")
+    positive(tr, "fps", "bitrate_bps", "packet_size_bytes",
+             "inter_batch_time_ms", "batch_count_interval_ms")
     if tr.intra_batch_gap_us < 0:
         errs.append("intra_batch_gap_us negative")
-    if tr.ul_period_ms <= 0:
-        errs.append("ul_period_ms must be positive")
-    if tr.ul_packet_size_bytes <= 0:
-        errs.append("ul_packet_size_bytes must be positive")
+    positive(tr, "ul_period_ms", "ul_packet_size_bytes")
     if tr.pacer_anchor not in ("frame", "global"):
         errs.append("pacer_anchor must be frame or global")
 
-    if cfg.duration_s <= 0:
-        errs.append("duration_s must be positive")
-    if cfg.runs < 1:
-        errs.append("runs must be >= 1")
+    positive(cfg, "duration_s")
+    at_least_one(cfg, "runs")
     if cfg.seed < 0:
         errs.append("seed must be >= 0")
     if cfg.warmup_ms < 0:

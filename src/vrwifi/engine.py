@@ -176,39 +176,32 @@ class _Sim:
         [warm-up, duration], that is not empty and has packets queued
         adds its length to the busy time and its length times the queue
         length to the integral; the other intervals add +0.0. The changes
-        go BLOCK at a time, each block's sums np.cumsum'ed (a sequential
-        add) on from the last block's, so they equal a running sum in
-        the loop bit for bit.
+        go in blocks: BLOCK arrivals and the exchange ends before the next
+        block's first arrival, in time order by one stable sort. Each
+        block's sums are np.cumsum'ed (a sequential add) on from the last
+        block's, so they equal a running sum in the loop bit for bit.
         """
         arrive_us = enqueue_us[~np.isnan(enqueue_us)]
         # equal times are equal values, so any sort gives the time order
         arrive_us.sort()
         end_us = np.frombuffer(self.ap_end_us)
         end_n = np.frombuffer(self.ap_end_n, dtype=np.int64)
-        # each exchange end's place among the changes: after the arrivals
-        # up to its time and the ends before it
-        at = (np.searchsorted(arrive_us, end_us, side="right")
-              + np.arange(len(end_us)))
-        n = len(arrive_us) + len(end_us)
+        # a block's ends are those before the next block's first arrival:
+        # an end at that arrival's time follows it
+        cut = [0, *np.searchsorted(end_us, arrive_us[BLOCK::BLOCK]).tolist(),
+               len(end_us)]
         busy = integral = level = 0.0   # running sums, queue length
-        for p0 in range(0, n, BLOCK):
-            p1 = min(p0 + BLOCK, n)
-            # exchange ends e0 to e1 - 1 fall in the block, at `ends`
-            e0, e1 = np.searchsorted(at, (p0, p1)).tolist()
-            ends = at[e0:e1] - p0
-            is_end = np.zeros(p1 - p0, dtype=bool)
-            is_end[ends] = True
-            # the block's change times, then the next change's time (the
-            # end of the run after the last change)
-            t = np.empty(p1 - p0 + 1)
-            t[:-1][is_end] = end_us[e0:e1]
-            t[:-1][~is_end] = arrive_us[p0 - e0:p1 - e1]
-            t[-1] = (self.duration_us if p1 == n
-                     else end_us[e1] if e1 < len(at) and at[e1] == p1
-                     else arrive_us[p1 - e1])
+        for a0, e0, e1 in zip(range(0, len(arrive_us), BLOCK), cut, cut[1:]):
+            arrivals = arrive_us[a0:a0 + BLOCK]
+            # the block's changes, arrivals first at equal times, then the
+            # next change's time (the end of the run after the last block)
+            t = np.concatenate((arrivals, end_us[e0:e1]))
+            order = np.argsort(t, kind="stable")
+            t = np.append(t[order], arrive_us[a0 + BLOCK]
+                          if a0 + BLOCK < len(arrive_us) else self.duration_us)
             # the queue length after each change, as floats (exact)
-            queued = np.ones(p1 - p0)
-            queued[ends] = -end_n[e0:e1]
+            queued = np.concatenate((np.ones(len(arrivals)),
+                                     -end_n[e0:e1]))[order]
             queued[0] += level
             np.cumsum(queued, out=queued)
             level = queued[-1]

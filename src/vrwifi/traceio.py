@@ -439,7 +439,8 @@ def _rtp_flow_labels(lengths: np.ndarray, ssrc: np.ndarray,
     size; RTP rows without an SSRC form one more group. A row without RTP
     columns takes that group's label if there is one, else the label of
     most RTP rows (on a tie, the label of the first)."""
-    group = np.unique(ssrc, return_inverse=True)[1]
+    s = np.sort(ssrc)   # each SSRC's code: its place among the distinct ones
+    group = np.searchsorted(s[np.r_[True, s[1:] != s[:-1]]], ssrc)
     group = np.where(has_ssrc, group + 1, 0)    # 0: no SSRC
     label_of = np.full(group.max() + 1, None, dtype=object)
     for g in np.flatnonzero(np.bincount(group[rtp])).tolist():

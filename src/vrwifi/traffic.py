@@ -196,9 +196,13 @@ def _packetize(cfg: TrafficConfig, frame_id: np.ndarray, gen_us: np.ndarray,
     release = gen_us[fb] + k * tau_us
     n_pk = -(-b_bytes // l_p)
     pk_end = np.cumsum(n_pk)
-    # per packet: its index j in the batch, size and generation time
+    # per packet: its generation time (release + index in batch * gap),
+    # built in place before the size column to keep the peak low, and size
     n = int(pk_end[-1]) if len(pk_end) else 0
-    j = np.arange(n) - np.repeat(pk_end - n_pk, n_pk)
+    gen = np.arange(n, dtype=float)
+    gen -= np.repeat(pk_end - n_pk, n_pk)
+    gen *= cfg.intra_batch_gap_us
+    gen += np.repeat(release, n_pk)
     size = np.full(n, l_p, dtype=np.int64)
     full = n_pk > 0
     size[pk_end[full] - 1] = (b_bytes - (n_pk - 1) * l_p)[full]
@@ -209,8 +213,7 @@ def _packetize(cfg: TrafficConfig, frame_id: np.ndarray, gen_us: np.ndarray,
         frame_packets=(np.add.reduceat(n_pk, b_start) if len(n_b)
                        else np.zeros(0, dtype=np.int64)),
         batch_index=k, batch_bytes=b_bytes, batch_release_us=release,
-        batch_packets=n_pk, packet_bytes=size,
-        packet_gen_us=np.repeat(release, n_pk) + j * cfg.intra_batch_gap_us)
+        batch_packets=n_pk, packet_bytes=size, packet_gen_us=gen)
 
 
 def generate_video_frames(cfg: TrafficConfig, rng: np.random.Generator,

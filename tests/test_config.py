@@ -59,6 +59,56 @@ def test_all_violations_reported_not_only_first():
     assert "fps must be positive" in errs
 
 
+def test_every_range_rule_in_order():
+    # one config that breaks every range rule: each message, in the
+    # order config_errors states the rules
+    cfg = make_cfg(
+        duration_s=0.0, runs=0, seed=-1, warmup_ms=-1.0,
+        phy={"mcs_index": 12, "channel_width_mhz": 30, "spatial_streams": 0,
+             "guard_interval_ns": 100, "control_rate_mbps": 0.0},
+        mac={"per": 2.0, "cw_min": -1, "cw_max": -2, "max_ampdu": 0,
+             "max_ampdu_bytes": 0, "max_retx": -1, "ap_buffer": 0,
+             "client_buffer": 0, "aifs_us": 0.0, "sifs_us": 0.0,
+             "slot_us": 0.0, "delivery_stamp": "x", "cw_policy": "x"},
+        traffic={"fps": 0.0, "bitrate_bps": 0.0, "packet_size_bytes": 0,
+                 "inter_batch_time_ms": 0.0, "batch_count_interval_ms": 0.0,
+                 "intra_batch_gap_us": -1.0, "ul_period_ms": 0.0,
+                 "ul_packet_size_bytes": 0, "pacer_anchor": "x"})
+    assert config_errors(cfg) == [
+        "mcs_index out of range (0-11)",
+        "channel_width_mhz not one of 20/40/80/160",
+        "spatial_streams out of range (1-8)",
+        "guard_interval_ns not one of 800/1600/3200",
+        "control_rate_mbps must be positive",
+        "per out of range",
+        "cw_min exceeds cw_max",
+        "cw_min negative",
+        "max_ampdu must be >= 1",
+        "max_ampdu_bytes must be >= 1 or null",
+        "max_retx negative",
+        "ap_buffer must be >= 1",
+        "client_buffer must be >= 1",
+        "aifs_us must be positive",
+        "sifs_us must be positive",
+        "slot_us must be positive",
+        "delivery_stamp must be back_end or data_end",
+        "cw_policy must be retry, exchange, or exchange_any",
+        "fps must be positive",
+        "bitrate_bps must be positive",
+        "packet_size_bytes must be positive",
+        "inter_batch_time_ms must be positive",
+        "batch_count_interval_ms must be positive",
+        "intra_batch_gap_us negative",
+        "ul_period_ms must be positive",
+        "ul_packet_size_bytes must be positive",
+        "pacer_anchor must be frame or global",
+        "duration_s must be positive",
+        "runs must be >= 1",
+        "seed must be >= 0",
+        "warmup_ms negative",
+    ]
+
+
 def test_validate_is_idempotent():
     cfg = validate_config(SimConfig())
     assert validate_config(cfg) == cfg

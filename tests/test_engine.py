@@ -1,11 +1,12 @@
 import dataclasses
 import hashlib
 import tracemalloc
+from array import array
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from vrwifi import engine, metrics
 from vrwifi import mac as mac_mod
@@ -443,6 +444,59 @@ def test_queue_statistics_without_an_ap_exchange_end():
     assert not m.tx_log
     assert m.buffer_busy_us == 10.0
     assert m.buffer_level_integral == 1 * 5.0 + 2 * 5.0
+
+
+def queue_reference(arrivals, ends, warmup_us, duration_us):
+    """The busy time and length integral of queue_statistics, as a plain
+    running sum over the changes in time order, arrivals first at ties."""
+    changes = sorted([(t, 0, 1) for t in arrivals]
+                     + [(t, 1, -n) for t, n in ends], key=lambda c: c[:2])
+    busy = integral = level = 0.0
+    for i, (t, _, step) in enumerate(changes):
+        level += step
+        t_next = changes[i + 1][0] if i + 1 < len(changes) else duration_us
+        length = (min(max(t_next, warmup_us), duration_us)
+                  - min(max(t, warmup_us), duration_us))
+        if length > 0 and level > 0:
+            busy += length
+            integral += level * length
+    return busy, integral
+
+
+# times on a grid of thirds of a microsecond, so that ties are common
+# and sums round; None is a packet never admitted
+queue_times = st.integers(0, 40).map(lambda k: k / 3)
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, engine.BLOCK])
+@settings(max_examples=100, deadline=None)
+@given(arrivals=st.lists(st.none() | queue_times, max_size=20),
+       ends=st.lists(st.tuples(queue_times, st.integers(0, 3)), max_size=12),
+       warmup_us=st.sampled_from([0.0, 2.0, 5 / 3]),
+       duration_us=st.sampled_from([10.0, 40 / 3]))
+# repeated arrival times, across a block boundary at BLOCK 1 and 2, with
+# an end at their time; an end before the first arrival; ends after the
+# last arrival and after the end of the run; a warm-up cut
+@example(arrivals=[3.0, None, 1.0, 2.0, 2.0, 2.0], ends=[(2.0, 2), (2.0, 1)],
+         warmup_us=0.0, duration_us=10.0)
+@example(arrivals=[1.0, 1.0], ends=[(0.5, 0), (4.0, 1), (11.0, 1)],
+         warmup_us=2.0, duration_us=10.0)
+@example(arrivals=[4.0, 4.0, 6.0], ends=[(4.0, 1), (6.0, 1), (7.0, 1)],
+         warmup_us=5 / 3, duration_us=10.0)
+def test_queue_statistics_match_a_running_sum(block, arrivals, ends,
+                                              warmup_us, duration_us):
+    sim = engine._Sim(fast_cfg(), 1, False)
+    sim.warmup_us, sim.duration_us = warmup_us, duration_us
+    ends.sort(key=lambda e: e[0])   # the AP's exchanges end in time order
+    sim.ap_end_us = array("d", [t for t, _ in ends])
+    sim.ap_end_n = array("q", [n for _, n in ends])
+    enqueue_us = np.array([np.nan if t is None else t for t in arrivals])
+    with mock.patch.object(engine, "BLOCK", block):
+        sim.queue_statistics(enqueue_us)
+    expected = queue_reference([t for t in arrivals if t is not None], ends,
+                               warmup_us, duration_us)
+    m = sim.metrics
+    assert (m.buffer_busy_us, m.buffer_level_integral) == expected
 
 
 def test_collisions_disabled_mode_runs_clean():
