@@ -83,7 +83,7 @@ def _run_task(cfg, seed, trace_path) -> tuple[RunMetrics, dict | None]:
     return dataclasses.replace(m, tx_log=[]), trace_metrics
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> Path:
     cfg = _load_cfg(args)
     outdir = _outdir(args)
     seeds = [cfg.seed + i for i in range(cfg.runs)]
@@ -144,8 +144,7 @@ def cmd_simulate(args) -> int:
           f"buffer occupancy {pooled['buffer_occupancy_mean']:.3f}")
     print(f"  loss rate {pooled['loss_rate']:.2e} "
           f"({'PASS' if loss_ok else 'FAIL'} vs {QOS_LOSS_RATE:.0e})")
-    print(f"  outputs in {outdir}")
-    return 0
+    return outdir
 
 
 def _parse_value(axis: str, item: str):
@@ -166,7 +165,7 @@ def _parse_values(axis: str, text: str) -> list:
         raise ConfigError([str(exc)]) from None
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> Path:
     cfg = _load_cfg(args)
     values = _parse_values(args.axis, args.values)
     # every value's config is valid before any run; an equal value listed
@@ -222,11 +221,10 @@ def cmd_sweep(args) -> int:
             parts.append(f"ampdu={p['ampdu_size']['mean']:.2f}")
         parts.append(f"airtime={p['airtime_fraction_mean']:.3f}")
         print("  " + " ".join(parts))
-    print(f"  outputs in {outdir}")
-    return 0
+    return outdir
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> Path:
     parsed = traceio.parse_trace(args.trace)
     trace = parsed.records
     n_records = len(trace)   # analyze_video moves the rows out of trace
@@ -313,7 +311,7 @@ def cmd_analyze(args) -> int:
     if batch_block and batch_block["modal_spacing_ms"] is not None:
         print(f"  modal batch spacing {batch_block['modal_spacing_ms']:.2f} ms")
     if frame_block:
-        # one frame has no frame rate
+        # one frame, or frames too close to divide by, have no frame rate
         fps = "n/a" if tm.fps_estimate is None else f"{tm.fps_estimate:.2f}"
         print(f"  frames: {frame_block['n_frames']}, fps ~ {fps}, "
               f"mean size {frame_block['frame_size_mean_bytes']:.0f} B, "
@@ -322,8 +320,7 @@ def cmd_analyze(args) -> int:
         print(f"  video jitter {jitter_ms:.2f} ms "
               f"({'PASS' if jitter_ms < QOS_JITTER_MS else 'FAIL'} "
               f"vs {QOS_JITTER_MS:g} ms)")
-    print(f"  outputs in {outdir}")
-    return 0
+    return outdir
 
 
 COMPARE_KEYS = [f.name for f in dataclasses.fields(traceio.TraceMetrics)]
@@ -367,7 +364,7 @@ def _report_number(path: Path, report: dict, *keys: str) -> float | None:
     return value
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> Path:
     sim_path, sim = _load_report(Path(args.sim), "summary.json")
     trace_path, trace = _load_report(Path(args.analysis), "analysis.json")
     pairs = [(key, _report_number(sim_path, sim, "trace_metrics", key),
@@ -398,8 +395,7 @@ def cmd_compare(args) -> int:
                else f"{100 * row['rel_diff']:.2f}%")
         print(f"  {row['metric']:<55s} sim={sim_v:>10s} "
               f"trace={trace_v:>10s} diff={rel}")
-    print(f"  outputs in {outdir}")
-    return 0
+    return outdir
 
 
 def _jobs(text: str) -> int:
@@ -469,11 +465,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        outdir = args.func(args)
     except (ConfigError, traceio.TraceError, ReportError, OSError) as exc:
         # a problem with the inputs or paths; a fault of the program raises
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(f"  outputs in {outdir}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -11,10 +11,11 @@ Event ordering contract (what makes a run replay bit-identically):
   order with those of earlier windows still to come. Each station walks
   a time-ordered list of arrival times and packet ids with a cursor.
 - At most one runtime event is pending, at `_Sim.wake_us`: while the
-  channel is busy, the end of the exchange on the air; while it is
-  idle, the earlier of the two stations' backoff expiries (none if
-  neither is backlogged). A new earlier expiry replaces the pending
-  one, so no event is ever stale.
+  channel is busy, the end of the busy period; while it is idle, the
+  earlier of the two stations' backoff expiries (none if neither is
+  backlogged), and a new earlier expiry replaces it. `on_access` takes
+  the channel from idle to busy and `on_end` from busy to idle, and
+  each sets the next pending event, so no event is ever stale.
 - Contention is between a fixed pair. On an idle channel the AP is
   armed before the client, so it draws its backoff first. If both
   expire together they collide, or the AP transmits when collisions
@@ -159,11 +160,6 @@ class _Sim:
 
     # -- channel accounting ----------------------------------------------
 
-    def add_airtime(self, start: float, end: float) -> None:
-        a, b = max(start, self.warmup_us), min(end, self.duration_us)
-        if b > a:
-            self.metrics.airtime_busy_us += b - a
-
     def queue_statistics(self, enqueue_us: np.ndarray) -> None:
         """The AP queue's length integral and busy time over the measured
         window, from the enqueue column (by packet id, NaN for a packet
@@ -221,80 +217,70 @@ class _Sim:
     # -- event handlers ---------------------------------------------------
 
     def on_access(self) -> None:
-        """A backoff expires now: the pair's contention rule (module
-        docstring) picks who transmits."""
-        ap, client = self.ap, self.client
-        if ap.expiry_us == client.expiry_us and self.cfg.mac.collisions_enabled:
-            self.start_collision()
-            return
-        st, other = ((ap, client) if ap.expiry_us <= client.expiry_us
-                     else (client, ap))
-        if other.buffer:
-            elapsed = self.now - other.aifs_end_us
-            if elapsed > 0:
-                other.slots_left = max(
-                    0, other.slots_left - int(elapsed / self.slot + 1e-9))
-            other.aifs_end_us = None
-        self.start_exchange(st)
-
-    def start_collision(self) -> None:
-        for st in (self.ap, self.client):
-            mac_mod.note_exchange_failure(st)
+        """A backoff expires on the idle channel: the contention rule picks
+        who transmits, or both collide. The busy period that starts adds
+        its airtime, is logged, and its end is the pending event."""
+        ap, client, now, m = self.ap, self.client, self.now, self.cfg.mac
+        if ap.expiry_us == client.expiry_us and m.collisions_enabled:
+            for st in (ap, client):
+                mac_mod.note_exchange_failure(st)
+                st.slots_left = st.aifs_end_us = None
+            if now >= self.warmup_us:
+                self.metrics.collisions += 1
+            flight, end = "collision", now + self.collision_busy
+            record = TxRecord("collision", now, end, 0, -1)
+        else:
+            st, other = ((ap, client) if ap.expiry_us <= client.expiry_us
+                         else (client, ap))
+            if other.buffer:
+                elapsed = now - other.aifs_end_us
+                if elapsed > 0:
+                    other.slots_left = max(
+                        0, other.slots_left - int(elapsed / self.slot + 1e-9))
+                other.aifs_end_us = None
+            ampdu = mac_mod.assemble_ampdu(
+                st, m.max_ampdu, st.snapshot_len if m.ampdu_snapshot else None,
+                m.max_ampdu_bytes)
+            # uplink aggregates stay out of ampdu_sizes
+            if st is ap and now >= self.warmup_us:
+                self.metrics.record_attempt(ampdu)
+            flight = (st, ampdu)
+            end = now + self.airtime(ampdu.total_bytes, len(ampdu), st.rts_cts)
             st.slots_left = st.aifs_end_us = None
-        end = self.now + self.collision_busy
-        self.add_airtime(self.now, end)
-        if self.now >= self.warmup_us:
-            self.metrics.collisions += 1
-        self.metrics.tx_log.append(
-            TxRecord("collision", self.now, end, 0, -1))
-        self.in_flight = "collision"
-        self.wake_us = end
-
-    def start_exchange(self, st: MacStation) -> None:
-        limit = st.snapshot_len if self.cfg.mac.ampdu_snapshot else None
-        ampdu = mac_mod.assemble_ampdu(st, self.cfg.mac.max_ampdu, limit,
-                                       self.cfg.mac.max_ampdu_bytes)
-        # uplink aggregates stay out of ampdu_sizes
-        if st is self.ap and self.now >= self.warmup_us:
-            self.metrics.record_attempt(ampdu)
-        end = self.now + self.airtime(ampdu.total_bytes, len(ampdu),
-                                      st.rts_cts)
-        st.slots_left = None
-        st.aifs_end_us = None
-        self.add_airtime(self.now, end)
-        self.metrics.tx_log.append(
-            TxRecord(st.role, self.now, end, len(ampdu), st.drawn_slots))
-        self.in_flight = (st, ampdu)
+            record = TxRecord(st.role, now, end, len(ampdu), st.drawn_slots)
+        busy = min(end, self.duration_us) - max(now, self.warmup_us)
+        if busy > 0:
+            self.metrics.airtime_busy_us += busy
+        self.metrics.tx_log.append(record)
+        self.in_flight = flight
         self.wake_us = end
 
     def on_end(self) -> None:
         flight, self.in_flight = self.in_flight, None
-        if flight == "collision":
-            self.resolve()
-            return
-        st, ampdu = flight
-        flags = mac_mod.apply_per(ampdu, self.cfg.mac.per, self.rng)
-        delivered, requeued, dropped = mac_mod.handle_back(
-            st, ampdu, flags, self.cfg.mac.max_retx)
-        if st is self.ap and (delivered or dropped):
-            self.ap_end_us.append(self.now)
-            self.ap_end_n.append(len(delivered) + len(dropped))
-        if delivered:
-            if self.cfg.mac.delivery_stamp == "back_end":
-                stamp = self.now
-            else:
-                stamp = self.now - self.cfg.mac.sifs_us - self.back_air
-            log = self.ap_log if st is self.ap else self.client_log
-            log.ids.fromlist(delivered)
-            log.stamps.append(stamp)
-            log.counts.append(len(delivered))
-        policy = self.cfg.mac.cw_policy
-        if policy != "retry":
-            if not delivered or (policy == "exchange_any"
-                                 and (requeued or dropped)):
-                mac_mod.note_exchange_failure(st)
-            else:
-                mac_mod.note_exchange_success(st)
+        if flight != "collision":
+            st, ampdu = flight
+            m = self.cfg.mac
+            flags = mac_mod.apply_per(ampdu, m.per, self.rng)
+            delivered, requeued, dropped = mac_mod.handle_back(
+                st, ampdu, flags, m.max_retx)
+            if st is self.ap and (delivered or dropped):
+                self.ap_end_us.append(self.now)
+                self.ap_end_n.append(len(delivered) + len(dropped))
+            if delivered:
+                if m.delivery_stamp == "back_end":
+                    stamp = self.now
+                else:
+                    stamp = self.now - m.sifs_us - self.back_air
+                log = self.ap_log if st is self.ap else self.client_log
+                log.ids.fromlist(delivered)
+                log.stamps.append(stamp)
+                log.counts.append(len(delivered))
+            if m.cw_policy != "retry":
+                if not delivered or (m.cw_policy == "exchange_any"
+                                     and (requeued or dropped)):
+                    mac_mod.note_exchange_failure(st)
+                else:
+                    mac_mod.note_exchange_success(st)
         self.resolve()
 
     # -- main loop --------------------------------------------------------
@@ -328,14 +314,13 @@ class _Sim:
             arrival_us.frombytes(by_id.view(np.uint8))
             times, ids = em.times_us, em.packet_ids
             del em, by_id
-            if len(carry_times):
-                # the carried emissions have the lower ids, so a stable
-                # sort on time keeps ties in packet id order
-                times = np.concatenate((carry_times, times))
-                ids = np.concatenate((carry_ids, ids))
-                order = np.argsort(times, kind="stable")
-                times, ids = times[order], ids[order]
-                del order
+            # the carried emissions have the lower ids, so a stable sort on
+            # time keeps ties in packet id order
+            times = np.concatenate((carry_times, times))
+            ids = np.concatenate((carry_ids, ids))
+            order = np.argsort(times, kind="stable")
+            times, ids = times[order], ids[order]
+            del order
             k = int(np.searchsorted(times, min(later_us, self.duration_us)))
             self.metrics.generated_video += k
             yield times[:k].tolist(), ids[:k].tolist(), later_us
@@ -440,7 +425,6 @@ class _Sim:
             if wake > now:
                 now = wake
             self.now = now
-            self.wake_us = inf
             if self.in_flight is not None:
                 self.on_end()
             else:

@@ -509,6 +509,7 @@ def stream_summaries(groups: dict[str, Trace]) -> list[StreamSummary]:
         n = len(rows)
         total_bytes = int(rows.length.sum())
         span = float(rows.timestamp_s[-1] - rows.timestamp_s[0])
+        load = total_bytes * 8 / span / 1e6 if span > 0 else 0.0
         # left to right on every interpreter: sum() compensates from 3.12
         gaps = inter_packet_ms(rows)
         out.append(StreamSummary(
@@ -517,7 +518,8 @@ def stream_summaries(groups: dict[str, Trace]) -> list[StreamSummary]:
             mean_packet_size=total_bytes / n,
             mean_inter_packet_ms=(float(np.cumsum(gaps)[-1]) / len(gaps)
                                   if len(gaps) else 0.0),
-            load_mbps=(total_bytes * 8 / span / 1e6) if span > 0 else 0.0,
+            # as for a zero span, where no finite load divides out
+            load_mbps=load if math.isfinite(load) else 0.0,
         ))
     return out
 
@@ -690,8 +692,10 @@ def analyze_video(trace: Trace,
         va.assembly_delays_ms = assembly_delays(frames)
         ift = inter_frame_times_ms(frames)
         if ift:
-            tm.inter_frame_time_mean_ms = float(np.mean(ift))
-            tm.fps_estimate = 1e3 / tm.inter_frame_time_mean_ms
+            mean_ms = tm.inter_frame_time_mean_ms = float(np.mean(ift))
+            # as for one frame, no rate when frames start too close to divide
+            if mean_ms and math.isfinite(fps := 1e3 / mean_ms):
+                tm.fps_estimate = fps
         tm.frame_size_mean_bytes = float(
             np.mean([f.size_bytes for f in frames]))
         tm.assembly_delay_mean_ms = float(np.mean(va.assembly_delays_ms))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from vrwifi import cli, traceio
 from vrwifi.cli import main
@@ -398,6 +398,46 @@ def test_analyze_frames_flag_requires_rtp(tmp_path):
     assert not out.exists()
     # without --frames the batch-level analysis succeeds
     assert main(["analyze", str(trace), "--output", str(out)]) == 0
+
+
+def strict_json(path: Path):
+    """The JSON object in path, which must hold no NaN or Infinity."""
+    def refuse(name):
+        raise ValueError(f"{path} holds {name}, which is not JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_simulate_frames_at_one_instant_have_no_rate(tmp_path):
+    # a valid config whose two frames leave in one A-MPDU: the trace's
+    # frames all start at one instant, which once divided by zero
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(
+        "mac: {cw_min: 200, cw_max: 200, ampdu_snapshot: false}\n"
+        "traffic: {fps: 1000.0, bitrate_bps: 8000000.0, ul_enabled: false}\n"
+        "sim: {duration_s: 0.002, warmup_ms: 0.0, runs: 1, seed: 2}\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--output", str(out)]) == 0
+    tm = strict_json(out / "summary.json")["trace_metrics"]
+    assert tm["inter_frame_time_mean_ms"] == 0.0
+    assert "fps_estimate" not in tm
+
+
+@pytest.mark.parametrize("rows", ["1.0,1000,5,1\n1.0,1000,6,1\n",
+                                  "0.0,1000,5,1\n5e-324,1000,6,1\n"],
+                         ids=["one_instant", "one_subnormal_apart"])
+def test_analyze_frames_too_close_to_divide_have_no_rate(tmp_path, capsys,
+                                                         rows):
+    # the first once divided by zero, the second wrote Infinity for the
+    # frame rate and the load, which compare refuses
+    trace = tmp_path / "trace.csv"
+    trace.write_text("timestamp,length,rtp_timestamp,rtp_ssrc\n" + rows)
+    out = tmp_path / "out"
+    assert main(["analyze", str(trace), "--frames", "--output", str(out)]) == 0
+    analysis = strict_json(out / "analysis.json")
+    assert analysis["frames"]["fps_estimate"] is None
+    assert "fps_estimate" not in analysis["trace_metrics"]
+    assert analysis["streams"][traceio.SRTP_VIDEO]["load_mbps"] == 0.0
+    assert "fps ~ n/a" in capsys.readouterr().out
 
 
 def test_analyze_single_frame_trace(tmp_path):
@@ -991,6 +1031,22 @@ def test_output_under_a_regular_file_exits_2(tmp_path, capsys, command):
     assert str(out) in error_line(capsys)
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep", "analyze",
+                                     "compare"])
+def test_each_command_names_its_outputs_last_on_success_only(
+        tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main(good_argv(tmp_path)[command] + ["--output", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"  outputs in {out}"
+    assert sum("outputs in" in line for line in lines) == 1
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    assert main(good_argv(tmp_path)[command]
+                + ["--output", str(blocker / "out")]) == 2
+    assert "outputs in" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_simulate_into_a_directory_named_like_its_trace_exits_2(
         tmp_path, capsys, jobs):
@@ -1044,6 +1100,7 @@ HARD_PIECES = (
     b"1.0,1243,50000,5004,DL,96,7,3000,false,\n",
     b"1.0002,1243,50000,5004,DL,96,7,3000,true,RTP\n",
     b"1.011,1243,50000,5004,DL,96,7,4000,true,\n",
+    b"1.0,1243,50000,5004,DL,96,7,4000,true,\n",
     b"-1e308,1243,50000,5004,DL,96,7,3000,true,\n",
     b"1e308,1243,50000,5004,DL,96,7,4000,true,\n",
 )
@@ -1057,6 +1114,10 @@ HARD_PIECES = (
                                b"timestamp,length\n", b""]),
        pieces=st.lists(st.sampled_from(HARD_PIECES), max_size=30),
        frames=st.booleans())
+# two frames at one instant, which once divided by zero
+@example(bom=False, header=CANONICAL_HEADER + b"\n",
+         pieces=[b"1.0,1243,50000,5004,DL,96,7,3000,false,\n",
+                 b"1.0,1243,50000,5004,DL,96,7,4000,true,\n"], frames=True)
 def test_analyze_any_file_exits_0_or_2(tmp_path, capsys, bom, header,
                                        pieces, frames):
     # with no header given, the pieces make the header row too
@@ -1066,3 +1127,5 @@ def test_analyze_any_file_exits_0_or_2(tmp_path, capsys, bom, header,
     rc = main(argv + ["--frames"] * frames)
     err = capsys.readouterr().err.splitlines()
     assert rc == 0 or (rc == 2 and err[-1].startswith("error: "))
+    if rc == 0:
+        strict_json(tmp_path / "out" / "analysis.json")

@@ -172,6 +172,29 @@ def test_busy_intervals_never_overlap(variant):
         assert b.tx_start_us >= a.busy_end_us - 1e-6
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("over", [
+    {}, {"phy": {"mcs_index": 0}},
+    # collisions, and a warm-up that ends inside busy periods
+    {"warmup_ms": 333.3, "mac": {"cw_min": 3, "cw_max": 7}}],
+    ids=["defaults", "mcs0", "collisions_warmup"])
+def test_channel_log_records_every_busy_period(over, seed):
+    # the airtime, collision count and A-MPDU sizes are those of the busy
+    # periods in tx_log, each clipped to the measured window
+    m = run_simulation(fast_cfg(duration_s=2.0, **over), seed).metrics
+    airtime = 0.0
+    for t in m.tx_log:
+        busy = (min(t.busy_end_us, m.duration_us)
+                - max(t.tx_start_us, m.warmup_us))
+        if busy > 0:
+            airtime += busy
+    assert m.airtime_busy_us == airtime
+    measured = [t for t in m.tx_log if t.tx_start_us >= m.warmup_us]
+    assert m.collisions == sum(t.role == "collision" for t in measured)
+    assert m.ampdu_sizes.tolist() == [t.n_mpdus for t in measured
+                                      if t.role == AP]
+
+
 def test_warmup_excludes_early_samples():
     cfg = fast_cfg()
     warm = dataclasses.replace(cfg, warmup_ms=500.0)
