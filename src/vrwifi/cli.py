@@ -65,6 +65,23 @@ SAMPLE_CSVS = (
 )
 
 
+def _reprs(column: np.ndarray) -> list[str]:
+    """The repr of each value of a float64 or int64 column, each distinct
+    value (by bit pattern, so 0.0 and -0.0 stay apart) formatted once."""
+    _, first, inverse = np.unique(column.view(np.int64), return_index=True,
+                                  return_inverse=True)
+    text = list(map(repr, column[first].tolist()))
+    return list(map(text.__getitem__, inverse.tolist()))
+
+
+def _write_samples(fh, seed: int, values: np.ndarray) -> None:
+    """Rows "seed,value" as csv.writer writes them (repr, CRLF), without
+    its per-row cost: one join a block of values at a time."""
+    for start in range(0, len(values), traceio.BLOCK_ROWS):
+        fh.write(f"{seed}," + f"\r\n{seed},".join(_reprs(
+            values[start:start + traceio.BLOCK_ROWS])) + "\r\n")
+
+
 def _run_task(cfg, seed, trace_path) -> tuple[RunMetrics, dict | None]:
     """One run of simulate or sweep, in a pool worker or in this process.
     Given a trace path, the run also writes its delivered trace there and
@@ -101,13 +118,8 @@ def cmd_simulate(args) -> Path:
             fh.write(f"seed,{header}\r\n")
             dumps.append((attr, fh))
         for seed, (m, tm) in zip(seeds, results):
-            # the bytes csv.writer writes (repr of a Python number, CRLF),
-            # without its per-row cost, a block of samples at a time
             for attr, fh in dumps:
-                values = getattr(m, attr)
-                for start in range(0, len(values), traceio.BLOCK_ROWS):
-                    fh.writelines(f"{seed},{v!r}\r\n" for v in values[
-                        start:start + traceio.BLOCK_ROWS].tolist())
+                _write_samples(fh, seed, np.asarray(getattr(m, attr)))
             per_run.append(metrics_summary(m))
             runs.append(m)
             if tm is not None:
@@ -286,8 +298,8 @@ def cmd_analyze(args) -> Path:
                 fh.write("inter_packet_ms,probability\r\n")
                 for start in range(0, len(xs), traceio.BLOCK_ROWS):
                     block = slice(start, start + traceio.BLOCK_ROWS)
-                    fh.writelines(f"{x!r},{p!r}\r\n" for x, p in zip(
-                        xs[block].tolist(), ps[block].tolist()))
+                    fh.writelines(f"{x},{p!r}\r\n" for x, p in zip(
+                        _reprs(xs[block]), ps[block].tolist()))
 
     report = {
         "command": "analyze",

@@ -4,8 +4,10 @@ traffic), and sweep orchestration across seeds.
 
 Event ordering contract (what makes a run replay bit-identically):
 
-- Every traffic draw comes before the first MAC draw: all frames' batch
-  counts are drawn in one call when the run starts. The video packets
+- Every traffic draw comes before the first MAC draw (all frames' batch
+  counts are drawn in one call when the run starts), which lets mac.Draws
+  read the MAC's draws ahead from the run's one PCG64 stream, a block at
+  a time, and give the unread rest back after the loop. The video packets
   are then built a window of frames at a time as the loop reaches them
   (traffic.VideoWindows), and each window's emissions are merged in time
   order with those of earlier windows still to come. Each station walks
@@ -147,7 +149,8 @@ class _Sim:
             if self.cfg.mac.cw_policy == "retry":
                 st.cw = mac_mod.cw_for_retry(
                     st, st.packets.retx_count[st.buffer[0]])
-            st.slots_left = st.drawn_slots = mac_mod.draw_backoff(st, self.rng)
+            st.slots_left = st.drawn_slots = mac_mod.draw_backoff(
+                st, self.draws)
             st.snapshot_len = len(st.buffer)
         st.expiry_us = st.aifs_end_us + st.slots_left * self.slot
 
@@ -260,7 +263,7 @@ class _Sim:
         if flight != "collision":
             st, ampdu = flight
             m = self.cfg.mac
-            flags = mac_mod.apply_per(ampdu, m.per, self.rng)
+            flags = mac_mod.apply_per(ampdu, m.per, self.draws)
             delivered, requeued, dropped = mac_mod.handle_back(
                 st, ampdu, flags, m.max_retx)
             if st is self.ap and (delivered or dropped):
@@ -347,6 +350,7 @@ class _Sim:
         windows = traffic_mod.video_windows(
             cfg.traffic, self.rng, cfg.duration_s,
             max(1, math.ceil(WINDOW_S * cfg.traffic.fps)))
+        self.draws = mac_mod.Draws(self.rng)
         ul_times = np.zeros(0)
         if cfg.traffic.ul_enabled:
             ul_times = traffic_mod.ul_controller_stream(cfg.traffic,
@@ -430,6 +434,7 @@ class _Sim:
             else:
                 self.on_access()
 
+        self.draws.give_back()
         m = self.metrics
         m.generated_ul = u
         m.dropped_retx = ap.drops_retx + client.drops_retx
@@ -441,7 +446,7 @@ class _Sim:
         # the stations with their columns, and the loop state, go before
         # the numpy passes: the after-loop accounting must not raise a
         # run's peak memory
-        self.ap = self.client = self.in_flight = None
+        self.ap = self.client = self.in_flight = self.draws = None
         del ap, client, chunks, ap_times, ap_ids, ul_arrive, ul_ids
         # the enqueue column: the arrival time of each admitted packet
         enqueue_us = np.frombuffer(arrival_us)

@@ -6,7 +6,8 @@ A packet is an integer id into its station's Packets columns; buffers and
 A-MPDUs hold ids. The DES engine owns all timing; this module only
 mutates station state and the retry column. Every call handles a slice
 of ids, so its Python work is per call, not per packet; only a failed
-MPDU's retry bookkeeping is per packet.
+MPDU's retry bookkeeping is per packet. Backoffs and PER uniforms come
+from a Draws source, which reads the run's PCG64 stream ahead in blocks.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from vrwifi.config import MacConfig
 
 AP = "ap"
 CLIENT = "client"
+RAW_BLOCK = 1024   # raw PCG64 outputs a Draws source reads at a time
 
 
 @dataclass(eq=False)
@@ -119,30 +121,76 @@ def enqueue(station: MacStation, ids: Sequence[int]) -> int:
     return len(ids)
 
 
-def draw_backoff(station: MacStation, rng: np.random.Generator) -> int:
-    """Uniform backoff in [0, cw] slots at the current window.
+class Draws:
+    """The draws numpy's Generator makes on a PCG64 stream, value for value
+    in any interleaving, from raw outputs read RAW_BLOCK at a time: next64
+    is next_uint64, next32 next_uint32 (half an output, the other half
+    buffered for the next call) and each uniform of flags() next_double."""
 
-    The value and the generator state after it are those of
-    rng.integers(0, cw + 1): below 2**32 - 1 numpy maps one 32-bit draw
-    into the range by Lemire's multiply-and-reject rule (Lemire, "Fast
-    Random Integer Generation in an Interval", ACM TOMACS 2019), done
-    here on the bit generator's own next_uint32 to skip the cost of a
-    Generator call.
+    def __init__(self, rng: np.random.Generator):
+        self.bits = rng.bit_generator
+        state = self.bits.state   # a buffered half-word is drawn first
+        self.has32, self.half = state["has_uint32"], state["uinteger"]
+        self._read()
+
+    def _read(self) -> None:
+        self.raw, self.pos, self.per = self.bits.random_raw(RAW_BLOCK), 0, None
+
+    def next64(self) -> int:
+        if self.pos == len(self.raw):
+            self._read()
+        self.pos += 1
+        return self.raw.item(self.pos - 1)
+
+    def next32(self) -> int:
+        if self.has32:
+            self.has32 = 0
+            return self.half
+        value = self.next64()
+        self.has32, self.half = 1, value >> 32
+        return value & 0xFFFFFFFF
+
+    def flags(self, n: int, per: float) -> list[bool]:
+        """Whether each of the next n uniforms is at least `per`."""
+        ok = []
+        while len(ok) < n:
+            if self.pos == len(self.raw):
+                self._read()
+            if per != self.per:   # the block's flags, made once per value
+                self.per = per
+                self.ok = ((self.raw >> np.uint64(11)) * 2.0**-53
+                           >= per).tolist()
+            take = self.ok[self.pos:self.pos + n - len(ok)]
+            self.pos += len(take)
+            ok += take
+        return ok
+
+    def give_back(self) -> None:
+        """Leave the generator where per-call draws would have left it."""
+        self.bits.advance(2**128 - (len(self.raw) - self.pos))
+        state = self.bits.state
+        state["has_uint32"], state["uinteger"] = self.has32, self.half
+        self.bits.state = state
+
+
+def draw_backoff(station: MacStation, rng: Draws) -> int:
+    """Uniform backoff in [0, cw] slots at the current window: numpy's
+    Generator.integers(0, cw + 1), by Lemire's multiply-and-reject rule
+    (Lemire, "Fast Random Integer Generation in an Interval", ACM TOMACS
+    2019) on a 32-bit draw, or on a 64-bit one when cw + 1 > 2**32.
     """
     cw = station.cw
     if cw == 0:
         return 0
-    if cw >= 0xFFFFFFFF:
-        return int(rng.integers(0, cw + 1))
-    bits = rng.bit_generator.ctypes
-    next32, state = bits.next_uint32, bits.state
     span = cw + 1
-    m = next32(state) * span
-    if m & 0xFFFFFFFF < span:
-        threshold = (0x100000000 - span) % span
-        while m & 0xFFFFFFFF < threshold:
-            m = next32(state) * span
-    return m >> 32
+    width, draw = (32, rng.next32) if span <= 1 << 32 else (64, rng.next64)
+    mask = (1 << width) - 1
+    m = draw() * span
+    if m & mask < span:
+        threshold = (mask + 1) % span   # 2**width - span, mod span
+        while m & mask < threshold:
+            m = draw() * span
+    return m >> width
 
 
 def note_exchange_failure(station: MacStation) -> None:
@@ -213,13 +261,13 @@ def _within_bytes(buffer: list, size: list, n: int,
     return n, upto[n - 1]
 
 
-def apply_per(ampdu: Ampdu, per: float, rng: np.random.Generator) -> np.ndarray:
+def apply_per(ampdu: Ampdu, per: float, rng: Draws) -> list[bool]:
     """Per-MPDU success flags; each MPDU fails independently with
     probability `per`. Control frames are never subject to errors."""
-    return rng.random(len(ampdu.mpdus)) >= per
+    return rng.flags(len(ampdu.mpdus), per)
 
 
-def handle_back(station: MacStation, ampdu: Ampdu, flags: np.ndarray,
+def handle_back(station: MacStation, ampdu: Ampdu, flags: list[bool],
                 max_retx: int) -> tuple[list[int], list[int], list[int]]:
     """Split the acknowledged A-MPDU into (delivered, requeued, dropped).
 
@@ -228,12 +276,11 @@ def handle_back(station: MacStation, ampdu: Ampdu, flags: np.ndarray,
     the next aggregate. A packet that fails with retx_count == max_retx
     is dropped and counted.
     """
-    ok = flags.tolist()
-    if all(ok):
+    if all(flags):
         return ampdu.mpdus, [], []
     retx = station.packets.retx_count
     requeue, dropped = [], []
-    for pid in compress(ampdu.mpdus, map(not_, ok)):
+    for pid in compress(ampdu.mpdus, map(not_, flags)):
         if retx[pid] >= max_retx:
             dropped.append(pid)
         else:
@@ -241,4 +288,4 @@ def handle_back(station: MacStation, ampdu: Ampdu, flags: np.ndarray,
             requeue.append(pid)
     station.buffer[:0] = requeue
     station.drops_retx += len(dropped)
-    return list(compress(ampdu.mpdus, ok)), requeue, dropped
+    return list(compress(ampdu.mpdus, flags)), requeue, dropped

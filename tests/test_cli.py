@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import pickle
 import weakref
@@ -748,6 +749,33 @@ def test_simulate_writes_each_dump_in_blocks(tmp_path, monkeypatch, block):
             expected += f"{seed}," + f"\r\n{seed},".join(
                 map(repr, values)) + "\r\n"
         assert (out / name).read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("length", [0, 1, traceio.BLOCK_ROWS - 1,
+                                    traceio.BLOCK_ROWS + 1])
+@pytest.mark.parametrize("typecode", ["d", "q"])
+def test_sample_rows_are_the_per_row_writers_bytes(length, typecode):
+    """The block formatter writes what one f"{seed},{v!r}\\r\\n" a value
+    writes, on a column that starts with the special values and goes on
+    with repeats of them and of ordinary ones: 0.0 and -0.0 in one block,
+    NaN, both infinities, the smallest subnormal and 1e16 (repr in
+    exponent form) for floats, and the int64 extremes for ints."""
+    r = np.random.default_rng(length)
+    if typecode == "d":
+        special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 0.1]
+        ordinary = np.round(r.exponential(900.0, 40), 1).tolist()
+    else:
+        special = [0, -1, 2**63 - 1, -2**63, 10**16]
+        ordinary = r.integers(1, 257, 40).tolist()
+    pool = special + ordinary
+    picks = r.integers(len(pool), size=length).tolist()
+    values = array(typecode, (special + [pool[i] for i in picks])[:length])
+    fh = io.StringIO(newline="")
+    cli._write_samples(fh, 17, np.asarray(values))
+    # compared row by row: a failing diff of one long string takes minutes
+    assert fh.getvalue().splitlines(keepends=True) == [
+        f"17,{v!r}\r\n" for v in values.tolist()]
+    assert cli._reprs(np.asarray(values)) == list(map(repr, values.tolist()))
 
 
 @pytest.mark.parametrize("block", [1, 3])

@@ -19,6 +19,10 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def draws(seed=0):
+    return mac.Draws(rng(seed))
+
+
 def test_station_capacities_from_config():
     cfg = MacConfig()
     assert mac.make_station(mac.AP, cfg, packets()).capacity == 1000
@@ -54,7 +58,7 @@ def test_enqueue_admits_nothing_above_capacity():
     mac.enqueue(st, list(range(4)))
     ampdu = mac.assemble_ampdu(st, max_ampdu=3)
     mac.enqueue(st, [4, 5, 6])
-    mac.handle_back(st, ampdu, np.zeros(3, dtype=bool), max_retx=7)
+    mac.handle_back(st, ampdu, [False] * 3, max_retx=7)
     assert st.buffer == [0, 1, 2, 3, 4, 5, 6]
     assert mac.enqueue(st, [7, 8, 9, 10, 11]) == 0
     assert st.drops_buffer == 5
@@ -63,34 +67,52 @@ def test_enqueue_admits_nothing_above_capacity():
 
 def test_backoff_within_window():
     st = ap()
-    r = rng(1)
-    draws = [mac.draw_backoff(st, r) for _ in range(2000)]
-    assert min(draws) >= 0 and max(draws) <= 31
-    assert 0 in draws and 31 in draws
+    source = draws(1)
+    slots = [mac.draw_backoff(st, source) for _ in range(2000)]
+    assert min(slots) >= 0 and max(slots) <= 31
+    assert 0 in slots and 31 in slots
 
 
-# 999 and 2**31 are ranges that Lemire's rule must reject draws in (about
-# half of them for 2**31)
+# 999, 2**31 and 2**62 are ranges that Lemire's rule must reject draws in
+# (about half of them for 2**31, a quarter for 2**62); from 2**32 on a
+# backoff takes a 64-bit draw
 @pytest.mark.parametrize("cw", [0, 1, 31, 999, 1023, 2**31, 2**32 - 2,
-                                2**32 - 1, 2**33])
+                                2**32 - 1, 2**33, 2**62, 2**63 - 1])
 def test_backoff_draw_is_numpy_integers(cw):
-    """draw_backoff gives Generator.integers(0, cw + 1)'s value and leaves
-    the generator where it leaves it, between vector draws and after an
-    odd count of 32-bit draws, which leaves half a 64-bit output
-    buffered."""
+    """A draw source gives Generator.integers(0, cw + 1)'s backoffs and
+    Generator.random's uniforms, interleaved, and leaves the generator
+    where those calls leave it: it starts after an odd count of 32-bit
+    draws, which leaves half a 64-bit output buffered, and a flags call
+    may take none, part of a block or more than a block. Vector draws
+    made on the generator between two sources match too."""
     st = ap()
     st.cw = cw
-    mine, ref = rng(3), rng(3)
-    for g in (mine, ref):
+    mine, ref, probe = rng(3), rng(3), rng(3)
+    for g in (mine, ref, probe):
         g.integers(1, 3, size=901)
-    for k in range(400):
-        assert mac.draw_backoff(st, mine) == ref.integers(0, cw + 1)
-        if k % 7 == 0:
-            n = k % 5
-            assert (mine.random(n) == ref.random(n)).all()
-        if k % 11 == 0:
-            assert (mine.integers(1, 3, size=k % 3)
-                    == ref.integers(1, 3, size=k % 3)).all()
+    # the first uniform is a PER equal to itself: a success, as u >= per
+    pers = [probe.random(), 0.0, 0.1, 0.5, 1.0, 5e-324]
+    sizes = [2 * mac.RAW_BLOCK + 1, 0, 1, 7, 0, 3, 64]
+    for part in range(2):
+        source = mac.Draws(mine)
+        for k in range(400):
+            n, per = sizes[k % len(sizes)], pers[k % len(pers)]
+            assert source.flags(n, per) == (ref.random(n) >= per).tolist()
+            assert mac.draw_backoff(st, source) == ref.integers(0, cw + 1)
+        source.give_back()
+        assert (mine.random(5) == ref.random(5)).all()
+        assert (mine.integers(1, 3, size=3)
+                == ref.integers(1, 3, size=3)).all()
+    assert mine.bit_generator.state == ref.bit_generator.state
+
+
+def test_flags_span_any_number_of_blocks():
+    # an A-MPDU may hold more MPDUs than a thousand blocks of draws
+    mine, ref = rng(5), rng(5)
+    source = mac.Draws(mine)
+    n = 1001 * mac.RAW_BLOCK + 5
+    assert source.flags(n, 0.3) == (ref.random(n) >= 0.3).tolist()
+    source.give_back()
     assert mine.bit_generator.state == ref.bit_generator.state
 
 
@@ -158,15 +180,15 @@ def test_apply_per_extremes():
     st = ap()
     mac.enqueue(st, list(range(20)))
     ampdu = mac.assemble_ampdu(st, 256)
-    assert mac.apply_per(ampdu, 0.0, rng()).all()
-    assert not mac.apply_per(ampdu, 1.0, rng()).any()
+    assert mac.apply_per(ampdu, 0.0, draws()) == [True] * 20
+    assert mac.apply_per(ampdu, 1.0, draws()) == [False] * 20
 
 
 def test_apply_per_binomial_three_sigma():
     st = ap()
     st.buffer.extend(range(10_000))
     ampdu = mac.assemble_ampdu(st, max_ampdu=10_000)
-    failures = int((~mac.apply_per(ampdu, 0.1, rng(7))).sum())
+    failures = mac.apply_per(ampdu, 0.1, draws(7)).count(False)
     assert abs(failures - 1000) <= 90   # 3 sigma of Binomial(1e4, 0.1)
 
 
@@ -175,7 +197,7 @@ def test_handle_back_all_success():
     mac.enqueue(st, list(range(10)))
     ampdu = mac.assemble_ampdu(st, 256)
     delivered, requeued, dropped = mac.handle_back(
-        st, ampdu, np.ones(10, dtype=bool), max_retx=7)
+        st, ampdu, [True] * 10, max_retx=7)
     assert len(delivered) == 10 and not requeued and not dropped
     assert len(st.buffer) == 0
 
@@ -184,7 +206,7 @@ def test_handle_back_failed_subset_precedes_new_packets():
     st = ap()
     mac.enqueue(st, list(range(6)))
     ampdu = mac.assemble_ampdu(st, max_ampdu=4)    # takes 0..3
-    flags = np.array([True, False, True, False])
+    flags = [True, False, True, False]
     delivered, requeued, dropped = mac.handle_back(st, ampdu, flags, 7)
     assert delivered == [0, 2]
     assert requeued == [1, 3]
@@ -199,7 +221,7 @@ def test_handle_back_drop_after_max_retx():
     mac.enqueue(st, [0])
     ampdu = mac.assemble_ampdu(st, 256)
     delivered, requeued, dropped = mac.handle_back(
-        st, ampdu, np.array([False]), max_retx=7)
+        st, ampdu, [False], max_retx=7)
     assert dropped == [0] and not delivered and not requeued
     assert st.drops_retx == 1
     assert len(st.buffer) == 0
@@ -210,7 +232,7 @@ def test_handle_back_retry_below_limit_requeues():
     st.packets.retx_count[0] = 6
     mac.enqueue(st, [0])
     ampdu = mac.assemble_ampdu(st, 256)
-    _, requeued, dropped = mac.handle_back(st, ampdu, np.array([False]), 7)
+    _, requeued, dropped = mac.handle_back(st, ampdu, [False], 7)
     assert requeued == [0] and not dropped
     assert st.packets.retx_count[0] == 7
 
